@@ -291,9 +291,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 					"entries":  st.AnalysisEntries,
 					"hit_rate": obs.HitRate(st.AnalysisHits, st.AnalysisMisses),
 				},
-				"reservations": map[string]any{
-					"entries": st.ReservationEntries,
-				},
 				"curve_ops": map[string]any{
 					"hits":     st.CurveOps.Hits,
 					"misses":   st.CurveOps.Misses,

@@ -34,43 +34,49 @@
 // number of tenant templates (the realistic shape: plans, tiers, device
 // models) a registry holding millions of flows does per-admission work
 // proportional to the number of *classes*, and per-flow state shrinks to
-// two map entries. The batch admission path (AdmitBatch, batch.go) rides
-// the same structure to ramp large populations transactionally.
+// two map entries. A candidate set (transact.go) is rostered by class too:
+// one reservation, one analysis and one verdict template per class, however
+// many members it adds.
 //
-// # Concurrency: optimistic analysis, per-node epochs, group commit
+// # Concurrency: one admission transaction
 //
 // State is sharded by node with per-shard locks so residual-curve queries
-// never contend with each other. Every node carries its own epoch,
-// advanced whenever its hosted reservation set changes. The expensive part
-// of an admission — the candidate analysis and the victim sweep — runs
-// under the registry *read* lock against an epoch-stamped snapshot,
-// recording the epoch of every node it reads (the candidate's path plus
-// the path of every analyzed victim class); a short validate-and-commit
-// write section then re-checks exactly those epochs and commits, retrying
-// the sweep on conflict — re-analyzing only classes whose node epochs
-// actually moved — and falling back to the fully write-locked classic path
-// after bounded retries. Only analyzed states ever commit: a conflicted
-// retry re-analyzes rather than assuming the bounds are monotone in cross
-// traffic (the job-aggregation cliff breaks monotonicity).
+// never contend with each other. Every node carries its own epoch, advanced
+// whenever its hosted reservation set changes. Every admission — a single
+// Admit, a combiner group, an AdmitBatch — is the same transaction
+// (transact.go): decideSet analyses the candidate set at the hypothetical
+// final state under the registry *read* lock, pinning the epoch of every node
+// it reads (the paths of the classes gaining members plus the path of every
+// victim class analysed); transact then takes the write lock, re-checks
+// exactly those epochs and commits. A stale snapshot is analysed again from
+// scratch, and after maxCommitRetries the same attempt runs with the write
+// lock held from the start. Only analysed states ever commit: a retry never
+// assumes the bounds are monotone in cross traffic (the job-aggregation
+// cliff breaks monotonicity). transact is the only admission code that
+// takes the registry lock, and releases it by defer, so a panic inside an
+// analysis cannot wedge the controller.
 //
-// Concurrent Admit/Release callers coalesce through a group-commit
-// combiner (group.go): one caller at a time becomes the leader, drains the
-// queue, commits pending releases first, and decides the queued admissions
-// as one transactional group — a single sweep amortized over every waiting
-// caller, which is what turns k concurrent clients into ~k× admission
-// throughput even on one core.
+// Concurrent Admit/Release callers coalesce through a group-commit combiner
+// (group.go): one caller at a time becomes the leader, drains the queue,
+// commits pending releases first, and hands the queued admissions to
+// transact as one set — a single sweep amortized over every waiting caller,
+// which is what turns k concurrent clients into ~k× admission throughput
+// even on one core. A set that is refused as a whole is decided one ticket
+// at a time; AdmitBatch (batch.go) bisects for the largest prefix that fits.
 //
-// Verdict rejections are cached keyed by (arrival-envelope digest, path,
-// SLO, analysis rung) — curve digests rather than spec hashes, so two specs
-// with identical curves share one cache entry regardless of flow ID — and
-// each entry pins the node epochs its analysis observed, so a commit on a
-// disjoint path invalidates nothing. Reservations are likewise cached on
-// (envelope digest, path, rung), and all analyses run through a
-// controller-wide core.Memo so candidate and victim re-checks never
-// recompute an identical pipeline.
+// Three caches keep decisions cheap. Verdict rejections are cached
+// keyed by (arrival-envelope digest, path, SLO, analysis rung) — curve
+// digests rather than spec hashes, so two specs with identical curves share
+// one entry regardless of flow ID — and each entry pins the node epochs its
+// analysis observed, so a commit on a disjoint path invalidates nothing.
+// All analyses run through a controller-wide core.Memo, so a candidate, a
+// victim re-check, a standalone reservation or a retry never recomputes an
+// identical pipeline. Underneath, the process-wide curve operation memo
+// shares individual min-plus operations between different pipelines.
 package admit
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -155,7 +161,7 @@ type Verdict struct {
 // rung (two flows analyzed at different tightness are different admission
 // questions with different reservations and verdicts). Two specs with
 // identical curves map to the same key; the key doubles as the registry's
-// flow-class identity and (with a zero SLO) the reservation-cache key.
+// flow-class identity.
 type verdictKey struct {
 	alpha uint64 // arrival envelope digest
 	lmax  units.Bytes
@@ -248,29 +254,6 @@ func (s *shard) remove(k verdictKey, m int) {
 	}
 }
 
-// aggregate sums the reserved buckets of hosted members in sorted class
-// order — per class one multiply (bucket × count), so the cost is
-// O(classes) regardless of how many flows the node hosts, and the result is
-// a deterministic function of the admitted population. excludeN members of
-// class exclude are left out (0 means none). Callers must hold the shard
-// lock (any mode) or the registry lock.
-func (s *shard) aggregate(exclude verdictKey, excludeN int) core.Bucket {
-	var b core.Bucket
-	for _, k := range s.keys {
-		e := s.classes[k]
-		n := e.n
-		if excludeN > 0 && k == exclude {
-			n -= excludeN
-		}
-		if n <= 0 {
-			continue
-		}
-		b.Rate += e.b.Rate * units.Rate(n)
-		b.Burst += e.b.Burst * units.Bytes(n)
-	}
-	return b
-}
-
 // classState is one admitted flow class: the shared spec, reservation, the
 // latest admission verdict (ID-independent), and the member IDs.
 type classState struct {
@@ -283,7 +266,10 @@ type classState struct {
 	ids     map[string]struct{}    // member flow IDs
 
 	// minID caches the lexicographically smallest member for victim-naming;
-	// recomputed lazily after the minimum is released.
+	// recomputed lazily after the minimum is released. Members change only
+	// under the registry write lock, but the lazy recomputation runs from
+	// read-locked analyses, which can overlap: minMu orders those.
+	minMu    sync.Mutex
 	minID    string
 	minValid bool
 }
@@ -318,6 +304,8 @@ func (cs *classState) removeID(id string) {
 // representative returns the smallest member ID (for victim-naming in
 // rejection reasons), rescanning only when the cached minimum was released.
 func (cs *classState) representative() string {
+	cs.minMu.Lock()
+	defer cs.minMu.Unlock()
 	if !cs.minValid {
 		first := true
 		for id := range cs.ids {
@@ -362,7 +350,7 @@ type Controller struct {
 	leaderSem chan struct{}
 
 	// conflicts counts validate-and-commit sections that found a stale
-	// node epoch and had to retry (or fall back to the write-locked path).
+	// snapshot and sent the transaction round again.
 	conflicts atomic.Uint64
 
 	// memo caches whole-pipeline analyses across admission probes (the same
@@ -373,12 +361,6 @@ type Controller struct {
 	cache     map[verdictKey]cacheEntry
 	cacheHits atomic.Uint64
 	cacheMiss atomic.Uint64
-
-	// resCache maps (arrival-envelope digest, path) to the flow's standalone
-	// per-node reservation — a deterministic function of curves and path, so
-	// it survives epochs and is shared across flow IDs.
-	resMu    sync.Mutex
-	resCache map[verdictKey]map[string]core.Bucket
 
 	// Telemetry sinks (nil when detached): metric handles from EnableObs,
 	// the structured audit logger from SetAudit (obs.go), and the decision
@@ -403,7 +385,6 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		leaderSem: make(chan struct{}, 1),
 		memo:      core.NewMemo(),
 		cache:     make(map[verdictKey]cacheEntry),
-		resCache:  make(map[verdictKey]map[string]core.Bucket),
 	}
 	for i, n := range nodes {
 		if n.Name == "" {
@@ -481,9 +462,8 @@ func (c *Controller) NodeEpochs() map[string]uint64 {
 	return out
 }
 
-// CommitConflicts returns the cumulative count of optimistic
-// validate-and-commit sections that observed a stale node epoch and had to
-// retry or fall back.
+// CommitConflicts returns the cumulative count of validate-and-commit
+// sections that observed a stale snapshot and re-ran the transaction.
 func (c *Controller) CommitConflicts() uint64 { return c.conflicts.Load() }
 
 // NodeNames returns the platform node names in declaration order.
@@ -540,9 +520,9 @@ func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
 	}
 	tr.mark(PhasePrecheck)
 	// Hand the decision to the group-commit combiner (group.go): an
-	// uncontended caller becomes the leader and decides immediately via the
-	// optimistic read-locked path; under concurrency, queued admissions are
-	// analyzed together so one victim sweep serves the whole group.
+	// uncontended caller becomes the leader and runs the transaction at
+	// once; under concurrency, queued admissions go in as one set, so one
+	// victim sweep serves the whole group.
 	return c.submit(&ticket{kind: tkAdmit, f: f, key: key, tr: tr}).v
 }
 
@@ -621,113 +601,6 @@ func (c *Controller) keyFor(f Flow) verdictKey {
 	}
 }
 
-// decide runs all admission checks without mutating state, returning the
-// verdict and (when admitted) the reservation to commit. The registry lock
-// must be held — the write lock on the classic path (sw == nil), or the
-// read lock on the optimistic path, where sw records every node whose state
-// the analysis read (the dependency closure: the candidate's path plus the
-// path of every victim class analyzed) so the commit section can validate
-// the snapshot against the per-node epochs. Precheck must have passed.
-// Rejection reasons never mention the candidate's ID: they are cached and
-// replayed for any flow with the same curves, path, and SLO.
-func (c *Controller) decide(f Flow, epoch uint64, sw *sweep, tr *decTrace) (Verdict, map[string]core.Bucket) {
-	v := Verdict{FlowID: f.ID, Epoch: epoch, Rung: c.rungFor(f).String()}
-	// phase is what a rejection return attributes the elapsed time to; it
-	// flips to the victim-sweep phase when the victim loop starts.
-	phase := PhaseAnalysis
-	reject := func(binding, format string, args ...any) (Verdict, map[string]core.Bucket) {
-		v.Admitted = false
-		v.Binding = binding
-		v.Reason = "rejected: " + fmt.Sprintf(format, args...)
-		tr.mark(phase)
-		return v, nil
-	}
-
-	if _, dup := c.flows[f.ID]; dup {
-		// Re-check under the lock (precheck ran before it).
-		return reject("spec", "flow %q is already admitted", f.ID)
-	}
-
-	// Standalone reservation: the flow's propagated arrival bound at each
-	// path node on the pristine platform (no co-resident reservations), so
-	// the reservation is a deterministic function of (flow, platform).
-	// Errors here are spec errors (bad arrival, starved platform node, ...).
-	contrib, err := c.reservationFor(f)
-	if err != nil {
-		return reject("spec", "%v", err)
-	}
-
-	sw.addPath(c, f.Path)
-
-	// Candidate analysis under the current co-resident cross traffic.
-	// Saturation (aggregate cross >= node rate) surfaces as an Analyze
-	// validation error.
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	if err != nil {
-		return reject("saturation", "%v", err)
-	}
-	tr.noteRungSearch(a.TightCombos, a.TightPruned)
-	b := boundsOf(a)
-	if bad := sloViolation(f.SLO, a, b); bad != nil {
-		return reject(bad.binding, "%s", bad.detail)
-	}
-
-	// Victim check: every admitted class sharing a node must keep its SLO
-	// with the candidate's reservation added as cross traffic. One analysis
-	// covers every member of a class — they are interchangeable. On a
-	// conflict retry, classes whose node epochs are unchanged since the
-	// previous attempt analyzed them are reused without re-analysis: the
-	// sweep is scoped to the classes whose aggregates actually changed.
-	tr.mark(PhaseAnalysis)
-	phase = PhaseVictimSweep
-	for _, k := range c.sortedClassKeys() {
-		cs := c.classes[k]
-		if !sharesNode(cs.path, f.Path) {
-			continue
-		}
-		if sw.victimOK(c, k, cs.path) {
-			tr.noteReuse()
-			continue
-		}
-		tr.noteVictim()
-		// Victims are re-analyzed at their own admitted rung, not the
-		// candidate's: a tight-rung candidate must not loosen (or tighten)
-		// the promises already made to blind-rung classes.
-		p := c.buildPipeline(cs.arrival, cs.path, k.rung, k, 1, contrib)
-		ga, err := core.AnalyzeMemo(p, c.memo)
-		if err != nil {
-			return reject("victim:"+cs.representative(),
-				"admitting this flow would starve flow %q: %v", cs.representative(), err)
-		}
-		tr.noteRungSearch(ga.TightCombos, ga.TightPruned)
-		if bad := sloViolation(cs.slo, ga, boundsOf(ga)); bad != nil {
-			return reject("victim:"+cs.representative(),
-				"admitting this flow would break flow %q: %s", cs.representative(), bad.detail)
-		}
-		sw.recordVictim(c, k, cs.path)
-	}
-	tr.mark(PhaseVictimSweep)
-
-	// Admitted: promised bounds, bottleneck, and residual headroom with
-	// the candidate's own reservation counted.
-	v.Admitted = true
-	v.Delay = b.delay
-	v.Backlog = b.backlog
-	v.Throughput = b.throughput
-	bn := f.Path[a.BottleneckIndex]
-	v.Bottleneck = bn
-	sh := c.shards[bn]
-	agg := sh.aggregate(verdictKey{}, 0)
-	v.HeadroomRate = sh.node.Rate - sh.node.CrossRate - agg.Rate - contrib[bn].Rate
-	v.Reason = fmt.Sprintf(
-		"admitted: delay %v <= %s, backlog %v <= %s, throughput %v >= %s; bottleneck %s, residual headroom %v",
-		b.delay, orAny(f.SLO.MaxDelay > 0, f.SLO.MaxDelay),
-		b.backlog, orAny(f.SLO.MaxBacklog > 0, f.SLO.MaxBacklog),
-		b.throughput, orAny(f.SLO.MinThroughput > 0, f.SLO.MinThroughput),
-		bn, v.HeadroomRate)
-	return v, contrib
-}
-
 // orAny renders an SLO field, or "(any)" when unconstrained.
 func orAny(constrained bool, v any) string {
 	if !constrained {
@@ -745,8 +618,8 @@ func orAny(constrained bool, v any) string {
 // approximation downstream (contention smooths real traffic less than the
 // uncontended bound assumes); the -validate sim replay checks the promised
 // bounds end to end.
-func reservationFrom(f Flow, a *core.Analysis) map[string]core.Bucket {
-	out := make(map[string]core.Bucket, len(f.Path))
+func reservationFrom(path []string, a *core.Analysis) map[string]core.Bucket {
+	out := make(map[string]core.Bucket, len(path))
 	for i, na := range a.Nodes {
 		rate, offset := na.AlphaIn.UltimateAffine()
 		b := core.Bucket{
@@ -755,94 +628,10 @@ func reservationFrom(f Flow, a *core.Analysis) map[string]core.Bucket {
 		}
 		// A flow visiting the same node twice reserves the sum of both
 		// visits.
-		prev := out[f.Path[i]]
-		out[f.Path[i]] = core.Bucket{Rate: prev.Rate + b.Rate, Burst: prev.Burst + b.Burst}
+		prev := out[path[i]]
+		out[path[i]] = core.Bucket{Rate: prev.Rate + b.Rate, Burst: prev.Burst + b.Burst}
 	}
 	return out
-}
-
-// reservationFor returns f's standalone per-node reservation, cached on
-// (envelope digest, path, rung) — flow-ID- and epoch-independent, since the
-// standalone propagation only sees the pristine platform. The rung matters
-// when nodes carry static background cross traffic: a tighter rung yields a
-// tighter (still sound) propagated bound, hence a smaller downstream
-// reservation. The returned map is shared across cache hits and must be
-// treated as read-only (all callers are).
-func (c *Controller) reservationFor(f Flow) (map[string]core.Bucket, error) {
-	key := verdictKey{
-		alpha: f.Arrival.Envelope().Digest(),
-		lmax:  f.Arrival.MaxPacket,
-		path:  strings.Join(f.Path, "\x00"),
-		rung:  c.rungFor(f),
-	}
-	c.resMu.Lock()
-	contrib, ok := c.resCache[key]
-	c.resMu.Unlock()
-	if ok {
-		return contrib, nil
-	}
-	standalone, err := core.AnalyzeMemo(c.standalonePipeline(f), c.memo)
-	if err != nil {
-		return nil, err
-	}
-	contrib = reservationFrom(f, standalone)
-	c.resMu.Lock()
-	if len(c.resCache) >= 4096 {
-		c.resCache = make(map[verdictKey]map[string]core.Bucket)
-	}
-	c.resCache[key] = contrib
-	c.resMu.Unlock()
-	return contrib, nil
-}
-
-// standalonePipeline builds f's pipeline over the pristine platform: only
-// each node's static background cross traffic, no tenant reservations. The
-// pipeline name is ID-independent so the analysis memo can share results
-// across flows with identical curves and paths.
-func (c *Controller) standalonePipeline(f Flow) core.Pipeline {
-	p := core.Pipeline{Name: c.name + "/standalone", Arrival: f.Arrival, Rung: c.rungFor(f)}
-	for _, name := range f.Path {
-		p.Nodes = append(p.Nodes, c.shards[name].node)
-	}
-	return p
-}
-
-// buildPipeline builds a pipeline for (arrival, path) over the platform at
-// the given analysis rung, with cross traffic at each node = the node's
-// static background + the hosted reservations minus excludeN members of
-// class exclude + extra (a candidate's reservation during victim checks).
-// The name is ID-independent (see standalonePipeline). Callers must hold
-// the registry lock.
-func (c *Controller) buildPipeline(arrival core.Arrival, path []string, rung core.Rung, exclude verdictKey, excludeN int, extra map[string]core.Bucket) core.Pipeline {
-	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung}
-	for _, name := range path {
-		sh := c.shards[name]
-		n := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		n.CrossRate += agg.Rate
-		n.CrossBurst += agg.Burst
-		if extra != nil {
-			if b, ok := extra[name]; ok {
-				n.CrossRate += b.Rate
-				n.CrossBurst += b.Burst
-			}
-		}
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p
-}
-
-// pipelineFor builds the core pipeline for flow f over the platform. When f
-// is itself admitted, its own reservation is excluded from the cross
-// traffic (one member of its class); extra adds a candidate's reservation
-// during victim checks. Callers must hold the registry lock.
-func (c *Controller) pipelineFor(f Flow, extra map[string]core.Bucket) core.Pipeline {
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
-	}
-	return c.buildPipeline(f.Arrival, f.Path, c.rungFor(f), exclude, excludeN, extra)
 }
 
 // bounds are the end-to-end figures admission checks and verdicts promise.
@@ -906,18 +695,6 @@ func sloViolation(s SLO, a *core.Analysis, b bounds) *sloCheck {
 			b.throughput, s.MinThroughput, a.Bottleneck().Node.Name)}
 	}
 	return nil
-}
-
-// sharesNode reports whether two paths visit a common node.
-func sharesNode(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sortedClassKeys returns the admitted class keys in keyLess order — the
@@ -1021,16 +798,10 @@ func (c *Controller) Flows() []AdmittedFlow {
 // cheap, simulation-free sibling of RevalidateAll, suitable for sustained
 // churn. The verdict's Admitted field reports whether the SLO still holds.
 func (c *Controller) Recheck(id string) (Verdict, error) {
-	c.mu.RLock()
-	cs, ok := c.flows[id]
-	if !ok {
-		c.mu.RUnlock()
+	f, a, epoch, err := c.analyzeAdmitted(id)
+	if err == errNotAdmitted {
 		return Verdict{}, fmt.Errorf("admit: recheck: flow %q not admitted", id)
 	}
-	f := cs.flowFor(id)
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	epoch := c.epoch.Load()
-	c.mu.RUnlock()
 	if err != nil {
 		return Verdict{FlowID: id, Epoch: epoch, Binding: "saturation", Rung: f.Rung.String(),
 			Reason: fmt.Sprintf("recheck: %v", err)}, nil
@@ -1046,6 +817,36 @@ func (c *Controller) Recheck(id string) (Verdict, error) {
 	v.Admitted = true
 	v.Reason = "recheck ok"
 	return v, nil
+}
+
+var errNotAdmitted = errors.New("flow not admitted")
+
+// analyzeAdmitted analyses admitted flow id under the current co-resident
+// reservations at one registry snapshot, returning the flow, its analysis
+// and the global epoch of the snapshot; errNotAdmitted when id is unknown.
+func (c *Controller) analyzeAdmitted(id string) (Flow, *core.Analysis, uint64, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cs, ok := c.flows[id]
+	if !ok {
+		return Flow{}, nil, 0, errNotAdmitted
+	}
+	f := cs.flowFor(id)
+	_, a, err := c.analyzeLocked(f)
+	return f, a, c.epoch.Load(), err
+}
+
+// analyzeLocked builds and analyses f's pipeline under the current
+// reservations, leaving out f's own when f is admitted. The registry lock
+// must be held in either mode.
+func (c *Controller) analyzeLocked(f Flow) (core.Pipeline, *core.Analysis, error) {
+	var self verdictKey
+	if cs, ok := c.flows[f.ID]; ok {
+		self = cs.key
+	}
+	p := c.sharedPipeline(f.Arrival, f.Path, c.rungFor(f), self, nil)
+	a, err := core.AnalyzeMemo(p, c.memo)
+	return p, a, err
 }
 
 // Residual describes a node's leftover service after all admitted
@@ -1088,7 +889,7 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	sort.Strings(r.Flows)
 
 	sh.mu.RLock()
-	agg := sh.aggregate(verdictKey{}, 0)
+	agg := sh.cross(verdictKey{}, nil)
 	sh.mu.RUnlock()
 	r.Cross = core.Bucket{
 		Rate:  agg.Rate + sh.node.CrossRate,
@@ -1190,13 +991,11 @@ type Stats struct {
 	AnalysisHits    uint64 `json:"analysis_hits"`
 	AnalysisMisses  uint64 `json:"analysis_misses"`
 	AnalysisEntries int    `json:"analysis_entries"`
-	// Standalone reservation cache.
-	ReservationEntries int `json:"reservation_entries"`
 	// Process-wide curve operation memo.
 	CurveOps curve.CacheStats `json:"curve_ops"`
 	// Optimistic-concurrency counters: failed validate-and-commit sections
-	// (each one retried or fell back to the write-locked path) and the
-	// per-node epoch summary (see EpochStats).
+	// (each one re-ran the transaction) and the per-node epoch summary (see
+	// EpochStats).
 	CommitConflicts   uint64 `json:"commit_conflicts"`
 	EpochMax          uint64 `json:"epoch_max"`
 	EpochDistinctNode int    `json:"epoch_distinct_nodes"`
@@ -1215,9 +1014,6 @@ func (c *Controller) Stats() Stats {
 	s.VerdictEntries = len(c.cache)
 	c.cacheMu.Unlock()
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	c.resMu.Lock()
-	s.ReservationEntries = len(c.resCache)
-	c.resMu.Unlock()
 	s.CurveOps = curve.MemoStats()
 	s.CommitConflicts = c.conflicts.Load()
 	s.EpochMax, s.EpochDistinctNode = c.EpochStats()

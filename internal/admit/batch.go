@@ -1,64 +1,32 @@
 package admit
 
-import (
-	"sort"
-
-	"streamcalc/internal/core"
-	"streamcalc/internal/units"
-)
-
-// batchCand is one batch candidate that passed prechecks: its input
-// position, class key, and standalone reservation.
-type batchCand struct {
-	idx     int
-	f       Flow
-	key     verdictKey
-	contrib map[string]core.Bucket
-}
-
-// feasResult is the outcome of one transactional feasibility check: whether
-// every SLO (existing and candidate) holds at the hypothetical final state,
-// and the per-class admitted verdict templates (FlowID blank) when it does.
-type feasResult struct {
-	ok       bool
-	verdicts map[verdictKey]Verdict
-}
-
-// AdmitBatch decides a batch of candidate flows as one transaction,
-// returning one verdict per input in order. Either the whole batch commits
-// under a single feasibility check of the final state — one analysis per
-// flow *class* rather than per flow, and a single epoch bump — or the
-// controller commits the largest prefix it can verify feasible, rejects the
-// first infeasible candidate with an exact per-flow verdict, and continues
-// with the remainder.
+// AdmitBatch decides a batch of candidate flows, returning one verdict per
+// input in order. The whole batch goes to transact as one set: when it fits
+// it commits under a single feasibility check of the final state — one
+// analysis per flow *class* rather than per flow, and a single epoch step.
+// When it does not, the controller commits the largest prefix analysis finds
+// feasible, decides the first flow past it alone so its refusal names the
+// binding constraint, and continues with the remainder; such a batch is a
+// sequence of transactions, not one.
 //
-// Soundness never relies on bound monotonicity in cross traffic: a batch
-// commit is atomic, so intermediate admission orders never exist — only
-// explicitly verified states are ever committed. (Greediness does: in the
-// model's non-monotone corners — see the job-aggregation cliff notes in the
-// tests — the committed prefix may be smaller than what sequential
+// Soundness never relies on bound monotonicity in cross traffic: every
+// commit is an atomic set, so intermediate admission orders never exist —
+// only explicitly verified states are ever committed. (Greediness does: in
+// the model's non-monotone corners — see the job-aggregation cliff notes in
+// the tests — the committed prefix may be smaller than what sequential
 // admission would have reached.) Relative order within the batch is
-// preserved, so the sequence of committed states is a deterministic
-// function of (registry state, batch).
+// preserved, so on a quiescent registry the sequence of committed states is
+// a deterministic function of (registry state, batch).
 //
 // This is the bulk-ramp path for cmd/ncload: populating a million-flow
 // registry through AdmitBatch costs O(batches × classes) analyses instead
 // of O(flows × classes).
-//
-// The feasibility analysis first runs optimistically under the registry
-// read lock with per-node epoch dependency tracking; a short write-locked
-// validate-and-commit section re-checks exactly those epochs. Batches whose
-// dependency footprints are disjoint therefore analyze concurrently. A
-// validation conflict (or an infeasible batch) falls back to the classic
-// fully write-locked path below, which re-analyzes at a state that cannot
-// move — conflicted analyses are never committed.
 func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 	tr := c.newTrace(KindBatch)
 	out := make([]Verdict, len(flows))
 
-	// Phase 1, outside the registry lock: spec prechecks and intra-batch
-	// duplicate detection.
-	cands := make([]batchCand, 0, len(flows))
+	// Outside the registry lock: spec prechecks and intra-batch duplicates.
+	rem := make([]cand, 0, len(flows))
 	seen := make(map[string]struct{}, len(flows))
 	epoch := c.epoch.Load()
 	for i, f := range flows {
@@ -72,341 +40,74 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 			continue
 		}
 		seen[f.ID] = struct{}{}
-		cands = append(cands, batchCand{idx: i, f: f, key: c.keyFor(f)})
+		rem = append(rem, cand{f: f, key: c.keyFor(f), idx: i})
 	}
 	tr.mark(PhasePrecheck)
 
-	// Optimistic fast path: analyze under the read lock, validate the
-	// observed per-node epochs under the write lock, commit.
-	if c.admitBatchOptimistic(cands, out, tr) {
-		tr.mark(PhaseValidateCommit)
-		c.observeBatch(out, tr)
-		return out
-	}
-	// A conflict (or an infeasible batch) sends the whole transaction to the
-	// classic write-locked path; the unattributed validation window counts
-	// as retry, the classic decision as fallback.
-	tr.mark(PhaseRetry)
-	tr.noteFallback()
-
-	c.mu.Lock()
-	// Phase 2, under the lock: re-check against flows committed since the
-	// precheck, and resolve each candidate's standalone reservation.
-	rem := cands[:0]
-	for _, cd := range cands {
-		if _, dup := c.flows[cd.f.ID]; dup {
-			out[cd.idx] = Verdict{FlowID: cd.f.ID, Epoch: c.epoch.Load(), Binding: "spec",
-				Reason: "rejected: flow \"" + cd.f.ID + "\" is already admitted"}
-			continue
+	deliver := func(set []cand, d *decision) {
+		for i, cd := range set {
+			out[cd.idx] = d.verdict(i, cd)
 		}
-		contrib, err := c.reservationFor(cd.f)
-		if err != nil {
-			out[cd.idx] = Verdict{FlowID: cd.f.ID, Epoch: c.epoch.Load(), Binding: "spec",
-				Reason: "rejected: " + err.Error()}
-			continue
-		}
-		cd.contrib = contrib
-		rem = append(rem, cd)
 	}
-
-	// Phase 3: transactional feasibility, largest-verified-prefix fallback.
 	for len(rem) > 0 {
-		res := c.feasibleAt(rem, nil, tr)
-		if res.ok {
-			c.commitBatch(rem, res, out)
+		d := c.transact(rem, tr)
+		if d.ok {
+			deliver(rem, d)
 			break
 		}
-		// The full remainder is infeasible. Search for a large prefix that
-		// verifies feasible (lo is always verified; hi always failed).
-		lo, hi := 0, len(rem)
-		var good feasResult
-		for lo+1 < hi {
-			mid := (lo + hi) / 2
-			if r := c.feasibleAt(rem[:mid], nil, tr); r.ok {
-				lo, good = mid, r
-			} else {
-				hi = mid
+		if len(rem) > 1 {
+			if lo := c.feasiblePrefix(rem, tr); lo > 0 {
+				if d = c.transact(rem[:lo], tr); !d.ok {
+					continue // the registry moved since the bisection: start over
+				}
+				deliver(rem[:lo], d)
+				rem = rem[lo:]
 			}
+			// The boundary flow alone: an exact refusal, or — in the model's
+			// non-monotone corners — an admission after all.
+			d = c.transact(rem[:1], tr)
 		}
-		if lo > 0 {
-			c.commitBatch(rem[:lo], good, out)
+		deliver(rem[:1], d)
+		refused := rem[0].key
+		rem = rem[1:]
+		if d.ok {
+			continue
 		}
-		// Boundary candidate: run the exact sequential decision so its
-		// rejection names the binding constraint (or, in the model's
-		// non-monotone corners, admits after all).
-		bd := rem[lo]
-		ep := c.epoch.Load()
-		v, contrib := c.decide(bd.f, ep, nil, tr)
-		if v.Admitted {
-			c.commit(bd.key, bd.f, contrib, v)
-			c.epoch.Add(1)
-		}
-		out[bd.idx] = v
-		// Replay the rejection onto same-class candidates further down the
-		// batch — the platform hasn't changed since the decision, exactly the
-		// epoch-scoped verdict-cache contract.
-		rest := rem[lo+1:]
-		next := make([]batchCand, 0, len(rest))
-		for _, cd := range rest {
-			if !v.Admitted && cd.key == bd.key {
-				vc := v
-				vc.FlowID = cd.f.ID
-				vc.Cached = true
-				out[cd.idx] = vc
-				continue
+		// The refusal now sits in the verdict cache; same-class candidates
+		// further down take it from there for as long as the nodes it read
+		// stay untouched.
+		next := rem[:0]
+		for _, cd := range rem {
+			if cd.key == refused {
+				if v, ok := c.cachedVerdict(cd.key); ok {
+					v.FlowID = cd.f.ID
+					out[cd.idx] = v
+					continue
+				}
 			}
 			next = append(next, cd)
 		}
 		rem = next
 	}
-	c.mu.Unlock()
 
-	tr.mark(PhaseFallback)
 	c.observeBatch(out, tr)
 	return out
 }
 
-// admitBatchOptimistic attempts the whole batch under the registry read
-// lock: phase-2 duplicate/reservation checks and the full-batch feasibility
-// analysis run against an epoch-stamped snapshot, then a short write-locked
-// section validates that no observed node epoch moved and commits. It
-// reports false — having written only state-independent verdicts into out —
-// when the batch must take the classic write-locked path instead: on a
-// validation conflict, or when the batch is infeasible as a whole (the
-// prefix search wants the write lock anyway).
-func (c *Controller) admitBatchOptimistic(cands []batchCand, out []Verdict, tr *decTrace) bool {
-	type dupRej struct {
-		idx int
-		id  string
-		v   Verdict
-	}
-
-	c.mu.RLock()
-	rem := make([]batchCand, 0, len(cands))
-	var dups []dupRej
-	for _, cd := range cands {
-		if _, dup := c.flows[cd.f.ID]; dup {
-			dups = append(dups, dupRej{idx: cd.idx, id: cd.f.ID,
-				v: Verdict{FlowID: cd.f.ID, Epoch: c.epoch.Load(), Binding: "spec",
-					Reason: "rejected: flow \"" + cd.f.ID + "\" is already admitted"}})
-			continue
-		}
-		contrib, err := c.reservationFor(cd.f)
-		if err != nil {
-			// Standalone reservations depend only on the pristine platform,
-			// so this rejection holds regardless of how validation goes.
-			out[cd.idx] = Verdict{FlowID: cd.f.ID, Epoch: c.epoch.Load(), Binding: "spec",
-				Reason: "rejected: " + err.Error()}
-			continue
-		}
-		cd.contrib = contrib
-		rem = append(rem, cd)
-	}
-	tr.mark(PhaseAnalysis)
-	var res feasResult
-	sw := newSweep()
-	sw.begin()
-	if len(rem) > 0 {
-		res = c.feasibleAt(rem, sw, tr)
-	}
-	c.mu.RUnlock()
-	if len(rem) > 0 && !res.ok {
-		return false
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.depsCurrent(sw) {
-		c.noteConflict()
-		return false
-	}
-	// A candidate's ID appearing, or a snapshot-time duplicate vanishing
-	// (released concurrently), both invalidate the snapshot's verdicts.
-	for i := range rem {
-		if _, dup := c.flows[rem[i].f.ID]; dup {
-			c.noteConflict()
-			return false
+// feasiblePrefix bisects cands, a set refused as a whole, for a large prefix
+// that analysis finds feasible: lo is always verified (the empty prefix
+// trivially), hi always refused.
+func (c *Controller) feasiblePrefix(cands []cand, tr *decTrace) int {
+	lo, hi := 0, len(cands)
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if c.analyse(cands[:mid], tr).ok {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	for _, d := range dups {
-		if _, still := c.flows[d.id]; !still {
-			c.noteConflict()
-			return false
-		}
-	}
-	for _, d := range dups {
-		out[d.idx] = d.v
-	}
-	if len(rem) > 0 {
-		c.commitBatch(rem, res, out)
-	}
-	return true
-}
-
-// feasibleAt checks whether committing every candidate in cands on top of
-// the current registry keeps every SLO: each admitted class sharing a node
-// with the additions, and each added class, is analyzed once at the
-// hypothetical final state (its own single membership excluded from its
-// cross traffic, as in sequential admission). The registry lock must be
-// held in either mode — shard state only mutates under the write lock. A
-// non-nil sw records the per-node epochs the analysis depended on, for
-// optimistic validate-and-commit. A non-nil tr accrues the victim-sweep and
-// candidate-analysis phases plus victim counts onto the decision trace.
-func (c *Controller) feasibleAt(cands []batchCand, sw *sweep, tr *decTrace) feasResult {
-	// Added-class roster: member counts, a representative spec per class,
-	// and the set of touched nodes.
-	addN := make(map[verdictKey]int)
-	addRep := make(map[verdictKey]*batchCand)
-	nodes := make(map[string]struct{})
-	for i := range cands {
-		cd := &cands[i]
-		addN[cd.key]++
-		if _, ok := addRep[cd.key]; !ok {
-			addRep[cd.key] = cd
-			for name := range cd.contrib {
-				nodes[name] = struct{}{}
-			}
-		}
-	}
-	addKeys := make([]verdictKey, 0, len(addN))
-	for k := range addN {
-		addKeys = append(addKeys, k)
-	}
-	sort.Slice(addKeys, func(i, j int) bool { return keyLess(addKeys[i], addKeys[j]) })
-
-	epoch := c.epoch.Load()
-	res := feasResult{verdicts: make(map[verdictKey]Verdict, len(addKeys))}
-
-	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Analysis, bounds, bool) {
-		sw.addPath(c, path)
-		// self is the analyzed class's own key, so every class — existing
-		// victim or batch addition — is checked at the rung it is (being)
-		// admitted at.
-		p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: self.rung}
-		for _, name := range path {
-			sh := c.shards[name]
-			n := sh.node
-			agg := c.hypAggregate(sh, addKeys, addN, addRep, name, self)
-			n.CrossRate += agg.Rate
-			n.CrossBurst += agg.Burst
-			p.Nodes = append(p.Nodes, n)
-		}
-		a, err := core.AnalyzeMemo(p, c.memo)
-		if err != nil {
-			return nil, bounds{}, false
-		}
-		b := boundsOf(a)
-		if sloViolation(slo, a, b) != nil {
-			return nil, bounds{}, false
-		}
-		return a, b, true
-	}
-
-	// Existing classes touching any added node must keep their SLOs.
-	for _, k := range c.sortedClassKeys() {
-		cs := c.classes[k]
-		touched := false
-		for _, name := range cs.path {
-			if _, hit := nodes[name]; hit {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
-		}
-		tr.noteVictim()
-		if _, _, ok := check(cs.arrival, cs.path, cs.slo, k); !ok {
-			tr.mark(PhaseVictimSweep)
-			return feasResult{}
-		}
-	}
-	tr.mark(PhaseVictimSweep)
-
-	// Added classes must meet their own SLOs at the final state; their
-	// analyses become the admitted verdict templates.
-	for _, k := range addKeys {
-		rep := addRep[k]
-		a, b, ok := check(rep.f.Arrival, rep.f.Path, rep.f.SLO, k)
-		if !ok {
-			tr.mark(PhaseAnalysis)
-			return feasResult{}
-		}
-		v := Verdict{Admitted: true, Epoch: epoch, Rung: k.rung.String()}
-		v.Delay, v.Backlog, v.Throughput = b.delay, b.backlog, b.throughput
-		bn := rep.f.Path[a.BottleneckIndex]
-		v.Bottleneck = bn
-		sh := c.shards[bn]
-		full := c.hypAggregate(sh, addKeys, addN, addRep, bn, verdictKey{})
-		v.HeadroomRate = sh.node.Rate - sh.node.CrossRate - full.Rate
-		v.Reason = "admitted (batch): delay " + b.delay.String() +
-			" <= " + orAny(rep.f.SLO.MaxDelay > 0, rep.f.SLO.MaxDelay) +
-			", throughput " + b.throughput.String() +
-			" >= " + orAny(rep.f.SLO.MinThroughput > 0, rep.f.SLO.MinThroughput) +
-			"; bottleneck " + bn
-		res.verdicts[k] = v
-	}
-	tr.mark(PhaseAnalysis)
-	res.ok = true
-	return res
-}
-
-// hypAggregate sums the node's hosted reservations plus the batch additions
-// in global keyLess order (a sorted merge of the shard's classes and the
-// added classes), minus one member of class self — the same deterministic
-// summation discipline as shard.aggregate, extended with the hypothetical
-// members. The registry lock must be held in either mode.
-func (c *Controller) hypAggregate(sh *shard, addKeys []verdictKey, addN map[verdictKey]int, addRep map[verdictKey]*batchCand, node string, self verdictKey) core.Bucket {
-	var out core.Bucket
-	add := func(b core.Bucket, n int) {
-		if n <= 0 {
-			return
-		}
-		out.Rate += b.Rate * units.Rate(n)
-		out.Burst += b.Burst * units.Bytes(n)
-	}
-	i, j := 0, 0
-	for i < len(sh.keys) || j < len(addKeys) {
-		var k verdictKey
-		var b core.Bucket
-		n := 0
-		takeShard := j >= len(addKeys) ||
-			(i < len(sh.keys) && !keyLess(addKeys[j], sh.keys[i]))
-		takeAdd := i >= len(sh.keys) ||
-			(j < len(addKeys) && !keyLess(sh.keys[i], addKeys[j]))
-		if takeShard {
-			k = sh.keys[i]
-			e := sh.classes[k]
-			b, n = e.b, e.n
-			i++
-		}
-		if takeAdd {
-			k = addKeys[j]
-			if ab, hosted := addRep[k].contrib[node]; hosted {
-				b = ab // equals the shard entry's bucket when both exist
-				n += addN[k]
-			}
-			j++
-		}
-		if k == self {
-			n--
-		}
-		add(b, n)
-	}
-	return out
-}
-
-// commitBatch registers every candidate under its class template verdict
-// and bumps the epoch once. The registry write lock must be held.
-func (c *Controller) commitBatch(cands []batchCand, res feasResult, out []Verdict) {
-	for i := range cands {
-		cd := &cands[i]
-		v := res.verdicts[cd.key]
-		v.FlowID = cd.f.ID
-		out[cd.idx] = v
-		c.commit(cd.key, cd.f, cd.contrib, v)
-	}
-	c.epoch.Add(1)
+	return lo
 }
 
 // observeBatch records one batch transaction on the attached telemetry

@@ -2,143 +2,17 @@ package admit
 
 import (
 	"fmt"
-	"time"
+	"runtime/debug"
 )
 
-// This file implements the optimistic admission engine:
-//
-//   - sweep: the dependency tracker of one analysis attempt. It records the
-//     epoch of every node the analysis read (candidate path + every analyzed
-//     victim class's path), so the commit section can validate that exactly
-//     that state is still current. On a conflict retry it also lets the
-//     victim sweep skip classes whose node epochs never moved.
-//   - ticket/submit/drain: the group-commit combiner. Concurrent
-//     Admit/Release callers enqueue tickets; one caller at a time becomes
-//     the leader (leaderSem), drains the queue, commits pending releases
-//     first, and decides the queued admissions together. A group of
-//     admissions costs ONE victim sweep (the transactional feasibility
-//     check shared with AdmitBatch), so k concurrent clients amortize the
-//     sweep k ways — the throughput lever that a read-locked analysis alone
-//     cannot provide when the analysis itself is the CPU cost.
-//
-// Soundness rule (same as AdmitBatch): only analyzed states commit. A
-// conflicted validate-and-commit section re-analyzes at the new state —
-// never assumes the bounds are monotone in cross traffic — and after
-// maxCommitRetries falls back to the fully write-locked classic decision.
-
-// maxCommitRetries bounds optimistic re-analysis before an admission falls
-// back to deciding under the write lock (which cannot conflict).
-const maxCommitRetries = 3
-
-// --- Dependency tracking ----------------------------------------------------
-
-// sweep records the per-node epochs one optimistic analysis observed, plus
-// the per-victim dependency snapshots that allow conflict-scoped retries.
-// A nil *sweep disables tracking (the classic write-locked paths).
-type sweep struct {
-	deps    map[int]uint64           // shard idx -> epoch observed this attempt
-	victims map[verdictKey][]nodeDep // passing victim class -> its path's epochs
-}
-
-func newSweep() *sweep {
-	return &sweep{victims: make(map[verdictKey][]nodeDep)}
-}
-
-// begin starts a new analysis attempt: the dependency set is rebuilt from
-// scratch (epochs may have moved), while victim results persist so
-// unchanged classes can be reused.
-func (sw *sweep) begin() {
-	if sw == nil {
-		return
-	}
-	sw.deps = make(map[int]uint64)
-}
-
-// addPath pins the current epoch of every node on path (first observation
-// wins; epochs cannot move while the registry lock is held in any mode).
-func (sw *sweep) addPath(c *Controller, path []string) {
-	if sw == nil {
-		return
-	}
-	for _, name := range path {
-		sh := c.shards[name]
-		if _, ok := sw.deps[sh.idx]; !ok {
-			sw.deps[sh.idx] = sh.epoch.Load()
-		}
-	}
-}
-
-// victimOK reports whether class k passed the victim check on a previous
-// attempt AND none of its path nodes changed since — in which case the
-// prior analysis still holds, its dependencies are merged into the current
-// attempt, and the class can be skipped. This is what restricts a retry
-// sweep to the classes whose aggregates actually changed.
-func (sw *sweep) victimOK(c *Controller, k verdictKey, path []string) bool {
-	if sw == nil {
-		return false
-	}
-	deps, ok := sw.victims[k]
-	if !ok {
-		return false
-	}
-	for _, d := range deps {
-		if c.byIdx[d.idx].epoch.Load() != d.epoch {
-			delete(sw.victims, k)
-			return false
-		}
-	}
-	sw.addPath(c, path) // unchanged epochs: recording current == recorded
-	return true
-}
-
-// recordVictim stores a passing victim check with its path's epochs and
-// merges them into the attempt's dependency set.
-func (sw *sweep) recordVictim(c *Controller, k verdictKey, path []string) {
-	if sw == nil {
-		return
-	}
-	sw.addPath(c, path)
-	deps := make([]nodeDep, 0, len(path))
-	seen := make(map[int]struct{}, len(path))
-	for _, name := range path {
-		sh := c.shards[name]
-		if _, dup := seen[sh.idx]; dup {
-			continue
-		}
-		seen[sh.idx] = struct{}{}
-		deps = append(deps, nodeDep{idx: sh.idx, epoch: sh.epoch.Load()})
-	}
-	sw.victims[k] = deps
-}
-
-// depList flattens the attempt's dependency set for the verdict cache.
-func (sw *sweep) depList() []nodeDep {
-	if sw == nil {
-		return nil
-	}
-	out := make([]nodeDep, 0, len(sw.deps))
-	for idx, e := range sw.deps {
-		out = append(out, nodeDep{idx: idx, epoch: e})
-	}
-	return out
-}
-
-// depsCurrent reports whether every node epoch the sweep observed is still
-// live — the validate step of validate-and-commit. Callers must hold the
-// registry write lock (so a true answer stays true through the commit).
-func (c *Controller) depsCurrent(sw *sweep) bool {
-	if sw == nil {
-		return true
-	}
-	for idx, e := range sw.deps {
-		if c.byIdx[idx].epoch.Load() != e {
-			return false
-		}
-	}
-	return true
-}
-
-// --- Group-commit combiner --------------------------------------------------
+// This file is the group-commit combiner. Concurrent Admit/Release callers
+// enqueue tickets; one caller at a time becomes the leader (leaderSem),
+// drains the queue, commits the pending releases first, and hands the queued
+// admissions to transact as one set. A set costs one analysis per class and
+// one victim sweep, so k concurrent clients amortize the sweep k ways — the
+// throughput lever a read-locked analysis alone cannot provide when the
+// analysis itself is the CPU cost. A set that does not fit as a whole is
+// decided one ticket at a time, in arrival order, by the same transact.
 
 const (
 	tkAdmit = iota
@@ -155,12 +29,19 @@ type ticket struct {
 	key  verdictKey // tkAdmit
 	id   string     // tkRelease
 	tr   *decTrace
-	done chan ticketResult
+	done chan ticketResult // buffered: the leader never blocks on an answer
+
+	answered bool // leader-owned: the result has been sent
 }
 
 type ticketResult struct {
 	v  Verdict // tkAdmit
 	ok bool    // tkRelease
+}
+
+func (t *ticket) answer(r ticketResult) {
+	t.answered = true
+	t.done <- r
 }
 
 // submit enqueues t and waits for its result, volunteering as the combiner
@@ -182,15 +63,15 @@ func (c *Controller) submit(t *ticket) ticketResult {
 		case r := <-t.done:
 			return r
 		case c.leaderSem <- struct{}{}:
-			c.drain()
-			<-c.leaderSem
+			c.lead()
 		}
 	}
 }
 
-// drain processes queued tickets until the queue is empty. Only the leader
-// (holder of leaderSem) runs this.
-func (c *Controller) drain() {
+// lead drains the queue until it is empty, then gives leadership up — also
+// when a group panics past processGroup's recovery.
+func (c *Controller) lead() {
+	defer func() { <-c.leaderSem }()
 	for {
 		c.qmu.Lock()
 		q := c.queue
@@ -205,12 +86,26 @@ func (c *Controller) drain() {
 
 // processGroup decides one drained batch of tickets: releases first (so
 // admissions see the freshest state and releases never conflict with a
-// sweep in flight), then the admissions as one group.
+// sweep in flight), then the admissions. The callers behind the tickets are
+// parked on their done channels, so a panic in an analysis must not unwind
+// past here: every ticket still unanswered gets an "internal" rejection
+// (uncached; a panicking attempt commits nothing) and the leader carries on.
 func (c *Controller) processGroup(q []*ticket) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.noteInternalError(r, debug.Stack())
+			for _, t := range q {
+				if !t.answered {
+					t.answer(ticketResult{v: Verdict{FlowID: t.f.ID, Epoch: c.epoch.Load(), Binding: "internal",
+						Reason: fmt.Sprintf("rejected: internal error, nothing committed: %v", r)}})
+				}
+			}
+		}
+	}()
 	var rel, adm []*ticket
 	for _, t := range q {
 		// The leader owns every drained ticket's trace from here until the
-		// done send; everything since the submitter's last mark is combiner
+		// answer; everything since the submitter's last mark is combiner
 		// queue wait.
 		t.tr.mark(PhaseQueueWait)
 		if t.kind == tkRelease {
@@ -220,229 +115,78 @@ func (c *Controller) processGroup(q []*ticket) {
 		}
 	}
 	if len(rel) > 0 {
-		c.mu.Lock()
-		for _, t := range rel {
-			ok := c.releaseLocked(t.id)
-			t.tr.mark(PhaseValidateCommit)
-			t.done <- ticketResult{ok: ok}
-		}
-		c.mu.Unlock()
+		c.releaseAll(rel)
 		// Admissions waited for the release drain; charge them that window.
 		for _, t := range adm {
 			t.tr.mark(PhaseDrain)
 		}
 	}
-	if m := c.obsm; m != nil && len(adm) > 0 {
+	if len(adm) == 0 {
+		return
+	}
+	if m := c.obsm; m != nil {
 		m.groupSize.Observe(float64(len(adm)))
 	}
+
+	// Tickets repeating an ID of the group wait for the first one's outcome.
+	seen := make(map[string]struct{}, len(adm))
+	var set, repeats []*ticket
 	for _, t := range adm {
 		t.tr.noteGroup(len(adm))
-	}
-	switch {
-	case len(adm) == 1:
-		t := adm[0]
-		t.done <- ticketResult{v: c.admitOne(t.f, t.key, t.tr)}
-	case len(adm) > 1:
-		c.admitGroup(adm)
-	}
-}
-
-// --- Single-flow optimistic admission ---------------------------------------
-
-// admitOne is the optimistic single-flow path: analyze under the read lock
-// with dependency tracking, then validate-and-commit under the write lock.
-// Conflicts retry with a sweep scoped to the changed classes; after
-// maxCommitRetries the decision falls back to the write-locked classic
-// path. Semantics (verdict text, epoch accounting) are identical to the
-// historical write-locked decide.
-func (c *Controller) admitOne(f Flow, key verdictKey, tr *decTrace) Verdict {
-	sw := newSweep()
-	for attempt := 0; attempt <= maxCommitRetries; attempt++ {
-		c.mu.RLock()
-		epoch := c.epoch.Load()
-		sw.begin()
-		v, contrib := c.decide(f, epoch, sw, tr)
-		c.mu.RUnlock()
-		if !v.Admitted {
-			// Rejections commit nothing; the verdict was computed at a
-			// consistent snapshot and is cached against exactly the node
-			// epochs that snapshot pinned.
-			c.storeVerdict(key, sw.depList(), v)
-			v.FlowID = f.ID
-			tr.setDeps(c, sw)
-			return v
-		}
-		waitStart := time.Now()
-		c.mu.Lock()
-		if _, dup := c.flows[f.ID]; dup {
-			c.mu.Unlock()
-			tr.mark(PhaseValidateCommit)
-			return Verdict{FlowID: f.ID, Epoch: c.epoch.Load(), Binding: "spec",
-				Reason: fmt.Sprintf("rejected: flow %q is already admitted", f.ID)}
-		}
-		if c.depsCurrent(sw) {
-			c.commit(key, f, contrib, v)
-			c.epoch.Add(1)
-			c.mu.Unlock()
-			c.observeCommitWait(time.Since(waitStart))
-			tr.mark(PhaseValidateCommit)
-			tr.setDeps(c, sw)
-			return v
-		}
-		c.mu.Unlock()
-		c.noteConflict()
-		tr.mark(PhaseRetry)
-		tr.noteRetry()
-	}
-
-	// Retries exhausted: decide under the write lock, where state cannot
-	// move between analysis and commit.
-	tr.noteFallback()
-	waitStart := time.Now()
-	c.mu.Lock()
-	epoch := c.epoch.Load()
-	sw.begin()
-	v, contrib := c.decide(f, epoch, sw, tr)
-	if v.Admitted {
-		c.commit(key, f, contrib, v)
-		c.epoch.Add(1)
-	}
-	c.mu.Unlock()
-	c.observeCommitWait(time.Since(waitStart))
-	tr.mark(PhaseFallback)
-	tr.setDeps(c, sw)
-	if !v.Admitted {
-		c.storeVerdict(key, sw.depList(), v)
-		v.FlowID = f.ID
-	}
-	return v
-}
-
-// --- Grouped admission ------------------------------------------------------
-
-// admitGroup decides two or more queued admissions as one transaction: the
-// whole group is feasibility-checked at the hypothetical final state under
-// the read lock (one analysis per class — the same transactional core as
-// AdmitBatch), then committed in a single validate-and-commit section with
-// one global epoch bump. If the group is infeasible, or conflicts persist,
-// every ticket falls back to the exact sequential admitOne path so each
-// flow gets the precise verdict sequential admission would have produced.
-func (c *Controller) admitGroup(ts []*ticket) {
-	// Intra-group duplicate IDs get the sequential path (their verdict
-	// depends on what happens to the first occurrence).
-	seen := make(map[string]struct{}, len(ts))
-	uniq := make([]*ticket, 0, len(ts))
-	var dups []*ticket
-	for _, t := range ts {
-		if _, ok := seen[t.f.ID]; ok {
-			dups = append(dups, t)
+		if _, dup := seen[t.f.ID]; dup {
+			repeats = append(repeats, t)
 			continue
 		}
 		seen[t.f.ID] = struct{}{}
-		uniq = append(uniq, t)
+		set = append(set, t)
 	}
+	if !c.admitSet(set) {
+		// Someone in the group does not fit at the final state: decide every
+		// ticket alone, in order, so refusals carry exact per-flow verdicts
+		// and the admissible members still get in.
+		repeats = append(set, repeats...)
+	}
+	for _, t := range repeats {
+		c.admitSet([]*ticket{t})
+	}
+}
 
-	sequential := func(ts []*ticket) {
+// releaseAll commits the queued releases in one write-locked section.
+func (c *Controller) releaseAll(rel []*ticket) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range rel {
+		ok := c.releaseLocked(t.id)
+		t.tr.mark(PhaseValidateCommit)
+		t.answer(ticketResult{ok: ok})
+	}
+}
+
+// admitSet runs ts through transact as one set and answers them — unless
+// there are several and the set was refused, which it reports as false
+// without answering anyone. The leader's work on a group is shared by every
+// ticket, so it is recorded on one trace and folded into each ticket's own;
+// a lone ticket's trace takes the marks directly.
+func (c *Controller) admitSet(ts []*ticket) bool {
+	cands := make([]cand, len(ts))
+	for i, t := range ts {
+		cands[i] = cand{f: t.f, key: t.key}
+	}
+	tr := ts[0].tr
+	if len(ts) > 1 {
+		tr = c.newTrace(KindAdmit)
+	}
+	d := c.transact(cands, tr)
+	if len(ts) > 1 {
 		for _, t := range ts {
-			t.done <- ticketResult{v: c.admitOne(t.f, t.key, t.tr)}
+			t.tr.absorb(tr)
+		}
+		if !d.ok {
+			return false
 		}
 	}
-
-	for attempt := 0; attempt < 2; attempt++ {
-		// The leader's shared work (one sweep serving every ticket) is
-		// recorded on a group trace and folded into each ticket's own trace
-		// at delivery, so per-decision records carry the real phase costs.
-		gtr := c.newTrace(KindAdmit)
-		c.mu.RLock()
-		epoch := c.epoch.Load()
-		cands := make([]batchCand, 0, len(uniq))
-		rejected := make(map[*ticket]Verdict)
-		for _, t := range uniq {
-			if _, dup := c.flows[t.f.ID]; dup {
-				rejected[t] = Verdict{FlowID: t.f.ID, Epoch: epoch, Binding: "spec",
-					Reason: fmt.Sprintf("rejected: flow %q is already admitted", t.f.ID)}
-				continue
-			}
-			contrib, err := c.reservationFor(t.f)
-			if err != nil {
-				rejected[t] = Verdict{FlowID: t.f.ID, Epoch: epoch, Binding: "spec",
-					Reason: "rejected: " + err.Error()}
-				continue
-			}
-			cands = append(cands, batchCand{idx: len(cands), f: t.f, key: t.key, contrib: contrib})
-		}
-		gtr.mark(PhaseAnalysis)
-		sw := newSweep()
-		sw.begin()
-		res := c.feasibleAt(cands, sw, gtr)
-		c.mu.RUnlock()
-		if !res.ok {
-			// Someone in the group doesn't fit at the final state: decide
-			// everyone sequentially so rejections carry exact per-flow
-			// verdicts and admissible members still get in. The shared
-			// analysis cost lands on every ticket before it re-decides.
-			for _, t := range uniq {
-				t.tr.absorb(gtr)
-			}
-			sequential(uniq)
-			sequential(dups)
-			return
-		}
-		waitStart := time.Now()
-		c.mu.Lock()
-		valid := c.depsCurrent(sw)
-		if valid {
-			for i := range cands {
-				if _, dup := c.flows[cands[i].f.ID]; dup {
-					valid = false
-					break
-				}
-			}
-		}
-		if valid {
-			live := uniq[:0]
-			deliver := make([]ticketResult, 0, len(uniq))
-			order := make([]*ticket, 0, len(uniq))
-			for _, t := range uniq {
-				if v, ok := rejected[t]; ok {
-					deliver = append(deliver, ticketResult{v: v})
-					order = append(order, t)
-					continue
-				}
-				live = append(live, t)
-			}
-			for i := range cands {
-				cd := &cands[i]
-				v := res.verdicts[cd.key]
-				v.FlowID = cd.f.ID
-				c.commit(cd.key, cd.f, cd.contrib, v)
-				deliver = append(deliver, ticketResult{v: v})
-				order = append(order, live[cd.idx])
-			}
-			c.epoch.Add(1)
-			c.mu.Unlock()
-			c.observeCommitWait(time.Since(waitStart))
-			// Finish the group trace and deliver outside the lock: each
-			// ticket absorbs the shared phases, then its own setDeps/send.
-			gtr.mark(PhaseValidateCommit)
-			for i, t := range order {
-				t.tr.absorb(gtr)
-				if deliver[i].v.Admitted {
-					t.tr.setDeps(c, sw)
-				}
-				t.done <- deliver[i]
-			}
-			sequential(dups)
-			return
-		}
-		c.mu.Unlock()
-		c.noteConflict()
-		gtr.mark(PhaseRetry)
-		for _, t := range uniq {
-			t.tr.absorb(gtr)
-			t.tr.noteRetry()
-		}
+	for i, t := range ts {
+		t.answer(ticketResult{v: d.verdict(i, cands[i])})
 	}
-	sequential(uniq)
-	sequential(dups)
+	return true
 }

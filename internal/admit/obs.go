@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"fmt"
 	"log/slog"
 	"sync"
 	"time"
@@ -55,6 +56,7 @@ type ctrlObs struct {
 	commitWait *obs.Histogram
 	groupSize  *obs.Histogram
 	sloFast    *obs.Counter
+	internal   *obs.Counter
 
 	// Sliding windows: every decision, and the slow (objective-violating)
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
@@ -90,8 +92,8 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 //     nc_admit_slo_objective_seconds, and the windowed burn-rate gauge
 //     nc_admit_slo_budget_burn;
 //   - scrape-time gauges for admitted flows, platform epoch, and every cache
-//     layer's hits/misses/entries (verdict cache, analysis memo, reservation
-//     cache, curve-op memo); per-node reservation gauges only with
+//     layer's hits/misses/entries (verdict cache, analysis memo, curve-op
+//     memo); per-node reservation gauges only with
 //     opts.PerNodeMetrics (unbounded cardinality on large platforms);
 //   - process-wide per-operation timing: curve.SetOpTimer and
 //     core.SetAnalysisTimer feed nc_curve_op_seconds{op=...} and
@@ -125,6 +127,8 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			"admissions decided together per combiner group commit", GroupSizeBuckets),
 		sloFast: reg.Counter("nc_admit_slo_fast_total",
 			"decisions completing within the latency objective"),
+		internal: reg.Counter("nc_admit_internal_errors_total",
+			"combiner groups that panicked and were answered with \"internal\" rejections (nothing committed)"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}
@@ -145,7 +149,7 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 	// Cache effectiveness, typed honestly: the hit/miss tallies are
 	// monotone, so they render as counters reading from the per-scrape
 	// snapshot the collector refreshes.
-	for _, layer := range []string{"verdict", "analysis", "reservation", "curve_ops"} {
+	for _, layer := range []string{"verdict", "analysis", "curve_ops"} {
 		l := obs.Label{Key: "cache", Value: layer}
 		layer := layer
 		reg.CounterFunc("nc_cache_hits_total", "cache hits by layer",
@@ -207,8 +211,6 @@ func (s Stats) cacheLayer(layer string) (hits, misses uint64, entries int) {
 		return s.VerdictHits, s.VerdictMisses, s.VerdictEntries
 	case "analysis":
 		return s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries
-	case "reservation":
-		return 0, 0, s.ReservationEntries
 	case "curve_ops":
 		return s.CurveOps.Hits, s.CurveOps.Misses, s.CurveOps.Entries
 	}
@@ -247,7 +249,7 @@ func (c *Controller) collect(r *obs.Registry) {
 	for _, name := range c.order {
 		sh := c.shards[name]
 		sh.mu.RLock()
-		agg := sh.aggregate(verdictKey{}, 0)
+		agg := sh.cross(verdictKey{}, nil)
 		rate := sh.node.Rate
 		reserved := agg.Rate + sh.node.CrossRate
 		burst := agg.Burst + sh.node.CrossBurst
@@ -361,6 +363,16 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 			attrs = append(attrs, "reason", v.Reason)
 		}
 		c.audit.Info("admit.verdict", attrs...)
+	}
+}
+
+// noteInternalError records a panic the combiner leader recovered from.
+func (c *Controller) noteInternalError(r any, stack []byte) {
+	if m := c.obsm; m != nil {
+		m.internal.Inc()
+	}
+	if c.audit != nil {
+		c.audit.Error("admit.internal", "panic", fmt.Sprint(r), "stack", string(stack))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"streamcalc/internal/core"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/pool"
 	"streamcalc/internal/units"
@@ -111,17 +110,13 @@ func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation
 		opt.ThroughputSlack = 0.05
 	}
 
-	a, err := core.AnalyzeMemo(c.sharedPipelineSnapshot(f), c.memo)
+	sp, a, err := c.replaySim(f, opt)
 	if err != nil {
 		return fr, err
 	}
 	b := boundsOf(a)
 	fr.Delay, fr.Backlog, fr.Throughput = b.delay, b.backlog, b.throughput
 
-	sp, err := c.replaySim(f, opt)
-	if err != nil {
-		return fr, err
-	}
 	res, err := sp.Run()
 	if err != nil {
 		return fr, err
@@ -133,30 +128,4 @@ func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation
 	promised := Verdict{Delay: b.delay, Backlog: b.backlog, Throughput: b.throughput}
 	fr.Violations = boundViolations(promised, f.SLO, res, opt.ThroughputSlack)
 	return fr, nil
-}
-
-// sharedPipelineSnapshot is the lock-taking sibling of pipelineFor for
-// concurrent readers: it builds f's pipeline with the co-resident cross
-// traffic (excluding f's own reservation) under the read locks each shard
-// needs, instead of assuming the registry write lock.
-func (c *Controller) sharedPipelineSnapshot(f Flow) core.Pipeline {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
-	}
-	p := core.Pipeline{Name: c.name + "/shared", Arrival: f.Arrival, Rung: c.rungFor(f)}
-	for _, name := range f.Path {
-		sh := c.shards[name]
-		sh.mu.RLock()
-		n := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		sh.mu.RUnlock()
-		n.CrossRate += agg.Rate
-		n.CrossBurst += agg.Burst
-		p.Nodes = append(p.Nodes, n)
-	}
-	return p
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"streamcalc/internal/core"
 	"streamcalc/internal/units"
 )
 
@@ -55,27 +54,24 @@ func (c *Controller) Tightness(id string, opt ReplayOptions) (Tightness, error) 
 		opt.Total = 8 * units.MiB
 	}
 	c.mu.RLock()
-	fs, ok := c.flows[id]
+	cs, ok := c.flows[id]
+	var f Flow
+	if ok {
+		f = cs.flowFor(id)
+	}
+	c.mu.RUnlock()
 	if !ok {
-		c.mu.RUnlock()
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q not admitted", id)
 	}
-	f := fs.flowFor(id)
-	// Current analytic bounds: the flow under today's co-resident cross
-	// traffic (the registry read lock excludes commits, so the shard state is
-	// stable). The admission-time verdict may be looser or tighter — flows
-	// admitted or released since then changed the residual service.
-	a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-	c.mu.RUnlock()
+	// Current analytic bounds, from the same snapshot as the replay's
+	// residual service: the flow under today's co-resident cross traffic.
+	// The admission-time verdict may be looser or tighter — flows admitted
+	// or released since then changed the residual service.
+	sp, a, err := c.replaySim(f, opt)
 	if err != nil {
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)
 	}
 	b := boundsOf(a)
-
-	sp, err := c.replaySim(f, opt)
-	if err != nil {
-		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)
-	}
 	res, err := sp.Run()
 	if err != nil {
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)

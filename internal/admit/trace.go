@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the decision flight recorder: every Admit/Release/AdmitBatch
-// call carries a decTrace through the combiner and the optimistic engine,
-// recording a contiguous phase breakdown (queue wait, leader drain,
-// analysis, victim sweep, validate-and-commit, retries, fallback) plus the
+// call carries a decTrace through the combiner and the admission
+// transaction, recording a contiguous phase breakdown (queue wait, leader
+// drain, analysis, victim sweep, validate-and-commit, retries, fallback) plus the
 // outcome metadata a postmortem needs — verdict, retry count, victim
 // counts, and the per-node epochs the analysis pinned. Finished decisions
 // land in a ring buffer exposed by ncadmitd as GET /debug/decisions (JSON)
@@ -28,11 +28,11 @@ const (
 	PhasePrecheck       = "precheck"        // spec checks + verdict-cache probe
 	PhaseQueueWait      = "queue_wait"      // combiner queue, waiting for a leader
 	PhaseDrain          = "drain"           // leader committing queued releases first
-	PhaseAnalysis       = "analysis"        // candidate reservation + pipeline analysis
+	PhaseAnalysis       = "analysis"        // reservations + analysis of the classes gaining members
 	PhaseVictimSweep    = "victim_sweep"    // re-checking co-resident classes
 	PhaseValidateCommit = "validate_commit" // write-locked epoch validation + commit
-	PhaseRetry          = "retry"           // post-conflict bookkeeping before re-analysis
-	PhaseFallback       = "fallback"        // write-locked classic decision after retries
+	PhaseRetry          = "retry"           // write-locked validation that found the snapshot stale
+	PhaseFallback       = "fallback"        // commit section of the last, write-locked attempt
 	PhaseHandoff        = "handoff"         // result delivery back to the caller
 )
 
@@ -53,7 +53,6 @@ type decTrace struct {
 	retries  int
 	fellBack bool
 	victims  int // victim classes analyzed
-	reused   int // victim classes reused from a previous attempt's sweep
 	deps     []NodeEpoch
 	batchN   int // batch decisions: flows offered
 	batchAdm int // batch decisions: flows admitted
@@ -95,12 +94,6 @@ func (tr *decTrace) noteVictim() {
 	}
 }
 
-func (tr *decTrace) noteReuse() {
-	if tr != nil {
-		tr.reused++
-	}
-}
-
 func (tr *decTrace) noteGroup(n int) {
 	if tr != nil {
 		tr.group = n
@@ -117,29 +110,33 @@ func (tr *decTrace) noteRungSearch(combos, pruned int) {
 	}
 }
 
-// absorb folds a leader's shared group trace (its span phases and victim
-// counters) into this ticket's trace. Called by the leader before the
-// done-channel handoff.
+// absorb folds the leader's shared trace of one transaction (span phases,
+// counters, dependency epochs) into this ticket's trace. Called by the
+// leader before the done-channel handoff.
 func (tr *decTrace) absorb(g *decTrace) {
 	if tr == nil || g == nil {
 		return
 	}
 	tr.span.Absorb(g.span)
+	tr.retries += g.retries
+	tr.fellBack = tr.fellBack || g.fellBack
 	tr.victims += g.victims
-	tr.reused += g.reused
 	tr.rungCombos += g.rungCombos
 	tr.rungPruned += g.rungPruned
+	if g.deps != nil {
+		tr.deps = g.deps
+	}
 }
 
-// setDeps snapshots the sweep's dependency set as (node name, epoch) pairs,
-// sorted by name. Callers need no lock: shard names and indices are
+// setDeps snapshots a decision's dependency set as (node name, epoch)
+// pairs, sorted by name. Callers need no lock: shard names and indices are
 // immutable after New.
-func (tr *decTrace) setDeps(c *Controller, sw *sweep) {
-	if tr == nil || sw == nil || len(sw.deps) == 0 {
+func (tr *decTrace) setDeps(c *Controller, deps map[int]uint64) {
+	if tr == nil || len(deps) == 0 {
 		return
 	}
-	out := make([]NodeEpoch, 0, len(sw.deps))
-	for idx, e := range sw.deps {
+	out := make([]NodeEpoch, 0, len(deps))
+	for idx, e := range deps {
 		out = append(out, NodeEpoch{Node: c.byIdx[idx].node.Name, Epoch: e})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
@@ -176,7 +173,6 @@ type DecisionRecord struct {
 	GroupSize int  `json:"group_size,omitempty"`
 
 	VictimsChecked int         `json:"victims_checked,omitempty"`
-	VictimsReused  int         `json:"victims_reused,omitempty"`
 	Nodes          []NodeEpoch `json:"nodes,omitempty"`
 
 	// RungCombos/RungPruned are the tight rung's θ-lattice search effort
@@ -204,7 +200,6 @@ func (tr *decTrace) record(total time.Duration) DecisionRecord {
 		Fallback:       tr.fellBack,
 		GroupSize:      tr.group,
 		VictimsChecked: tr.victims,
-		VictimsReused:  tr.reused,
 		Nodes:          tr.deps,
 		RungCombos:     tr.rungCombos,
 		RungPruned:     tr.rungPruned,

@@ -1,0 +1,427 @@
+package admit
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"streamcalc/internal/core"
+	"streamcalc/internal/units"
+)
+
+// This file is the admission transaction. decideSet is the one function that
+// analyses a candidate set; transact is the one function that locks,
+// validates and commits it. Admit and group commit (group.go) and AdmitBatch
+// (batch.go) differ only in which candidates they hand to transact and in
+// what they do with a set it refuses.
+
+// maxCommitRetries bounds optimistic re-analysis: after this many stale
+// snapshots the next attempt holds the write lock from the start and cannot
+// conflict.
+const maxCommitRetries = 3
+
+// cand is one flow offered for admission that has passed precheck.
+type cand struct {
+	f   Flow
+	key verdictKey
+	idx int // position in the caller's output (AdmitBatch)
+}
+
+// classPlan is one flow class a candidate set adds members to.
+type classPlan struct {
+	f       Flow                   // a member, for the class's arrival, path and SLO
+	n       int                    // members the set adds
+	contrib map[string]core.Bucket // per-member reservation (shared, read-only)
+	err     error                  // the standalone analysis failed: members are spec rejections
+	verdict Verdict                // admitted template (FlowID blank), set when the set fits
+}
+
+// decision is decideSet's answer for one candidate set at one registry
+// snapshot.
+type decision struct {
+	epoch uint64
+	plans map[verdictKey]*classPlan
+	keys  []verdictKey // classes gaining members, in keyLess order
+	// spec holds the candidates (by position) answered on their own — an ID
+	// already admitted, a spec the pristine platform cannot carry. They are
+	// not part of the set the rest of the decision is about.
+	spec map[int]Verdict
+	// ok reports that every SLO, of the added and of the admitted classes,
+	// holds with all remaining candidates added. Otherwise refusal says
+	// which one broke; it is the exact verdict for a set of one class and
+	// only a reason to split for a larger set.
+	ok      bool
+	refusal Verdict
+	// deps pins the epoch of every node the analysis read (shard idx ->
+	// epoch): if all still match under the write lock, nothing the decision
+	// depends on has changed.
+	deps map[int]uint64
+}
+
+// verdict returns the answer for candidate cd at position i of the set.
+func (d *decision) verdict(i int, cd cand) Verdict {
+	v, own := d.spec[i]
+	switch {
+	case own:
+	case d.ok:
+		v = d.plans[cd.key].verdict
+	default:
+		v = d.refusal
+	}
+	v.FlowID = cd.f.ID
+	return v
+}
+
+// addPath pins the current epoch of every node on path. Epochs cannot move
+// while the registry lock is held in either mode.
+func (d *decision) addPath(c *Controller, path []string) {
+	for _, name := range path {
+		sh := c.shards[name]
+		if _, ok := d.deps[sh.idx]; !ok {
+			d.deps[sh.idx] = sh.epoch.Load()
+		}
+	}
+}
+
+// depList flattens the dependency set for the verdict cache.
+func (d *decision) depList() []nodeDep {
+	out := make([]nodeDep, 0, len(d.deps))
+	for idx, e := range d.deps {
+		out = append(out, nodeDep{idx: idx, epoch: e})
+	}
+	return out
+}
+
+// decideSet checks cands as one set at the hypothetical final state, without
+// mutating anything: first every class gaining members against its own SLO
+// (yielding its admitted verdict template, or a refusal naming the binding
+// constraint), then every admitted class sharing a node with the additions
+// (yielding "victim:<id>"). Each class is analysed once — its members are
+// interchangeable — at the rung it is or was admitted at, with one of its
+// own members left out of the cross traffic. A single Admit is the set of
+// one. The registry lock must be held, in either mode; precheck must have
+// passed for every candidate. Nothing in a refusal mentions a candidate's
+// ID: it is cached and replayed for any flow of the same class.
+func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
+	d := &decision{
+		epoch: c.epoch.Load(),
+		plans: make(map[verdictKey]*classPlan),
+		deps:  make(map[int]uint64),
+	}
+	own := func(i int, k verdictKey, format string, args ...any) {
+		if d.spec == nil {
+			d.spec = make(map[int]Verdict)
+		}
+		d.spec[i] = Verdict{Epoch: d.epoch, Rung: k.rung.String(), Binding: "spec",
+			Reason: "rejected: " + fmt.Sprintf(format, args...)}
+	}
+	refuse := func(phase string, rung core.Rung, binding, format string, args ...any) *decision {
+		d.refusal = Verdict{Epoch: d.epoch, Rung: rung.String(), Binding: binding,
+			Reason: "rejected: " + fmt.Sprintf(format, args...)}
+		tr.mark(phase)
+		return d
+	}
+
+	// Roster: the classes gaining members, each with one reservation, and
+	// the nodes the additions touch.
+	nodes := make(map[string]struct{})
+	for i, cd := range cands {
+		if _, dup := c.flows[cd.f.ID]; dup {
+			// Re-checked under the lock (precheck ran before it).
+			own(i, cd.key, "flow %q is already admitted", cd.f.ID)
+			continue
+		}
+		pl, ok := d.plans[cd.key]
+		if !ok {
+			pl = c.planClass(cd)
+			d.plans[cd.key] = pl
+			if pl.err == nil {
+				d.keys = append(d.keys, cd.key)
+				for _, name := range cd.f.Path {
+					nodes[name] = struct{}{}
+				}
+			}
+		}
+		if pl.err != nil {
+			own(i, cd.key, "%v", pl.err)
+			continue
+		}
+		pl.n++
+	}
+	sort.Slice(d.keys, func(i, j int) bool { return keyLess(d.keys[i], d.keys[j]) })
+
+	// check analyses one member of class self at the final state, at the
+	// class's own rung whoever else is in the set: a tight-rung candidate
+	// must not loosen (or tighten) the promises made to blind-rung classes.
+	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Analysis, bounds, *sloCheck, error) {
+		d.addPath(c, path)
+		a, err := core.AnalyzeMemo(c.sharedPipeline(arrival, path, self.rung, self, d), c.memo)
+		if err != nil {
+			// Saturation (aggregate cross >= node rate) surfaces as an
+			// Analyze validation error.
+			return nil, bounds{}, nil, err
+		}
+		tr.noteRungSearch(a.TightCombos, a.TightPruned)
+		b := boundsOf(a)
+		return a, b, sloViolation(slo, a, b), nil
+	}
+
+	for _, k := range d.keys {
+		pl := d.plans[k]
+		a, b, bad, err := check(pl.f.Arrival, pl.f.Path, pl.f.SLO, k)
+		switch {
+		case err != nil:
+			return refuse(PhaseAnalysis, k.rung, "saturation", "%v", err)
+		case bad != nil:
+			return refuse(PhaseAnalysis, k.rung, bad.binding, "%s", bad.detail)
+		}
+		pl.verdict = c.admittedVerdict(d, k, pl, a, b)
+	}
+	tr.mark(PhaseAnalysis)
+
+	// Victims: admitted classes that share a node with the additions and
+	// gain no member themselves (those were just checked above, with the
+	// identical pipeline).
+	for _, k := range c.sortedClassKeys() {
+		cs := c.classes[k]
+		if _, gaining := d.plans[k]; gaining || !touches(cs.path, nodes) {
+			continue
+		}
+		tr.noteVictim()
+		_, _, bad, err := check(cs.arrival, cs.path, cs.slo, k)
+		// Only a refused set of one class is ever reported; its rung is that
+		// class's.
+		switch {
+		case err != nil:
+			return refuse(PhaseVictimSweep, d.keys[0].rung, "victim:"+cs.representative(),
+				"admitting this flow would starve flow %q: %v", cs.representative(), err)
+		case bad != nil:
+			return refuse(PhaseVictimSweep, d.keys[0].rung, "victim:"+cs.representative(),
+				"admitting this flow would break flow %q: %s", cs.representative(), bad.detail)
+		}
+	}
+	tr.mark(PhaseVictimSweep)
+	d.ok = true
+	return d
+}
+
+// planClass resolves the reservation one member of cd's class holds: the
+// admitted class's own when it exists, otherwise the flow's propagated
+// arrival bound at each path node of the pristine platform (no co-resident
+// reservations), so the reservation is a deterministic function of (flow,
+// platform). An analysis error there is a spec error (a starved platform
+// node, an arrival no node can carry).
+func (c *Controller) planClass(cd cand) *classPlan {
+	pl := &classPlan{f: cd.f}
+	if cs, ok := c.classes[cd.key]; ok {
+		pl.contrib = cs.contrib
+		return pl
+	}
+	// The pipeline name is ID-independent so the analysis memo shares the
+	// result across flows with identical curves and paths.
+	p := core.Pipeline{Name: c.name + "/standalone", Arrival: cd.f.Arrival, Rung: cd.key.rung}
+	for _, name := range cd.f.Path {
+		p.Nodes = append(p.Nodes, c.shards[name].node)
+	}
+	standalone, err := core.AnalyzeMemo(p, c.memo)
+	if err != nil {
+		pl.err = err
+		return pl
+	}
+	pl.contrib = reservationFrom(cd.f.Path, standalone)
+	return pl
+}
+
+// admittedVerdict is the verdict template of a class whose members fit:
+// promised bounds, bottleneck, and the residual headroom there with every
+// addition counted.
+func (c *Controller) admittedVerdict(d *decision, k verdictKey, pl *classPlan, a *core.Analysis, b bounds) Verdict {
+	slo := pl.f.SLO
+	bn := pl.f.Path[a.BottleneckIndex]
+	sh := c.shards[bn]
+	headroom := sh.node.Rate - sh.node.CrossRate - sh.cross(verdictKey{}, d).Rate
+	return Verdict{
+		Admitted: true, Epoch: d.epoch, Rung: k.rung.String(),
+		Delay: b.delay, Backlog: b.backlog, Throughput: b.throughput,
+		Bottleneck: bn, HeadroomRate: headroom,
+		Reason: fmt.Sprintf(
+			"admitted: delay %v <= %s, backlog %v <= %s, throughput %v >= %s; bottleneck %s, residual headroom %v",
+			b.delay, orAny(slo.MaxDelay > 0, slo.MaxDelay),
+			b.backlog, orAny(slo.MaxBacklog > 0, slo.MaxBacklog),
+			b.throughput, orAny(slo.MinThroughput > 0, slo.MinThroughput),
+			bn, headroom),
+	}
+}
+
+// touches reports whether path visits a node of the set.
+func touches(path []string, nodes map[string]struct{}) bool {
+	for _, name := range path {
+		if _, hit := nodes[name]; hit {
+			return true
+		}
+	}
+	return false
+}
+
+// sharedPipeline builds the pipeline of one member of class self over the
+// platform as it stands with d's additions committed: at every path node the
+// static background plus shard.cross. Every shared-state analysis — a decision,
+// Recheck, Tightness, revalidation, replay — is built here, so the pipeline
+// a decision analysed is bit-identical to the one Recheck builds after the
+// commit. The name is ID-independent (see planClass). The registry lock must
+// be held in either mode.
+func (c *Controller) sharedPipeline(arrival core.Arrival, path []string, rung core.Rung, self verdictKey, d *decision) core.Pipeline {
+	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung}
+	for _, name := range path {
+		sh := c.shards[name]
+		n := sh.node
+		agg := sh.cross(self, d)
+		n.CrossRate += agg.Rate
+		n.CrossBurst += agg.Burst
+		p.Nodes = append(p.Nodes, n)
+	}
+	return p
+}
+
+// cross sums the reservations the node hosts plus those d adds (nil adds
+// none), minus one member of class self (the zero key excludes nobody), in
+// global keyLess order: a sorted merge of the shard's classes and the added
+// ones, one multiply (bucket × count) per class. The cost is O(classes)
+// however many flows the node hosts, and the result is a deterministic
+// function of the population, independent of arrival order and of how the
+// population was split into transactions. Callers must hold the shard lock
+// (any mode) or the registry lock.
+func (sh *shard) cross(self verdictKey, d *decision) core.Bucket {
+	var adds []verdictKey
+	if d != nil {
+		adds = d.keys
+	}
+	var out core.Bucket
+	i, j := 0, 0
+	for i < len(sh.keys) || j < len(adds) {
+		var k verdictKey
+		var b core.Bucket
+		n := 0
+		takeShard := j >= len(adds) || (i < len(sh.keys) && !keyLess(adds[j], sh.keys[i]))
+		takeAdd := i >= len(sh.keys) || (j < len(adds) && !keyLess(sh.keys[i], adds[j]))
+		if takeShard {
+			k = sh.keys[i]
+			e := sh.classes[k]
+			b, n = e.b, e.n
+			i++
+		}
+		if takeAdd {
+			k = adds[j]
+			pl := d.plans[k]
+			if ab, hosted := pl.contrib[sh.node.Name]; hosted {
+				b = ab // equals the shard entry's bucket when both exist
+				n += pl.n
+			}
+			j++
+		}
+		if k == self {
+			n--
+		}
+		if n > 0 {
+			out.Rate += b.Rate * units.Rate(n)
+			out.Burst += b.Burst * units.Bytes(n)
+		}
+	}
+	return out
+}
+
+// transact decides cands as one atomic set and commits it when it fits: the
+// only admission code that takes the registry lock. An attempt analyses
+// under the read lock, then re-checks under the write lock that no node the
+// analysis read has moved (depsCurrent) and commits; a stale snapshot is
+// analysed again from scratch — only analysed states ever commit, the bounds
+// are not monotone in cross traffic — and after maxCommitRetries the same
+// attempt runs with the write lock held from the start. A refusal commits
+// nothing; that of a set of one is exact and goes to the verdict cache
+// against the node epochs it read.
+func (c *Controller) transact(cands []cand, tr *decTrace) *decision {
+	for attempt := 0; ; attempt++ {
+		exclusive := attempt == maxCommitRetries
+		if exclusive {
+			tr.noteFallback()
+		}
+		if d := c.attempt(cands, exclusive, tr); d != nil {
+			if exclusive {
+				tr.mark(PhaseFallback)
+			} else {
+				tr.mark(PhaseValidateCommit)
+			}
+			tr.setDeps(c, d.deps)
+			if !d.ok && len(cands) == 1 {
+				c.storeVerdict(cands[0].key, d.depList(), d.refusal)
+			}
+			return d
+		}
+		c.noteConflict()
+		tr.mark(PhaseRetry)
+		tr.noteRetry()
+	}
+}
+
+// attempt is one round of transact; it returns nil when the snapshot it
+// analysed went stale before it could commit. Locks are released by defer,
+// so a panic inside an analysis leaves the registry usable.
+func (c *Controller) attempt(cands []cand, exclusive bool, tr *decTrace) *decision {
+	var d *decision
+	if !exclusive {
+		if d = c.analyse(cands, tr); !d.ok {
+			return d
+		}
+	}
+	waitStart := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if exclusive {
+		d = c.decideSet(cands, tr)
+	} else if !c.depsCurrent(d, cands) {
+		return nil
+	}
+	if !d.ok {
+		return d
+	}
+	for i, cd := range cands {
+		if _, own := d.spec[i]; !own {
+			pl := d.plans[cd.key]
+			c.commit(cd.key, cd.f, pl.contrib, pl.verdict)
+		}
+	}
+	if len(d.spec) < len(cands) {
+		// One transaction, one step of the global epoch, however many flows.
+		c.epoch.Add(1)
+		c.observeCommitWait(time.Since(waitStart))
+	}
+	return d
+}
+
+// analyse runs decideSet at a read-locked snapshot.
+func (c *Controller) analyse(cands []cand, tr *decTrace) *decision {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.decideSet(cands, tr)
+}
+
+// depsCurrent reports whether d still describes the registry: every node
+// epoch its analysis read is live, and no candidate it means to commit has
+// been admitted meanwhile. Callers must hold the registry write lock, so a
+// true answer stays true through the commit.
+func (c *Controller) depsCurrent(d *decision, cands []cand) bool {
+	for idx, e := range d.deps {
+		if c.byIdx[idx].epoch.Load() != e {
+			return false
+		}
+	}
+	for i, cd := range cands {
+		if _, own := d.spec[i]; own {
+			continue
+		}
+		if _, dup := c.flows[cd.f.ID]; dup {
+			return false
+		}
+	}
+	return true
+}

@@ -108,7 +108,7 @@ func Replay(c *Controller, ops []TraceOp, opt ReplayOptions) (*ReplayReport, err
 // a one-time startup; the measured delay, backlog, and throughput must
 // respect the promised bounds.
 func simulateAdmitted(c *Controller, f Flow, v Verdict, opt ReplayOptions, step *StepReport) error {
-	sp, err := c.replaySim(f, opt)
+	sp, _, err := c.replaySim(f, opt)
 	if err != nil {
 		return err
 	}
@@ -158,12 +158,13 @@ func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string 
 
 // replaySim builds the replay simulation for admitted flow f: its offered
 // envelope played into the residual service its co-residents leave (see
-// residualStages). Shared by the -validate replay and the bound-tightness
-// probe.
-func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, error) {
-	stages, packet, err := c.residualStages(f)
+// residualStages), next to the analysis of f at the same registry snapshot —
+// the bounds the replay is to be held against. Shared by the -validate
+// replay, revalidation and the bound-tightness probe.
+func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.Analysis, error) {
+	stages, packet, a, err := c.residualStages(f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if f.Arrival.MaxPacket > 0 {
 		packet = f.Arrival.MaxPacket
@@ -186,7 +187,7 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, error)
 	for _, cfg := range stages {
 		sp.Add(cfg)
 	}
-	return sp, nil
+	return sp, a, nil
 }
 
 // residualStages builds the simulator stages for f's path: each node serves
@@ -198,64 +199,47 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, error)
 // (rate, startup) stage, so the stage serves its minimal rate-latency
 // majorant — at least the service the analysis assumed everywhere, so the
 // analytic bounds must still dominate every replay observation. It also
-// returns the first node's job size as the default source packet.
-func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, error) {
+// returns the first node's job size as the default source packet, and the
+// analysis the stages were derived from.
+func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *core.Analysis, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var exclude verdictKey
-	excludeN := 0
-	if cs, ok := c.flows[f.ID]; ok {
-		exclude, excludeN = cs.key, 1
-	}
-	rung := c.rungFor(f)
-	var thetas []float64
-	if rung != core.RungBlind {
-		// The per-node thetas the flow's analysis committed to. Analysis
-		// errors (saturation) surface as replay errors, as before.
-		a, err := core.AnalyzeMemo(c.pipelineFor(f, nil), c.memo)
-		if err != nil {
-			return nil, 0, err
-		}
-		thetas = make([]float64, len(a.Nodes))
-		for i, na := range a.Nodes {
-			thetas[i] = na.FIFOTheta
-		}
+	// The per-node cross traffic and thetas the flow's analysis committed
+	// to. Analysis errors (saturation) surface as replay errors.
+	p, a, err := c.analyzeLocked(f)
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	var out []sim.StageConfig
-	for i, name := range f.Path {
-		sh := c.shards[name]
-		sh.mu.RLock()
-		node := sh.node
-		agg := sh.aggregate(exclude, excludeN)
-		sh.mu.RUnlock()
-
-		crossRate := node.CrossRate + agg.Rate
-		crossBurst := node.CrossBurst + agg.Burst
+	for i, node := range p.Nodes {
 		// Theta is a time quantity, so the input-referred value from the
-		// analysis carries over to the node-local curves unchanged.
+		// analysis carries over to the node-local curves unchanged (zero at
+		// the blind rung).
+		theta := a.Nodes[i].FIFOTheta
 		full := curve.RateLatency(float64(node.Rate), node.Latency.Seconds())
+		cross := curve.Affine(float64(node.CrossRate), float64(node.CrossBurst))
 		var resid curve.Curve
 		ok := true
 		switch {
-		case crossRate <= 0:
+		case node.CrossRate <= 0:
 			resid = full
-		case thetas != nil && thetas[i] > 0:
-			resid, ok = curve.FIFOResidual(full, curve.Affine(float64(crossRate), float64(crossBurst)), thetas[i])
+		case theta > 0:
+			resid, ok = curve.FIFOResidual(full, cross, theta)
 		default:
-			resid, ok = curve.ResidualService(full, curve.Affine(float64(crossRate), float64(crossBurst)))
+			resid, ok = curve.ResidualService(full, cross)
 		}
 		if !ok {
-			return nil, 0, fmt.Errorf("node %s: reservations starve the node", node.Name)
+			return nil, 0, nil, fmt.Errorf("node %s: reservations starve the node", node.Name)
 		}
 		residRate := units.Rate(resid.UltimateSlope())
 		if residRate <= 0 {
-			return nil, 0, fmt.Errorf("node %s: reservations starve the node", node.Name)
+			return nil, 0, nil, fmt.Errorf("node %s: reservations starve the node", node.Name)
 		}
 		cfg := sim.StageFromRate(node.Name, residRate, residRate, node.JobIn, node.JobOut)
 		cfg.Startup = time.Duration(majorantLatency(resid) * float64(time.Second))
 		out = append(out, cfg)
 	}
-	return out, c.shards[f.Path[0]].node.JobIn, nil
+	return out, p.Nodes[0].JobIn, a, nil
 }
 
 // majorantLatency returns the latency L of the minimal rate-latency curve

@@ -142,6 +142,21 @@ func slopeTol(s1, s2, y, dt float64) float64 {
 	return t
 }
 
+// jumpTol is how far below the extension of segment p a segment starting at
+// x may sit and still count as continuous with it. normalize measures every
+// segment against the last one it kept, so once it has merged near-collinear
+// segments into p the next breakpoint is held to p's line, not to the line
+// of the dropped segment it actually continued: on top of its own absEps it
+// inherits the dropped segment's value offset (another absEps) and its slope
+// difference run over the span (slopeTol·dt). The factor 2 covers the
+// second-order terms. The allowance stays near 1e-8 of the value, so a curve
+// that genuinely decreases still fails validation.
+func jumpTol(p Segment, x float64) float64 {
+	dt := x - p.X
+	endV := p.Y + p.Slope*dt
+	return 2 * (absEps(endV) + slopeTol(p.Slope, p.Slope, endV, dt)*dt)
+}
+
 // clampSlope zeroes a computed slope that is negative only by cancellation
 // noise (relative to value magnitude y over span dt); larger negatives pass
 // through for validation to reject.
@@ -175,7 +190,7 @@ func (c *Curve) validate() error {
 				return fmt.Errorf("segment %d X=%g not increasing past %g", i, s.X, p.X)
 			}
 			endV := p.Y + p.Slope*(s.X-p.X)
-			if s.Y < endV-absEps(endV) {
+			if s.Y < endV-jumpTol(p, s.X) {
 				return fmt.Errorf("downward jump at X=%g: %g -> %g", s.X, endV, s.Y)
 			}
 		}

@@ -291,3 +291,32 @@ func TestStringNonEmpty(t *testing.T) {
 		t.Error("String must not be empty")
 	}
 }
+
+// TestValidateToleratesMergeDrift builds the triple that used to panic in
+// ConvolveExact under the tight rung: B continues A within the merge
+// tolerances and is dropped by normalize, C continues B within absEps — and
+// so sits up to two absEps (plus the slope difference over B's span) below
+// the line of A it is now measured against. The input is continuous to
+// within tolerance at every breakpoint, so it must construct; a jump an
+// order of magnitude larger at the same scale must still be refused.
+func TestValidateToleratesMergeDrift(t *testing.T) {
+	const y = 4987842.49 // the magnitude of the observed failure
+	tol := absEps(y)
+	a := Segment{X: 0, Y: y, Slope: 1000}
+	b := Segment{X: 1, Y: y + 1000 - 0.9*tol, Slope: 1000}
+	bEnd := b.Y + b.Slope
+	c := New(0, []Segment{a, b, {X: 2, Y: bEnd - 0.9*tol, Slope: 500}})
+	if n := len(c.Segments()); n != 2 {
+		t.Fatalf("want B merged into A (2 segments), got %d: %v", n, c)
+	}
+	if got, want := c.Value(2), bEnd-0.9*tol; got != want {
+		t.Errorf("Value(2) = %v, want the input's %v", got, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a downward jump of 100 absEps must still panic")
+		}
+	}()
+	New(0, []Segment{a, b, {X: 2, Y: bEnd - 100*tol, Slope: 500}})
+}
