@@ -291,12 +291,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 					"entries":  st.AnalysisEntries,
 					"hit_rate": obs.HitRate(st.AnalysisHits, st.AnalysisMisses),
 				},
-				"curve_ops": map[string]any{
-					"hits":     st.CurveOps.Hits,
-					"misses":   st.CurveOps.Misses,
-					"entries":  st.CurveOps.Entries,
-					"hit_rate": st.CurveOps.HitRate(),
-				},
 			},
 		}
 		// Liveness extras stay O(1): uptime is a clock read, the decision

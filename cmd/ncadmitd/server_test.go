@@ -203,7 +203,7 @@ func TestAPIHealthz(t *testing.T) {
 	if h.Platform != "edge-gateway" {
 		t.Errorf("platform = %q", h.Platform)
 	}
-	for _, name := range []string{"verdict", "analysis", "curve_ops"} {
+	for _, name := range []string{"verdict", "analysis"} {
 		if _, ok := h.Caches[name]; !ok {
 			t.Errorf("healthz caches missing %q: %+v", name, h.Caches)
 		}

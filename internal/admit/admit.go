@@ -64,15 +64,16 @@
 // even on one core. A set that is refused as a whole is decided one ticket
 // at a time; AdmitBatch (batch.go) bisects for the largest prefix that fits.
 //
-// Three caches keep decisions cheap. Verdict rejections are cached
+// Two caches keep decisions cheap. Verdict rejections are cached
 // keyed by (arrival-envelope digest, path, SLO, analysis rung) — curve
 // digests rather than spec hashes, so two specs with identical curves share
 // one entry regardless of flow ID — and each entry pins the node epochs its
 // analysis observed, so a commit on a disjoint path invalidates nothing.
 // All analyses run through a controller-wide core.Memo, so a candidate, a
 // victim re-check, a standalone reservation or a retry never recomputes an
-// identical pipeline. Underneath, the process-wide curve operation memo
-// shares individual min-plus operations between different pipelines.
+// identical pipeline. Nothing caches individual curve operations: on the
+// one- and two-segment curves of this model an operator costs less than a
+// lookup in front of it.
 package admit
 
 import (
@@ -195,11 +196,22 @@ func keyLess(a, b verdictKey) bool {
 	return a.rung < b.rung
 }
 
-// shardEntry is one class's footprint on one node: the per-member reserved
-// bucket and how many admitted members hold it.
-type shardEntry struct {
-	b core.Bucket // per-member reservation (local units)
-	n int         // admitted members
+// insertKey adds k to keys, which is sorted by keyLess and does not hold k.
+func insertKey(keys []verdictKey, k verdictKey) []verdictKey {
+	i := sort.Search(len(keys), func(i int) bool { return !keyLess(keys[i], k) })
+	keys = append(keys, verdictKey{})
+	copy(keys[i+1:], keys[i:])
+	keys[i] = k
+	return keys
+}
+
+// removeKey drops k from keys, which is sorted by keyLess.
+func removeKey(keys []verdictKey, k verdictKey) []verdictKey {
+	i := sort.Search(len(keys), func(i int) bool { return !keyLess(keys[i], k) })
+	if i < len(keys) && keys[i] == k {
+		keys = append(keys[:i], keys[i+1:]...)
+	}
+	return keys
 }
 
 // shard holds the per-node slice of controller state, guarded by its own
@@ -213,45 +225,41 @@ type shardEntry struct {
 // read and re-check them at commit time; the verdict cache validates its
 // entries the same way, so a commit on a disjoint path invalidates nothing.
 type shard struct {
-	mu      sync.RWMutex
-	node    core.Node
-	idx     int // position in Controller.byIdx (dense epoch addressing)
-	epoch   atomic.Uint64
-	classes map[verdictKey]*shardEntry
-	keys    []verdictKey // classes keys, kept sorted by keyLess
-	nflows  int          // total members hosted (sum of entry counts)
+	mu     sync.RWMutex
+	node   core.Node
+	idx    int // position in Controller.byIdx (dense epoch addressing)
+	epoch  atomic.Uint64
+	cross  nodeCross // the hosted classes' reservations, summed (cross.go)
+	nflows int       // total members hosted (sum of term counts)
 }
 
 // insert adds m members of class k reserving bucket b each. Callers must
 // hold the shard write lock.
 func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
-	if e, ok := s.classes[k]; ok {
-		e.n += m
+	i, ok := s.cross.find(k)
+	if ok {
+		s.cross.terms[i].n += m
 	} else {
-		i := sort.Search(len(s.keys), func(i int) bool { return !keyLess(s.keys[i], k) })
-		s.keys = append(s.keys, verdictKey{})
-		copy(s.keys[i+1:], s.keys[i:])
-		s.keys[i] = k
-		s.classes[k] = &shardEntry{b: b, n: m}
+		s.cross.terms = append(s.cross.terms, crossTerm{})
+		copy(s.cross.terms[i+1:], s.cross.terms[i:])
+		s.cross.terms[i] = crossTerm{key: k, b: b, n: m}
 	}
+	s.cross.resum(i)
 	s.nflows += m
 }
 
 // remove drops m members of class k. Callers must hold the shard write lock.
 func (s *shard) remove(k verdictKey, m int) {
-	e, ok := s.classes[k]
+	i, ok := s.cross.find(k)
 	if !ok {
 		return
 	}
-	e.n -= m
+	s.cross.terms[i].n -= m
 	s.nflows -= m
-	if e.n <= 0 {
-		delete(s.classes, k)
-		i := sort.Search(len(s.keys), func(i int) bool { return !keyLess(s.keys[i], k) })
-		if i < len(s.keys) && s.keys[i] == k {
-			s.keys = append(s.keys[:i], s.keys[i+1:]...)
-		}
+	if s.cross.terms[i].n <= 0 {
+		s.cross.terms = append(s.cross.terms[:i], s.cross.terms[i+1:]...)
 	}
+	s.cross.resum(i)
 }
 
 // classState is one admitted flow class: the shared spec, reservation, the
@@ -334,6 +342,9 @@ type Controller struct {
 	mu      sync.RWMutex // guards flows/classes and commit/release transactions
 	flows   map[string]*classState
 	classes map[verdictKey]*classState
+	// classKeys holds the keys of classes sorted by keyLess: the
+	// deterministic victim-check iteration order.
+	classKeys []verdictKey
 
 	// epoch is the coarse global commit counter (one bump per committed
 	// admission, release, or batch transaction) kept for external
@@ -400,7 +411,7 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		if err := probe.Validate(); err != nil {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
-		sh := &shard{node: n, idx: len(c.byIdx), classes: make(map[verdictKey]*shardEntry)}
+		sh := &shard{node: n, idx: len(c.byIdx)}
 		c.shards[n.Name] = sh
 		c.byIdx = append(c.byIdx, sh)
 		c.order = append(c.order, n.Name)
@@ -541,6 +552,7 @@ func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Buck
 			ids:     make(map[string]struct{}),
 		}
 		c.classes[key] = cs
+		c.classKeys = insertKey(c.classKeys, key)
 	}
 	cs.addID(f.ID)
 	tv := v
@@ -697,18 +709,6 @@ func sloViolation(s SLO, a *core.Analysis, b bounds) *sloCheck {
 	return nil
 }
 
-// sortedClassKeys returns the admitted class keys in keyLess order — the
-// deterministic victim-check iteration order. Callers must hold the
-// registry lock.
-func (c *Controller) sortedClassKeys() []verdictKey {
-	keys := make([]verdictKey, 0, len(c.classes))
-	for k := range c.classes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
 // sortedFlowIDs returns every admitted flow ID in sorted order. O(n log n):
 // reserved for snapshot queries (Flows, RevalidateAll), never the admission
 // hot path. Callers must hold the registry lock.
@@ -761,6 +761,7 @@ func (c *Controller) releaseLocked(id string) bool {
 	cs.removeID(id)
 	if len(cs.ids) == 0 {
 		delete(c.classes, cs.key)
+		c.classKeys = removeKey(c.classKeys, cs.key)
 	}
 	delete(c.flows, id)
 	c.epoch.Add(1)
@@ -844,7 +845,7 @@ func (c *Controller) analyzeLocked(f Flow) (core.Pipeline, *core.Analysis, error
 	if cs, ok := c.flows[f.ID]; ok {
 		self = cs.key
 	}
-	p := c.sharedPipeline(f.Arrival, f.Path, c.rungFor(f), self, nil)
+	p := c.sharedPipeline(f.Arrival, f.Path, c.rungFor(f), self, &decision{})
 	a, err := core.AnalyzeMemo(p, c.memo)
 	return p, a, err
 }
@@ -889,7 +890,7 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	sort.Strings(r.Flows)
 
 	sh.mu.RLock()
-	agg := sh.cross(verdictKey{}, nil)
+	agg := sh.cross.total
 	sh.mu.RUnlock()
 	r.Cross = core.Bucket{
 		Rate:  agg.Rate + sh.node.CrossRate,
@@ -991,8 +992,6 @@ type Stats struct {
 	AnalysisHits    uint64 `json:"analysis_hits"`
 	AnalysisMisses  uint64 `json:"analysis_misses"`
 	AnalysisEntries int    `json:"analysis_entries"`
-	// Process-wide curve operation memo.
-	CurveOps curve.CacheStats `json:"curve_ops"`
 	// Optimistic-concurrency counters: failed validate-and-commit sections
 	// (each one re-ran the transaction) and the per-node epoch summary (see
 	// EpochStats).
@@ -1014,7 +1013,6 @@ func (c *Controller) Stats() Stats {
 	s.VerdictEntries = len(c.cache)
 	c.cacheMu.Unlock()
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	s.CurveOps = curve.MemoStats()
 	s.CommitConflicts = c.conflicts.Load()
 	s.EpochMax, s.EpochDistinctNode = c.EpochStats()
 	return s

@@ -91,14 +91,15 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 //   - SLO instruments against opts.SLOObjective: nc_admit_slo_fast_total,
 //     nc_admit_slo_objective_seconds, and the windowed burn-rate gauge
 //     nc_admit_slo_budget_burn;
-//   - scrape-time gauges for admitted flows, platform epoch, and every cache
-//     layer's hits/misses/entries (verdict cache, analysis memo, curve-op
-//     memo); per-node reservation gauges only with
-//     opts.PerNodeMetrics (unbounded cardinality on large platforms);
+//   - scrape-time gauges for admitted flows, platform epoch, and both cache
+//     layers' hits/misses/entries (verdict cache, analysis memo); per-node
+//     reservation gauges only with opts.PerNodeMetrics (unbounded cardinality
+//     on large platforms);
 //   - process-wide per-operation timing: curve.SetOpTimer and
 //     core.SetAnalysisTimer feed nc_curve_op_seconds{op=...} and
-//     nc_analysis_seconds histograms (global hooks — the daemon runs one
-//     controller; a second EnableObs call rebinds them).
+//     nc_analysis_seconds, whose histograms are resolved here, once, so a
+//     timed operation pays two clock reads and an Observe (global hooks —
+//     the daemon runs one controller; a second EnableObs call rebinds them).
 //
 // Call once, before serving traffic.
 func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
@@ -149,7 +150,7 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 	// Cache effectiveness, typed honestly: the hit/miss tallies are
 	// monotone, so they render as counters reading from the per-scrape
 	// snapshot the collector refreshes.
-	for _, layer := range []string{"verdict", "analysis", "curve_ops"} {
+	for _, layer := range []string{"verdict", "analysis"} {
 		l := obs.Label{Key: "cache", Value: layer}
 		layer := layer
 		reg.CounterFunc("nc_cache_hits_total", "cache hits by layer",
@@ -183,23 +184,17 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			return float64(pruned) / float64(combos+pruned)
 		})
 
-	// Pre-register the timing families so they exist (at zero) from startup:
-	// the timers below only fire on memo *misses*, and a warm process-global
-	// op memo would otherwise keep the families off /metrics indefinitely.
-	for _, op := range curve.OpNames() {
-		reg.Histogram("nc_curve_op_seconds", "computed (memo-miss) curve operation cost",
-			OpBuckets, obs.Label{Key: "op", Value: op})
+	// The timing families exist (at zero) from startup, and the timers hold
+	// their histograms: no registry lookup on the operator path.
+	var opSeconds [curve.NumOpKinds]*obs.Histogram
+	for _, op := range curve.OpKinds() {
+		opSeconds[op] = reg.Histogram("nc_curve_op_seconds", "curve operator cost, one observation per operator call",
+			OpBuckets, obs.Label{Key: "op", Value: op.String()})
 	}
-	reg.Histogram("nc_analysis_seconds", "computed (memo-miss) pipeline analysis cost", OpBuckets)
-
-	curve.SetOpTimer(func(op string, seconds float64) {
-		reg.Histogram("nc_curve_op_seconds", "computed (memo-miss) curve operation cost",
-			OpBuckets, obs.Label{Key: "op", Value: op}).Observe(seconds)
-	})
-	core.SetAnalysisTimer(func(seconds float64) {
-		reg.Histogram("nc_analysis_seconds", "computed (memo-miss) pipeline analysis cost",
-			OpBuckets).Observe(seconds)
-	})
+	analysisSeconds := reg.Histogram("nc_analysis_seconds",
+		"computed pipeline analysis cost (core.Memo hits are not timed)", OpBuckets)
+	curve.SetOpTimer(func(op curve.OpKind, seconds float64) { opSeconds[op].Observe(seconds) })
+	core.SetAnalysisTimer(analysisSeconds.Observe)
 
 	reg.AddCollector(func(r *obs.Registry) { c.collect(r) })
 }
@@ -211,8 +206,6 @@ func (s Stats) cacheLayer(layer string) (hits, misses uint64, entries int) {
 		return s.VerdictHits, s.VerdictMisses, s.VerdictEntries
 	case "analysis":
 		return s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries
-	case "curve_ops":
-		return s.CurveOps.Hits, s.CurveOps.Misses, s.CurveOps.Entries
 	}
 	return 0, 0, 0
 }
@@ -249,7 +242,7 @@ func (c *Controller) collect(r *obs.Registry) {
 	for _, name := range c.order {
 		sh := c.shards[name]
 		sh.mu.RLock()
-		agg := sh.cross(verdictKey{}, nil)
+		agg := sh.cross.total
 		rate := sh.node.Rate
 		reserved := agg.Rate + sh.node.CrossRate
 		burst := agg.Burst + sh.node.CrossBurst

@@ -3,9 +3,12 @@ package admit
 import (
 	"bytes"
 	"log/slog"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"streamcalc/internal/core"
 	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/units"
@@ -64,6 +67,65 @@ func TestEnableObsMetrics(t *testing.T) {
 	}
 	if errs := obs.LintExposition([]byte(text)); len(errs) > 0 {
 		t.Errorf("exposition lint: %v", errs)
+	}
+}
+
+// opCount reads nc_curve_op_seconds_count{op} off a scrape of reg.
+func opCount(t *testing.T, reg *obs.Registry, op string) int {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^nc_curve_op_seconds_count\{op="` + op + `"\} (\d+)$`).
+		FindStringSubmatch(scrape(t, reg))
+	if m == nil {
+		t.Fatalf("scrape has no nc_curve_op_seconds_count{op=%q}", op)
+	}
+	n, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestOpTimerCostContract: attached telemetry costs an operator call two
+// clock reads and an Observe on a histogram resolved at attach time — no
+// allocation — and counts every call, repeated operands included. The timer
+// is process-wide, so of two controllers on two registries the one attached
+// last receives everything.
+func TestOpTimerCostContract(t *testing.T) {
+	defer curve.SetOpTimer(nil)
+	defer core.SetAnalysisTimer(nil)
+	beta1, beta2 := curve.RateLatency(100, 0.5), curve.RateLatency(80, 0.2)
+	alpha := curve.Affine(10, 5)
+	work := func() {
+		curve.Convolve(beta1, beta2)
+		curve.HDev(alpha, beta1)
+	}
+	detached := testing.AllocsPerRun(100, work)
+
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	testPlatform(t).EnableObs(regA)
+	if attached := testing.AllocsPerRun(100, work); attached != detached {
+		t.Errorf("attached Convolve+HDev allocates %v per run, detached %v", attached, detached)
+	}
+	conv, hdev := opCount(t, regA, "convolve"), opCount(t, regA, "hdev")
+	const calls = 25
+	for i := 0; i < calls; i++ {
+		work()
+	}
+	if got := opCount(t, regA, "convolve") - conv; got != calls {
+		t.Errorf("%d identical Convolve calls counted %d times", calls, got)
+	}
+	if got := opCount(t, regA, "hdev") - hdev; got != calls {
+		t.Errorf("%d identical HDev calls counted %d times", calls, got)
+	}
+
+	testPlatform(t).EnableObs(regB)
+	conv = opCount(t, regA, "convolve")
+	work()
+	if got := opCount(t, regA, "convolve"); got != conv {
+		t.Errorf("first registry still counts after a second attach: %d -> %d", conv, got)
+	}
+	if got := opCount(t, regB, "convolve"); got != 1 {
+		t.Errorf("last-attached registry counted %d Convolve calls, want 1", got)
 	}
 }
 

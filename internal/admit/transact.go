@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/units"
 )
 
 // This file is the admission transaction. decideSet is the one function that
@@ -56,6 +55,10 @@ type decision struct {
 	// epoch): if all still match under the write lock, nothing the decision
 	// depends on has changed.
 	deps map[int]uint64
+	// cross holds, per node the analysis read (shard idx), the node's cross
+	// traffic at the final state: merged once, on first use, and shared by
+	// every class the decision checks there.
+	cross map[int]*nodeCross
 }
 
 // verdict returns the answer for candidate cd at position i of the set.
@@ -81,6 +84,20 @@ func (d *decision) addPath(c *Controller, path []string) {
 			d.deps[sh.idx] = sh.epoch.Load()
 		}
 	}
+}
+
+// crossAt returns sh's cross traffic with d's additions merged in, building
+// it on first use. The registry lock must be held in either mode.
+func (d *decision) crossAt(sh *shard) *nodeCross {
+	nc := d.cross[sh.idx]
+	if nc == nil {
+		if d.cross == nil {
+			d.cross = make(map[int]*nodeCross)
+		}
+		nc = sh.crossWith(d.keys, d.plans)
+		d.cross[sh.idx] = nc
+	}
+	return nc
 }
 
 // depList flattens the dependency set for the verdict cache.
@@ -182,7 +199,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	// Victims: admitted classes that share a node with the additions and
 	// gain no member themselves (those were just checked above, with the
 	// identical pipeline).
-	for _, k := range c.sortedClassKeys() {
+	for _, k := range c.classKeys {
 		cs := c.classes[k]
 		if _, gaining := d.plans[k]; gaining || !touches(cs.path, nodes) {
 			continue
@@ -239,7 +256,7 @@ func (c *Controller) admittedVerdict(d *decision, k verdictKey, pl *classPlan, a
 	slo := pl.f.SLO
 	bn := pl.f.Path[a.BottleneckIndex]
 	sh := c.shards[bn]
-	headroom := sh.node.Rate - sh.node.CrossRate - sh.cross(verdictKey{}, d).Rate
+	headroom := sh.node.Rate - sh.node.CrossRate - d.crossAt(sh).total.Rate
 	return Verdict{
 		Admitted: true, Epoch: d.epoch, Rung: k.rung.String(),
 		Delay: b.delay, Backlog: b.backlog, Throughput: b.throughput,
@@ -264,70 +281,25 @@ func touches(path []string, nodes map[string]struct{}) bool {
 }
 
 // sharedPipeline builds the pipeline of one member of class self over the
-// platform as it stands with d's additions committed: at every path node the
-// static background plus shard.cross. Every shared-state analysis — a decision,
+// platform as it stands with d's additions committed (an empty decision adds
+// none): at every path node the static background plus the node's cross
+// traffic without that member. Every shared-state analysis — a decision,
 // Recheck, Tightness, revalidation, replay — is built here, so the pipeline
 // a decision analysed is bit-identical to the one Recheck builds after the
 // commit. The name is ID-independent (see planClass). The registry lock must
 // be held in either mode.
 func (c *Controller) sharedPipeline(arrival core.Arrival, path []string, rung core.Rung, self verdictKey, d *decision) core.Pipeline {
-	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung}
+	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung,
+		Nodes: make([]core.Node, 0, len(path))}
 	for _, name := range path {
 		sh := c.shards[name]
 		n := sh.node
-		agg := sh.cross(self, d)
+		agg := d.crossAt(sh).without(self)
 		n.CrossRate += agg.Rate
 		n.CrossBurst += agg.Burst
 		p.Nodes = append(p.Nodes, n)
 	}
 	return p
-}
-
-// cross sums the reservations the node hosts plus those d adds (nil adds
-// none), minus one member of class self (the zero key excludes nobody), in
-// global keyLess order: a sorted merge of the shard's classes and the added
-// ones, one multiply (bucket × count) per class. The cost is O(classes)
-// however many flows the node hosts, and the result is a deterministic
-// function of the population, independent of arrival order and of how the
-// population was split into transactions. Callers must hold the shard lock
-// (any mode) or the registry lock.
-func (sh *shard) cross(self verdictKey, d *decision) core.Bucket {
-	var adds []verdictKey
-	if d != nil {
-		adds = d.keys
-	}
-	var out core.Bucket
-	i, j := 0, 0
-	for i < len(sh.keys) || j < len(adds) {
-		var k verdictKey
-		var b core.Bucket
-		n := 0
-		takeShard := j >= len(adds) || (i < len(sh.keys) && !keyLess(adds[j], sh.keys[i]))
-		takeAdd := i >= len(sh.keys) || (j < len(adds) && !keyLess(sh.keys[i], adds[j]))
-		if takeShard {
-			k = sh.keys[i]
-			e := sh.classes[k]
-			b, n = e.b, e.n
-			i++
-		}
-		if takeAdd {
-			k = adds[j]
-			pl := d.plans[k]
-			if ab, hosted := pl.contrib[sh.node.Name]; hosted {
-				b = ab // equals the shard entry's bucket when both exist
-				n += pl.n
-			}
-			j++
-		}
-		if k == self {
-			n--
-		}
-		if n > 0 {
-			out.Rate += b.Rate * units.Rate(n)
-			out.Burst += b.Burst * units.Bytes(n)
-		}
-	}
-	return out
 }
 
 // transact decides cands as one atomic set and commits it when it fits: the

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// AnalysisTimer receives the wall-clock duration of one computed (memo-miss
-// or uncached) pipeline analysis.
+// AnalysisTimer receives the wall-clock duration of one computed pipeline
+// analysis (an Analyze call, or an AnalyzeMemo call that missed its Memo).
 type AnalysisTimer func(seconds float64)
 
 var analysisTimer atomic.Pointer[AnalysisTimer]

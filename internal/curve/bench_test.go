@@ -5,9 +5,7 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the merge kernels and memo across curve sizes. Run
-// with the memo disabled to time the kernels themselves; BenchmarkMemoHit
-// times the cached path.
+// Micro-benchmarks for the merge kernels across curve sizes.
 
 // benchConcave builds an n-segment concave curve (decreasing slopes).
 func benchConcave(n int) Curve {
@@ -38,8 +36,6 @@ func benchConvex(n int) Curve {
 var benchSizes = []int{2, 10, 100, 1000}
 
 func BenchmarkMin(b *testing.B) {
-	defer EnableMemo(true)
-	EnableMemo(false)
 	for _, n := range benchSizes {
 		f := benchConcave(n)
 		g := ShiftRight(benchConcave(n), 0.5)
@@ -53,8 +49,6 @@ func BenchmarkMin(b *testing.B) {
 }
 
 func BenchmarkMinSortedReference(b *testing.B) {
-	defer EnableMemo(true)
-	EnableMemo(false)
 	for _, n := range benchSizes {
 		f := benchConcave(n)
 		g := ShiftRight(benchConcave(n), 0.5)
@@ -68,8 +62,6 @@ func BenchmarkMinSortedReference(b *testing.B) {
 }
 
 func BenchmarkConvolveConvex(b *testing.B) {
-	defer EnableMemo(true)
-	EnableMemo(false)
 	for _, n := range benchSizes {
 		f := benchConvex(n)
 		g := ShiftRight(benchConvex(n), 0.5)
@@ -83,8 +75,6 @@ func BenchmarkConvolveConvex(b *testing.B) {
 }
 
 func BenchmarkDeconvolve(b *testing.B) {
-	defer EnableMemo(true)
-	EnableMemo(false)
 	for _, n := range benchSizes {
 		alpha := benchConcave(n)
 		beta := RateLatency(alpha.UltimateSlope()+10, 2)
@@ -94,19 +84,6 @@ func BenchmarkDeconvolve(b *testing.B) {
 				Deconvolve(alpha, beta)
 			}
 		})
-	}
-}
-
-func BenchmarkMemoHit(b *testing.B) {
-	EnableMemo(true)
-	ResetMemo()
-	f := benchConcave(100)
-	g := ShiftRight(benchConcave(100), 0.5)
-	Min(f, g) // warm the entry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Min(f, g)
 	}
 }
 

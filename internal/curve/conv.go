@@ -22,7 +22,7 @@ import (
 // piece-decomposition algorithm (ConvolveExact). ConvolveSampled remains
 // available for cross-validation.
 func Convolve(f, g Curve) Curve {
-	return memoBinary(opConv, f, g, func() Curve { return convolveDispatch(f, g) })
+	return timedCurve(opConv, func() Curve { return convolveDispatch(f, g) })
 }
 
 func convolveDispatch(f, g Curve) Curve {

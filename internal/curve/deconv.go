@@ -29,7 +29,7 @@ import (
 //
 // The result is the pointwise maximum of all candidates.
 func Deconvolve(f, g Curve) (res Curve, ok bool) {
-	return memoBinaryOK(opDeconv, f, g, func() (Curve, bool) { return deconvolve(f, g) })
+	return timedCurveOK(opDeconv, func() (Curve, bool) { return deconvolve(f, g) })
 }
 
 func deconvolve(f, g Curve) (res Curve, ok bool) {
@@ -65,8 +65,8 @@ func deconvolve(f, g Curve) (res Curve, ok bool) {
 		candidates = append(candidates, newOwned(off, []Segment{{0, off, fr}}))
 	}
 
-	// Fold with the raw kernel rather than the memoized Max: the
-	// intermediates are unique to this call and would only churn the memo.
+	// Fold with the raw kernel rather than Max: the intermediates belong to
+	// this Deconvolve call, not operator calls of their own to be timed.
 	res = candidates[0]
 	for _, c := range candidates[1:] {
 		res = combine(res, c, binMax)

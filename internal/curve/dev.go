@@ -41,7 +41,7 @@ func (c Curve) InverseLower(y float64) float64 {
 // the network-calculus backlog bound when f is an arrival curve and g a
 // service curve. It returns +inf when f's long-run rate exceeds g's.
 func VDev(f, g Curve) float64 {
-	return memoScalar(opVDev, f, g, func() float64 { return vDev(f, g) })
+	return timedScalar(opVDev, func() float64 { return vDev(f, g) })
 }
 
 func vDev(f, g Curve) float64 {
@@ -75,7 +75,7 @@ func vDev(f, g Curve) float64 {
 // a service curve. It returns +inf when f's long-run rate exceeds g's, or
 // when f exceeds a bounded g.
 func HDev(f, g Curve) float64 {
-	return memoScalar(opHDev, f, g, func() float64 { return hDev(f, g) })
+	return timedScalar(opHDev, func() float64 { return hDev(f, g) })
 }
 
 func hDev(f, g Curve) float64 {

@@ -53,10 +53,7 @@ func FIFOResidual(beta, cross Curve, theta float64) (res Curve, ok bool) {
 		return Zero(), false
 	}
 	shifted := ShiftRight(cross, theta)
-	// theta is recoverable from shifted (cross is non-zero, so the shift is
-	// injective), which makes (beta, shifted) a sound memo key even though
-	// the closure captures theta directly.
-	return memoBinaryOK(opFIFOResidual, beta, shifted, func() (Curve, bool) {
+	return timedCurveOK(opFIFOResidual, func() (Curve, bool) {
 		return fifoResidual(beta, shifted, theta), true
 	})
 }

@@ -16,7 +16,7 @@ func ConcaveHull(c Curve) Curve {
 	if c.IsConcave() {
 		return c
 	}
-	return memoUnary(opConcaveHull, c, 0, func() Curve { return concaveHull(c) })
+	return timedCurve(opConcaveHull, func() Curve { return concaveHull(c) })
 }
 
 func concaveHull(c Curve) Curve {

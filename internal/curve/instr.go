@@ -7,18 +7,77 @@ import (
 
 // Per-operation timing instrumentation.
 //
-// The memo layer already knows every operator entry point, so it doubles as
-// the timing seam: when an OpTimer is attached, each *computed* (memo-miss
-// or memo-disabled) operation reports its wall-clock cost under the
-// operator's name. Memo hits are not timed — they are two map operations —
-// so the histogram measures real kernel work, matching Nancy's per-operation
-// cost accounting (arXiv:2205.11449).
+// Every exported operator calls its kernel through one of the timed*
+// functions below, so this file is the one place that knows every operator
+// entry point. When an OpTimer is attached, each operator call reports its
+// wall-clock cost under the operator's kind, matching Nancy's per-operation
+// cost accounting (arXiv:2205.11449). A kernel that folds intermediates with
+// the raw combine (Deconvolve's candidate maximum) counts them in its own
+// time, not as operator calls of their own.
 //
 // Detached (the default) the hot path pays a single atomic pointer load per
-// computed operation and nothing per hit.
+// operator call.
 
-// OpTimer receives the wall-clock duration of one computed curve operation.
-type OpTimer func(op string, seconds float64)
+// OpKind names one timed operator.
+type OpKind uint8
+
+const (
+	opMin OpKind = iota + 1
+	opMax
+	opAdd
+	opConv
+	opDeconv
+	opResidual
+	opHDev
+	opVDev
+	opShiftRight
+	opAddBurst
+	opSubConst
+	opConcaveHull
+	opFIFOResidual
+	opKindEnd
+)
+
+// NumOpKinds bounds the OpKind values: every kind k satisfies
+// 0 < k < NumOpKinds, so a timer can keep its per-kind state in an array.
+const NumOpKinds = int(opKindEnd)
+
+var opNames = [NumOpKinds]string{
+	opMin:          "min",
+	opMax:          "max",
+	opAdd:          "add",
+	opConv:         "convolve",
+	opDeconv:       "deconvolve",
+	opResidual:     "residual",
+	opHDev:         "hdev",
+	opVDev:         "vdev",
+	opShiftRight:   "shift_right",
+	opAddBurst:     "add_burst",
+	opSubConst:     "sub_const",
+	opConcaveHull:  "concave_hull",
+	opFIFOResidual: "fifo_residual",
+}
+
+// String returns the operator's metric label value.
+func (op OpKind) String() string {
+	if int(op) < len(opNames) && opNames[op] != "" {
+		return opNames[op]
+	}
+	return "unknown"
+}
+
+// OpKinds returns every operator kind a timer can report, so a metric
+// registry can resolve the whole timing family once, up front.
+func OpKinds() []OpKind {
+	out := make([]OpKind, 0, NumOpKinds-1)
+	for op := opMin; op < opKindEnd; op++ {
+		out = append(out, op)
+	}
+	return out
+}
+
+// OpTimer receives the wall-clock duration of one curve operator call.
+type OpTimer func(op OpKind, seconds float64)
 
 var opTimer atomic.Pointer[OpTimer]
 
@@ -37,75 +96,38 @@ func SetOpTimer(fn OpTimer) (prev OpTimer) {
 	return *old
 }
 
-// opNames maps memo op tags to their exported metric label values.
-var opNames = [...]string{
-	opMin:          "min",
-	opMax:          "max",
-	opAdd:          "add",
-	opConv:         "convolve",
-	opDeconv:       "deconvolve",
-	opResidual:     "residual",
-	opHDev:         "hdev",
-	opVDev:         "vdev",
-	opShiftRight:   "shift_right",
-	opAddBurst:     "add_burst",
-	opSubConst:     "sub_const",
-	opConcaveHull:  "concave_hull",
-	opFIFOResidual: "fifo_residual",
-}
-
-// OpNames returns every metric label value a computed-operation timer can
-// report, so metric registries can pre-register the full timing family
-// eagerly instead of waiting for the first memo miss of each operator.
-func OpNames() []string {
-	out := make([]string, 0, len(opNames))
-	for _, n := range opNames {
-		if n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (op memoOp) name() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
-	}
-	return "unknown"
-}
-
 // timedCurve runs compute, reporting its duration when a timer is attached.
-func timedCurve(op memoOp, compute func() Curve) Curve {
+func timedCurve(op OpKind, compute func() Curve) Curve {
 	t := opTimer.Load()
 	if t == nil {
 		return compute()
 	}
 	start := time.Now()
 	c := compute()
-	(*t)(op.name(), time.Since(start).Seconds())
+	(*t)(op, time.Since(start).Seconds())
 	return c
 }
 
 // timedCurveOK is timedCurve for (Curve, bool)-valued operations.
-func timedCurveOK(op memoOp, compute func() (Curve, bool)) (Curve, bool) {
+func timedCurveOK(op OpKind, compute func() (Curve, bool)) (Curve, bool) {
 	t := opTimer.Load()
 	if t == nil {
 		return compute()
 	}
 	start := time.Now()
 	c, ok := compute()
-	(*t)(op.name(), time.Since(start).Seconds())
+	(*t)(op, time.Since(start).Seconds())
 	return c, ok
 }
 
 // timedScalar is timedCurve for float64-valued operations (HDev, VDev).
-func timedScalar(op memoOp, compute func() float64) float64 {
+func timedScalar(op OpKind, compute func() float64) float64 {
 	t := opTimer.Load()
 	if t == nil {
 		return compute()
 	}
 	start := time.Now()
 	s := compute()
-	(*t)(op.name(), time.Since(start).Seconds())
+	(*t)(op, time.Since(start).Seconds())
 	return s
 }

@@ -215,17 +215,17 @@ func insertCrossings(xs []float64, a, b Curve) []float64 {
 // Min returns the pointwise minimum of a and b. For concave curves that are
 // 0 at the origin this equals their min-plus convolution.
 func Min(a, b Curve) Curve {
-	return memoBinary(opMin, a, b, func() Curve { return combine(a, b, binMin) })
+	return timedCurve(opMin, func() Curve { return combine(a, b, binMin) })
 }
 
 // Max returns the pointwise maximum of a and b.
 func Max(a, b Curve) Curve {
-	return memoBinary(opMax, a, b, func() Curve { return combine(a, b, binMax) })
+	return timedCurve(opMax, func() Curve { return combine(a, b, binMax) })
 }
 
 // Add returns the pointwise sum a + b.
 func Add(a, b Curve) Curve {
-	return memoBinary(opAdd, a, b, func() Curve { return combine(a, b, binAdd) })
+	return timedCurve(opAdd, func() Curve { return combine(a, b, binAdd) })
 }
 
 // Sub returns the pointwise difference a - b. The result must still be
@@ -277,7 +277,7 @@ func ShiftRight(a Curve, T float64) Curve {
 	if T == 0 {
 		return a
 	}
-	return memoUnary(opShiftRight, a, T, func() Curve {
+	return timedCurve(opShiftRight, func() Curve {
 		segs := make([]Segment, 0, len(a.segs)+1)
 		segs = append(segs, Segment{0, 0, 0})
 		for _, s := range a.segs {
@@ -322,7 +322,7 @@ func AddBurst(a Curve, c float64) Curve {
 	if c < 0 {
 		panic("curve: AddBurst with negative c")
 	}
-	return memoUnary(opAddBurst, a, c, func() Curve {
+	return timedCurve(opAddBurst, func() Curve {
 		segs := a.Segments()
 		for i := range segs {
 			segs[i].Y += c
@@ -340,7 +340,7 @@ func SubConstantPositive(a Curve, c float64) Curve {
 	if c == 0 {
 		return a
 	}
-	return memoUnary(opSubConst, a, c, func() Curve {
+	return timedCurve(opSubConst, func() Curve {
 		tc := a.InverseLower(c)
 		if math.IsInf(tc, 1) {
 			return Zero() // a never reaches c

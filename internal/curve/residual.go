@@ -20,7 +20,7 @@ import "math"
 // lower-bounds the residual. Rejecting such crosses outright used to
 // report spurious starvation for perfectly admissible flows.
 func ResidualService(beta, cross Curve) (res Curve, ok bool) {
-	return memoBinaryOK(opResidual, beta, cross, func() (Curve, bool) { return residualService(beta, cross) })
+	return timedCurveOK(opResidual, func() (Curve, bool) { return residualService(beta, cross) })
 }
 
 func residualService(beta, cross Curve) (res Curve, ok bool) {

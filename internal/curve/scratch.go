@@ -2,13 +2,12 @@ package curve
 
 // Scratch holds per-worker reusable buffers for the hot deviation queries of
 // a lattice search. The tight-rung enumeration in internal/core scores one
-// HDev per θ-vector; routing those through the global op memo would pay a
-// shard lock and a map insert per leaf for keys that never recur within a
-// search (every leaf curve is distinct). Scratch.HDev bypasses the memo and
-// runs the identical kernel on reused breakpoint buffers instead: zero
-// steady-state allocation, no cross-worker contention, and — because it is
-// the same candidate evaluation on the same immutable curves — results that
-// are bitwise identical to HDev's.
+// HDev per θ-vector; the package function would allocate two breakpoint
+// slices per leaf. Scratch.HDev runs the identical kernel on reused
+// breakpoint buffers instead: zero steady-state allocation and — because it
+// is the same candidate evaluation on the same immutable curves — results
+// that are bitwise identical to HDev's. It is not reported to the OpTimer:
+// the search it serves is timed as part of its analysis.
 //
 // A Scratch is not safe for concurrent use; give each worker its own.
 type Scratch struct {
@@ -20,7 +19,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // HDev computes the horizontal deviation h(f, g) exactly like the package
-// function HDev, bypassing the op memo and reusing internal buffers.
+// function HDev, reusing internal buffers.
 func (s *Scratch) HDev(f, g Curve) float64 {
 	s.fbp = f.appendBreakpoints(s.fbp[:0])
 	s.gbp = g.appendBreakpoints(s.gbp[:0])

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Scratch.HDev is a memo bypass, not a different algorithm: on any curve
+// Scratch.HDev reuses buffers, it is not a different algorithm: on any curve
 // pair it must return the bitwise-identical value of the package function,
 // including across reuse of the internal buffers.
 func TestScratchHDevMatchesHDev(t *testing.T) {

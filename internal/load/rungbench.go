@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/units"
 )
 
@@ -20,8 +19,8 @@ import (
 
 // RungBenchConfig drives the lattice-cost comparison.
 type RungBenchConfig struct {
-	// Reps is the number of cold (memo-reset) runs per measurement; the
-	// minimum is reported. Default 3.
+	// Reps is the number of runs per measurement; the minimum is reported.
+	// Default 3.
 	Reps int
 	// MinSpeedup is the matched-case acceptance floor for Check. The local
 	// artifact records ~an order of magnitude; CI gates conservatively.
@@ -38,7 +37,7 @@ type RungBenchCase struct {
 	Combos int `json:"combos"`
 	Scored int `json:"scored"`
 	Pruned int `json:"pruned"`
-	// DPNanos and ExhaustiveNanos are cold wall-clock times (minimum over
+	// DPNanos and ExhaustiveNanos are wall-clock times (minimum over
 	// reps); ExhaustiveNanos is zero for the DP-only scaling cases.
 	DPNanos         int64   `json:"dp_ns"`
 	ExhaustiveNanos int64   `json:"exhaustive_ns,omitempty"`
@@ -82,13 +81,12 @@ func rungBenchPipeline(n int) core.Pipeline {
 	}
 }
 
-// timeCold runs fn reps times with the curve-op memo reset before each run
-// and returns the minimum wall clock plus the last result.
-func timeCold(reps int, fn func() (*core.Analysis, error)) (int64, *core.Analysis, error) {
+// timeMin runs fn reps times and returns the minimum wall clock plus the
+// last result. Nothing is cached between runs: core.Analyze takes no memo.
+func timeMin(reps int, fn func() (*core.Analysis, error)) (int64, *core.Analysis, error) {
 	best := int64(0)
 	var a *core.Analysis
 	for r := 0; r < reps; r++ {
-		curve.ResetMemo()
 		start := time.Now()
 		res, err := fn()
 		took := time.Since(start).Nanoseconds()
@@ -152,7 +150,7 @@ func RungBench(cfg RungBenchConfig) (*RungBenchReport, error) {
 	}
 	for _, sp := range specs {
 		p := rungBenchPipeline(sp.nodes)
-		dpNs, dp, err := timeCold(cfg.Reps, func() (*core.Analysis, error) {
+		dpNs, dp, err := timeMin(cfg.Reps, func() (*core.Analysis, error) {
 			return core.AnalyzeTightBudget(p, sp.budget)
 		})
 		if err != nil {
@@ -165,7 +163,7 @@ func RungBench(cfg RungBenchConfig) (*RungBenchReport, error) {
 			DPNanos: dpNs, DelayBound: dp.DelayBound,
 		}
 		if sp.matched {
-			exNs, ex, err := timeCold(cfg.Reps, func() (*core.Analysis, error) {
+			exNs, ex, err := timeMin(cfg.Reps, func() (*core.Analysis, error) {
 				return core.AnalyzeTightExhaustive(p, sp.budget)
 			})
 			if err != nil {
