@@ -18,10 +18,13 @@
 //     ([beta - cross]⁺) by default, or a tighter member of the FIFO
 //     left-over family when the flow's analysis rung asks for one (see
 //     core.Rung: the controller carries a default, each flow may override);
-//   - a candidate is checked by running core.Analyze on its path with the
-//     co-resident contributions as cross traffic, and every co-resident
-//     flow sharing a node is re-checked with the candidate's contributions
-//     added. Only if all SLOs hold is the candidate committed.
+//   - a candidate is checked by running core.Bound — the chain pass of the
+//     analysis, which computes the end-to-end bounds a verdict reads and none
+//     of the per-node report — on its path with the co-resident contributions
+//     as cross traffic, and every co-resident flow sharing a node is
+//     re-checked with the candidate's contributions added. Only if all SLOs
+//     hold is the candidate committed. Reservations alone come from a full
+//     core.Analyze, of the flow on the pristine platform.
 //
 // # Scaling: flow classes
 //
@@ -77,7 +80,6 @@
 package admit
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -646,65 +648,36 @@ func reservationFrom(path []string, a *core.Analysis) map[string]core.Bucket {
 	return out
 }
 
-// bounds are the end-to-end figures admission checks and verdicts promise.
-type bounds struct {
-	delay      time.Duration
-	backlog    units.Bytes
-	throughput units.Rate
-}
-
-// boundsOf derives the promised bounds from the exact concatenation of the
-// per-node packetized service curves (Analysis.ConcatenatedBeta). The
-// paper's folded closed form carries the packetizer term l_max only once on
-// the arrival side, but a multi-hop store-and-forward chain pays a
-// serialization delay at every hop; the concatenated curve keeps the
-// promise sound against a packetized execution (checked by Replay).
-func boundsOf(a *core.Analysis) bounds {
-	b := bounds{throughput: a.ThroughputLower}
-	if a.Overloaded {
-		b.delay = time.Duration(math.MaxInt64)
-		b.backlog = units.Bytes(math.Inf(1))
-		return b
-	}
-	beta := a.ConcatenatedBeta()
-	d := curve.HDev(a.AlphaPrime, beta)
-	if math.IsInf(d, 1) {
-		b.delay = time.Duration(math.MaxInt64)
-	} else {
-		b.delay = time.Duration(d * float64(time.Second))
-	}
-	b.backlog = units.Bytes(curve.VDev(a.AlphaPrime, beta))
-	return b
-}
-
 // sloCheck describes a violated SLO dimension.
 type sloCheck struct {
 	binding string
 	detail  string
 }
 
-// sloViolation checks the promised bounds against an SLO, returning the
-// first violated dimension (delay, then backlog, then throughput) or nil.
-func sloViolation(s SLO, a *core.Analysis, b bounds) *sloCheck {
-	if a.Overloaded {
+// sloViolation checks the bounds promised on pipeline p against an SLO,
+// returning the first violated dimension (delay, then backlog, then
+// throughput) or nil.
+func sloViolation(s SLO, p core.Pipeline, b *core.Bounds) *sloCheck {
+	if b.Overloaded {
 		return &sloCheck{"saturation", fmt.Sprintf(
 			"arrival rate exceeds the residual service rate at node %d (steady-state bounds are infinite)",
-			a.BottleneckIndex)}
+			b.BottleneckIndex)}
 	}
-	if s.MaxDelay > 0 && b.delay > s.MaxDelay {
+	bottleneck := p.Nodes[b.BottleneckIndex].Name
+	if s.MaxDelay > 0 && b.Delay > s.MaxDelay {
 		return &sloCheck{"max_delay", fmt.Sprintf(
 			"delay bound %v exceeds max_delay %v (bottleneck %s)",
-			b.delay, s.MaxDelay, a.Bottleneck().Node.Name)}
+			b.Delay, s.MaxDelay, bottleneck)}
 	}
-	if s.MaxBacklog > 0 && b.backlog > s.MaxBacklog {
+	if s.MaxBacklog > 0 && b.Backlog > s.MaxBacklog {
 		return &sloCheck{"max_backlog", fmt.Sprintf(
 			"backlog bound %v exceeds max_backlog %v (bottleneck %s)",
-			b.backlog, s.MaxBacklog, a.Bottleneck().Node.Name)}
+			b.Backlog, s.MaxBacklog, bottleneck)}
 	}
-	if s.MinThroughput > 0 && b.throughput < s.MinThroughput {
+	if s.MinThroughput > 0 && b.Throughput < s.MinThroughput {
 		return &sloCheck{"min_throughput", fmt.Sprintf(
 			"guaranteed throughput %v below min_throughput %v (bottleneck %s)",
-			b.throughput, s.MinThroughput, a.Bottleneck().Node.Name)}
+			b.Throughput, s.MinThroughput, bottleneck)}
 	}
 	return nil
 }
@@ -799,18 +772,21 @@ func (c *Controller) Flows() []AdmittedFlow {
 // cheap, simulation-free sibling of RevalidateAll, suitable for sustained
 // churn. The verdict's Admitted field reports whether the SLO still holds.
 func (c *Controller) Recheck(id string) (Verdict, error) {
-	f, a, epoch, err := c.analyzeAdmitted(id)
-	if err == errNotAdmitted {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cs, ok := c.flows[id]
+	if !ok {
 		return Verdict{}, fmt.Errorf("admit: recheck: flow %q not admitted", id)
 	}
+	f := cs.flowFor(id)
+	v := Verdict{FlowID: id, Epoch: c.epoch.Load(), Rung: f.Rung.String()}
+	p, b, err := c.boundLocked(f)
 	if err != nil {
-		return Verdict{FlowID: id, Epoch: epoch, Binding: "saturation", Rung: f.Rung.String(),
-			Reason: fmt.Sprintf("recheck: %v", err)}, nil
+		v.Binding, v.Reason = "saturation", fmt.Sprintf("recheck: %v", err)
+		return v, nil
 	}
-	v := Verdict{FlowID: id, Epoch: epoch, Rung: f.Rung.String()}
-	b := boundsOf(a)
-	v.Delay, v.Backlog, v.Throughput = b.delay, b.backlog, b.throughput
-	if bad := sloViolation(f.SLO, a, b); bad != nil {
+	v.Delay, v.Backlog, v.Throughput = b.Delay, b.Backlog, b.Throughput
+	if bad := sloViolation(f.SLO, p, b); bad != nil {
 		v.Binding = bad.binding
 		v.Reason = "recheck violated: " + bad.detail
 		return v, nil
@@ -820,34 +796,17 @@ func (c *Controller) Recheck(id string) (Verdict, error) {
 	return v, nil
 }
 
-var errNotAdmitted = errors.New("flow not admitted")
-
-// analyzeAdmitted analyses admitted flow id under the current co-resident
-// reservations at one registry snapshot, returning the flow, its analysis
-// and the global epoch of the snapshot; errNotAdmitted when id is unknown.
-func (c *Controller) analyzeAdmitted(id string) (Flow, *core.Analysis, uint64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cs, ok := c.flows[id]
-	if !ok {
-		return Flow{}, nil, 0, errNotAdmitted
-	}
-	f := cs.flowFor(id)
-	_, a, err := c.analyzeLocked(f)
-	return f, a, c.epoch.Load(), err
-}
-
-// analyzeLocked builds and analyses f's pipeline under the current
-// reservations, leaving out f's own when f is admitted. The registry lock
-// must be held in either mode.
-func (c *Controller) analyzeLocked(f Flow) (core.Pipeline, *core.Analysis, error) {
+// boundLocked builds f's pipeline under the current reservations, leaving
+// out f's own when f is admitted, and bounds it. The registry lock must be
+// held in either mode.
+func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
 	var self verdictKey
 	if cs, ok := c.flows[f.ID]; ok {
 		self = cs.key
 	}
 	p := c.sharedPipeline(f.Arrival, f.Path, c.rungFor(f), self, &decision{})
-	a, err := core.AnalyzeMemo(p, c.memo)
-	return p, a, err
+	b, err := core.Bound(p, c.memo)
+	return p, b, err
 }
 
 // Residual describes a node's leftover service after all admitted

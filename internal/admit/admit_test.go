@@ -372,3 +372,40 @@ func TestResidualMatchesCurveAlgebra(t *testing.T) {
 		t.Errorf("residual = %v, want %v", r.Curve, want)
 	}
 }
+
+// Regression: a finite delay bound beyond the ~292 years a time.Duration
+// holds used to wrap negative and pass any max_delay. The slow-platform
+// repro, then the same question from 1 B/s to 100 GB/s with bursts draining
+// in microseconds to far past the Duration range: a bound above the SLO is
+// refused with max_delay binding, and no verdict carries a negative delay.
+func TestDelayBoundNeverWraps(t *testing.T) {
+	slow, err := New("slow", []core.Node{{Name: "s", Rate: 10, Latency: time.Second, JobIn: 1, JobOut: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := slow.Admit(Flow{ID: "x", Arrival: core.Arrival{Rate: 1, Burst: 2e11, MaxPacket: 1},
+		Path: []string{"s"}, SLO: SLO{MaxDelay: time.Second}})
+	if v.Admitted || v.Binding != "max_delay" || v.Delay < 0 || strings.Contains(v.Reason, "delay bound -") {
+		t.Fatalf("2e11 B burst on a 10 B/s node against max_delay 1s: %+v", v)
+	}
+
+	for _, rate := range []float64{1, 1e3, 1e6, 1e9, 1e11} { // node rate, B/s
+		c, err := New("mag", []core.Node{{Name: "s", Rate: units.Rate(rate), Latency: time.Millisecond, JobIn: 1, JobOut: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, drain := range []float64{1e-6, 1e-3, 10, 1e6, 9e9, 1e10, 1e13, 1e18} { // burst / rate, s
+			f := Flow{ID: "f", Arrival: core.Arrival{Rate: units.Rate(rate / 10), Burst: units.Bytes(rate * drain)},
+				Path: []string{"s"}, SLO: SLO{MaxDelay: time.Second}}
+			v := c.Admit(f)
+			if v.Delay < 0 || strings.Contains(v.Reason, "delay bound -") || strings.Contains(v.Reason, "delay -") {
+				t.Errorf("rate %g B/s, burst drains in %g s: negative delay in %+v", rate, drain, v)
+			}
+			if want := drain < 0.5; v.Admitted != want || (!want && v.Binding != "max_delay") {
+				t.Errorf("rate %g B/s, burst drains in %g s (case %d): admitted=%v binding=%q, want admitted=%v; %s",
+					rate, drain, i, v.Admitted, v.Binding, want, v.Reason)
+			}
+			c.Release("f")
+		}
+	}
+}

@@ -192,7 +192,7 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			OpBuckets, obs.Label{Key: "op", Value: op.String()})
 	}
 	analysisSeconds := reg.Histogram("nc_analysis_seconds",
-		"computed pipeline analysis cost (core.Memo hits are not timed)", OpBuckets)
+		"computed analysis cost, one observation per chain pass (an admission check) or full analysis (core.Memo hits are not timed)", OpBuckets)
 	curve.SetOpTimer(func(op curve.OpKind, seconds float64) { opSeconds[op].Observe(seconds) })
 	core.SetAnalysisTimer(analysisSeconds.Observe)
 

@@ -110,12 +110,11 @@ func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation
 		opt.ThroughputSlack = 0.05
 	}
 
-	sp, a, err := c.replaySim(f, opt)
+	sp, b, err := c.replaySim(f, opt)
 	if err != nil {
 		return fr, err
 	}
-	b := boundsOf(a)
-	fr.Delay, fr.Backlog, fr.Throughput = b.delay, b.backlog, b.throughput
+	fr.Delay, fr.Backlog, fr.Throughput = b.Delay, b.Backlog, b.Throughput
 
 	res, err := sp.Run()
 	if err != nil {
@@ -125,7 +124,7 @@ func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation
 	fr.SimMaxBacklog = res.MaxBacklog
 	fr.SimThroughput = res.Throughput
 
-	promised := Verdict{Delay: b.delay, Backlog: b.backlog, Throughput: b.throughput}
+	promised := Verdict{Delay: b.Delay, Backlog: b.Backlog, Throughput: b.Throughput}
 	fr.Violations = boundViolations(promised, f.SLO, res, opt.ThroughputSlack)
 	return fr, nil
 }

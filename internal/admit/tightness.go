@@ -67,11 +67,10 @@ func (c *Controller) Tightness(id string, opt ReplayOptions) (Tightness, error) 
 	// residual service: the flow under today's co-resident cross traffic.
 	// The admission-time verdict may be looser or tighter — flows admitted
 	// or released since then changed the residual service.
-	sp, a, err := c.replaySim(f, opt)
+	sp, b, err := c.replaySim(f, opt)
 	if err != nil {
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)
 	}
-	b := boundsOf(a)
 	res, err := sp.Run()
 	if err != nil {
 		return Tightness{}, fmt.Errorf("admit: tightness: flow %q: %w", id, err)
@@ -79,25 +78,25 @@ func (c *Controller) Tightness(id string, opt ReplayOptions) (Tightness, error) 
 
 	t := Tightness{
 		FlowID: id,
-		Rung:   a.Rung.String(),
+		Rung:   b.Rung.String(),
 		Epoch:  c.Epoch(),
 
-		DelayBound:  b.delay,
+		DelayBound:  b.Delay,
 		SimDelayP50: res.DelayP50,
 		SimDelayP99: res.DelayP99,
 		SimDelayMax: res.DelayMax,
 
-		BacklogBound:  b.backlog,
+		BacklogBound:  b.Backlog,
 		SimBacklogMax: res.MaxBacklog,
 
 		Capped: res.Capped,
 		Events: res.Events,
 	}
 	if res.DelayMax > 0 {
-		t.DelayTightness = b.delay.Seconds() / res.DelayMax.Seconds()
+		t.DelayTightness = b.Delay.Seconds() / res.DelayMax.Seconds()
 	}
 	if res.MaxBacklog > 0 {
-		t.BacklogTightness = float64(b.backlog) / float64(res.MaxBacklog)
+		t.BacklogTightness = float64(b.Backlog) / float64(res.MaxBacklog)
 	}
 	return t, nil
 }

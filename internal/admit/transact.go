@@ -170,29 +170,29 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	// check analyses one member of class self at the final state, at the
 	// class's own rung whoever else is in the set: a tight-rung candidate
 	// must not loosen (or tighten) the promises made to blind-rung classes.
-	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Analysis, bounds, *sloCheck, error) {
+	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Bounds, *sloCheck, error) {
 		d.addPath(c, path)
-		a, err := core.AnalyzeMemo(c.sharedPipeline(arrival, path, self.rung, self, d), c.memo)
+		p := c.sharedPipeline(arrival, path, self.rung, self, d)
+		b, err := core.Bound(p, c.memo)
 		if err != nil {
-			// Saturation (aggregate cross >= node rate) surfaces as an
-			// Analyze validation error.
-			return nil, bounds{}, nil, err
+			// Saturation (aggregate cross >= node rate) surfaces as a
+			// pipeline validation error.
+			return nil, nil, err
 		}
-		tr.noteRungSearch(a.TightCombos, a.TightPruned)
-		b := boundsOf(a)
-		return a, b, sloViolation(slo, a, b), nil
+		tr.noteRungSearch(b.TightCombos, b.TightPruned)
+		return b, sloViolation(slo, p, b), nil
 	}
 
 	for _, k := range d.keys {
 		pl := d.plans[k]
-		a, b, bad, err := check(pl.f.Arrival, pl.f.Path, pl.f.SLO, k)
+		b, bad, err := check(pl.f.Arrival, pl.f.Path, pl.f.SLO, k)
 		switch {
 		case err != nil:
 			return refuse(PhaseAnalysis, k.rung, "saturation", "%v", err)
 		case bad != nil:
 			return refuse(PhaseAnalysis, k.rung, bad.binding, "%s", bad.detail)
 		}
-		pl.verdict = c.admittedVerdict(d, k, pl, a, b)
+		pl.verdict = c.admittedVerdict(d, k, pl, b)
 	}
 	tr.mark(PhaseAnalysis)
 
@@ -205,7 +205,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			continue
 		}
 		tr.noteVictim()
-		_, _, bad, err := check(cs.arrival, cs.path, cs.slo, k)
+		_, bad, err := check(cs.arrival, cs.path, cs.slo, k)
 		// Only a refused set of one class is ever reported; its rung is that
 		// class's.
 		switch {
@@ -252,20 +252,20 @@ func (c *Controller) planClass(cd cand) *classPlan {
 // admittedVerdict is the verdict template of a class whose members fit:
 // promised bounds, bottleneck, and the residual headroom there with every
 // addition counted.
-func (c *Controller) admittedVerdict(d *decision, k verdictKey, pl *classPlan, a *core.Analysis, b bounds) Verdict {
+func (c *Controller) admittedVerdict(d *decision, k verdictKey, pl *classPlan, b *core.Bounds) Verdict {
 	slo := pl.f.SLO
-	bn := pl.f.Path[a.BottleneckIndex]
+	bn := pl.f.Path[b.BottleneckIndex]
 	sh := c.shards[bn]
 	headroom := sh.node.Rate - sh.node.CrossRate - d.crossAt(sh).total.Rate
 	return Verdict{
 		Admitted: true, Epoch: d.epoch, Rung: k.rung.String(),
-		Delay: b.delay, Backlog: b.backlog, Throughput: b.throughput,
+		Delay: b.Delay, Backlog: b.Backlog, Throughput: b.Throughput,
 		Bottleneck: bn, HeadroomRate: headroom,
 		Reason: fmt.Sprintf(
 			"admitted: delay %v <= %s, backlog %v <= %s, throughput %v >= %s; bottleneck %s, residual headroom %v",
-			b.delay, orAny(slo.MaxDelay > 0, slo.MaxDelay),
-			b.backlog, orAny(slo.MaxBacklog > 0, slo.MaxBacklog),
-			b.throughput, orAny(slo.MinThroughput > 0, slo.MinThroughput),
+			b.Delay, orAny(slo.MaxDelay > 0, slo.MaxDelay),
+			b.Backlog, orAny(slo.MaxBacklog > 0, slo.MaxBacklog),
+			b.Throughput, orAny(slo.MinThroughput > 0, slo.MinThroughput),
 			bn, headroom),
 	}
 }

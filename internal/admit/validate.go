@@ -158,11 +158,11 @@ func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string 
 
 // replaySim builds the replay simulation for admitted flow f: its offered
 // envelope played into the residual service its co-residents leave (see
-// residualStages), next to the analysis of f at the same registry snapshot —
+// residualStages), next to the bounds of f at the same registry snapshot —
 // the bounds the replay is to be held against. Shared by the -validate
 // replay, revalidation and the bound-tightness probe.
-func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.Analysis, error) {
-	stages, packet, a, err := c.residualStages(f)
+func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.Bounds, error) {
+	stages, packet, b, err := c.residualStages(f)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,7 +187,7 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.
 	for _, cfg := range stages {
 		sp.Add(cfg)
 	}
-	return sp, a, nil
+	return sp, b, nil
 }
 
 // residualStages builds the simulator stages for f's path: each node serves
@@ -200,13 +200,13 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.
 // majorant — at least the service the analysis assumed everywhere, so the
 // analytic bounds must still dominate every replay observation. It also
 // returns the first node's job size as the default source packet, and the
-// analysis the stages were derived from.
-func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *core.Analysis, error) {
+// bounds whose thetas the stages were derived from.
+func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *core.Bounds, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	// The per-node cross traffic and thetas the flow's analysis committed
 	// to. Analysis errors (saturation) surface as replay errors.
-	p, a, err := c.analyzeLocked(f)
+	p, b, err := c.boundLocked(f)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -215,7 +215,7 @@ func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *co
 		// Theta is a time quantity, so the input-referred value from the
 		// analysis carries over to the node-local curves unchanged (zero at
 		// the blind rung).
-		theta := a.Nodes[i].FIFOTheta
+		theta := b.FIFOTheta[i]
 		full := curve.RateLatency(float64(node.Rate), node.Latency.Seconds())
 		cross := curve.Affine(float64(node.CrossRate), float64(node.CrossBurst))
 		var resid curve.Curve
@@ -239,7 +239,7 @@ func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *co
 		cfg.Startup = time.Duration(majorantLatency(resid) * float64(time.Second))
 		out = append(out, cfg)
 	}
-	return out, p.Nodes[0].JobIn, a, nil
+	return out, p.Nodes[0].JobIn, b, nil
 }
 
 // majorantLatency returns the latency L of the minimal rate-latency curve

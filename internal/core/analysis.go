@@ -141,40 +141,117 @@ func dur(s float64) time.Duration {
 
 // Analyze applies the network-calculus model to the pipeline and returns
 // the bounds and curves. It is equivalent to AnalyzeMemo(p, nil).
-func Analyze(p Pipeline) (*Analysis, error) { return timedAnalyze(p) }
+func Analyze(p Pipeline) (*Analysis, error) { return AnalyzeMemo(p, nil) }
 
 // AnalyzeMemo is Analyze with a result cache: when m is non-nil and holds an
 // analysis for a structurally identical pipeline, that result is returned
 // directly (analyses are immutable once published — callers must not mutate
 // a shared *Analysis). The admission controller threads one Memo through its
-// standalone, candidate, and victim re-check analyses, where the same
-// pipelines recur for every probe.
+// standalone analyses and, through Bound, its candidate and victim checks,
+// where the same pipelines recur for every probe.
 func AnalyzeMemo(p Pipeline, m *Memo) (*Analysis, error) {
-	if m == nil {
-		return timedAnalyze(p)
-	}
-	return m.analyze(p)
+	a, _, err := m.lookup(p, true)
+	return a, err
 }
 
-func analyze(p Pipeline) (*Analysis, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// Bounds is what an admission verdict reads of an analysis: the end-to-end
+// bounds of the concatenated chain curve (Analysis.ConcatenatedBeta — sound
+// for a packetized multi-hop execution, unlike the paper's folded closed
+// form), the guaranteed throughput, and the θ the analysis committed to at
+// every node. A shared *Bounds is read-only.
+type Bounds struct {
+	// Rung is the resolved rung the bounds were computed at.
+	Rung Rung
+	// Delay and Backlog are the horizontal and vertical deviation between
+	// AlphaPrime and the concatenated chain curve; the maximum Duration and
+	// +Inf when Overloaded.
+	Delay   time.Duration
+	Backlog units.Bytes
+	// Throughput, Overloaded, BottleneckIndex, TightCombos and TightPruned
+	// are Analysis.ThroughputLower and the Analysis fields of the same name.
+	Throughput               units.Rate
+	Overloaded               bool
+	BottleneckIndex          int
+	TightCombos, TightPruned int
+	// FIFOTheta is NodeAnalysis.FIFOTheta, indexed by node.
+	FIFOTheta []float64
+}
+
+// Bound is the chain-only sibling of AnalyzeMemo (m may be nil): it computes
+// what Bounds carries and nothing of the per-node report — no propagated
+// arrival beyond what the greedy FIFO rung reads, no per-node deviations, no
+// folded closed form, no output bound. The values equal those derived from
+// the full Analysis of the same pipeline bit for bit.
+func Bound(p Pipeline, m *Memo) (*Bounds, error) {
+	_, b, err := m.lookup(p, false)
+	return b, err
+}
+
+// run computes one half of a Memo entry: the Bounds after a chain pass, or
+// with report set the full Analysis. An attached AnalysisTimer is told how
+// long it took; detached, that costs one atomic pointer load.
+func run(p Pipeline, report bool) (a *Analysis, b *Bounds, err error) {
+	if t := analysisTimer.Load(); t != nil {
+		defer func(start time.Time) { (*t)(time.Since(start).Seconds()) }(time.Now())
+	}
+	if err = p.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if p.Rung.Resolved() == RungTight {
-		return analyzeTight(p)
+		a, err = analyzeTightBudget(p, 0, report)
+	} else {
+		a, err = analyzeWith(p, nil, report)
 	}
-	return analyzeWith(p, nil)
+	if err == nil && !report {
+		a, b = nil, a.bounds()
+	}
+	return a, b, err
 }
 
-// analyzeWith runs one analysis pass. A non-nil thetas slice (indexed by
-// node) pins the FIFO left-over theta at every cross-traffic node — the
+// chainDelay is the one place the promised delay is taken: the horizontal
+// deviation, in seconds, between AlphaPrime and the concatenated chain
+// curve, which it also returns.
+func (a *Analysis) chainDelay() (chain curve.Curve, seconds float64) {
+	chain = a.ConcatenatedBeta()
+	return chain, curve.HDev(a.AlphaPrime, chain)
+}
+
+// bounds derives the Bounds of a completed chain pass.
+func (a *Analysis) bounds() *Bounds {
+	b := &Bounds{
+		Rung: a.Rung, Throughput: a.ThroughputLower,
+		Overloaded: a.Overloaded, BottleneckIndex: a.BottleneckIndex,
+		TightCombos: a.TightCombos, TightPruned: a.TightPruned,
+		FIFOTheta: make([]float64, len(a.Nodes)),
+	}
+	for i := range a.Nodes {
+		b.FIFOTheta[i] = a.Nodes[i].FIFOTheta
+	}
+	b.Delay, b.Backlog = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
+	if !a.Overloaded {
+		chain, d := a.chainDelay()
+		b.Delay, b.Backlog = dur(d), units.Bytes(curve.VDev(a.AlphaPrime, chain))
+	}
+	return b
+}
+
+// analyzeWith runs one pass of the node loop. A non-nil thetas slice (indexed
+// by node) pins the FIFO left-over theta at every cross-traffic node — the
 // tight rung's joint enumeration drives this; entries at nodes without
 // cross traffic are ignored. With thetas nil the residual at a cross node
 // follows the pipeline's rung: the blind residual, or the per-node greedy
 // FIFO member for RungFIFO.
-func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
+//
+// The chain pass — all that runs with report unset — builds what Bounds and
+// the tight search read: per node the gain normalisation, Beta, the
+// aggregation delay, cumulative latency, overload and θ, and of the chain
+// Alpha, AlphaPrime, ThroughputLower, Overloaded and BottleneckIndex; the
+// arrival is propagated (and Gamma built) only on the greedy rung, whose θ
+// choices read it. The report pass fills in every other field of Analysis and
+// NodeAnalysis.
+func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	rung := p.Rung.Resolved()
-	a := &Analysis{Pipeline: p, Rung: rung}
+	a := &Analysis{Pipeline: p, Rung: rung, Nodes: make([]NodeAnalysis, 0, len(p.Nodes))}
 
 	// Arrival curves (input-referred by definition). Extra buckets tighten
 	// the envelope to a concave piecewise-linear minimum.
@@ -218,6 +295,10 @@ func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
 	if p.Arrival.MaxPacket > 0 {
 		grain = float64(p.Arrival.MaxPacket)
 	}
+
+	// Who reads the propagated arrival: the report, and the greedy rung's θ
+	// choice at the next cross node.
+	propagates := report || (thetas == nil && rung == RungFIFO)
 
 	for i, n := range p.Nodes {
 		na := NodeAnalysis{Node: n, GainBefore: gain}
@@ -285,35 +366,41 @@ func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
 		if lmax > 0 {
 			beta = curve.SubConstantPositive(beta, lmax)
 		}
-		gamma := curve.RateLatency(float64(na.MaxRate), 0) // best case: no delay
-		na.Beta, na.Gamma = beta, gamma
+		na.Beta = beta
+		na.Overloaded = float64(arrRate) > float64(na.Rate)*(1+1e-12)
 
 		// Per-node bounds against the propagated arrival bound. The
 		// aggregation buffer itself holds up to one job.
-		na.AlphaIn = alphaIn
-		na.Overloaded = float64(arrRate) > float64(na.Rate)*(1+1e-12)
-		if na.Overloaded {
-			na.BacklogBound = units.Bytes(math.Inf(1))
-			na.DelayBound = time.Duration(math.MaxInt64)
-		} else {
-			na.BacklogBound = units.Bytes(curve.VDev(alphaIn, beta))
-			if na.Aggregates {
-				na.BacklogBound += na.JobIn
+		if report {
+			na.AlphaIn = alphaIn
+			if na.Overloaded {
+				na.BacklogBound = units.Bytes(math.Inf(1))
+				na.DelayBound = time.Duration(math.MaxInt64)
+			} else {
+				na.BacklogBound = units.Bytes(curve.VDev(alphaIn, beta))
+				if na.Aggregates {
+					na.BacklogBound += na.JobIn
+				}
+				na.DelayBound = dur(curve.HDev(alphaIn, beta))
 			}
-			na.DelayBound = dur(curve.HDev(alphaIn, beta))
 		}
 
 		// Propagate the flow to the next node: output bound
 		// alpha* = (alphaIn ⊗ gamma) ⊘ beta, reinterpreted as an arrival
 		// curve. Under overload the output is service-limited instead.
-		if !na.Overloaded {
-			conv := curve.Convolve(alphaIn, gamma)
-			if out, ok := curve.Deconvolve(conv, beta); ok {
-				alphaIn = out.ZeroAtOrigin()
+		if propagates {
+			na.Gamma = curve.RateLatency(float64(na.MaxRate), 0) // best case: no delay
+		}
+		if propagates && i+1 < len(p.Nodes) {
+			if !na.Overloaded {
+				conv := curve.Convolve(alphaIn, na.Gamma)
+				if out, ok := curve.Deconvolve(conv, beta); ok {
+					alphaIn = out.ZeroAtOrigin()
+				}
+			} else {
+				// The node drains at its own rate; downstream sees at most that.
+				alphaIn = curve.Affine(float64(na.Rate), math.Max(float64(na.JobIn), float64(n.MaxPacket.Mul(1/gain))))
 			}
-		} else {
-			// The node drains at its own rate; downstream sees at most that.
-			alphaIn = curve.Affine(float64(na.Rate), math.Max(float64(na.JobIn), float64(n.MaxPacket.Mul(1/gain))))
 		}
 
 		if na.Rate < minRate {
@@ -337,6 +424,20 @@ func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
 	}
 
 	a.TotalLatency = cumLatency
+	a.Overloaded = float64(arrivalRate) > float64(minRate)*(1+1e-12)
+	// Throughput bounds (paper Tables 1 and 3). Both are capped by the
+	// offered load: a stable pipeline cannot deliver more than arrives.
+	a.ThroughputLower = minRate
+	if arrivalRate < a.ThroughputLower {
+		a.ThroughputLower = arrivalRate
+	}
+	if !report {
+		return a, nil
+	}
+	a.ThroughputUpper = arrivalRate
+	if minMaxRate < a.ThroughputUpper {
+		a.ThroughputUpper = minMaxRate
+	}
 
 	// End-to-end service curves: the paper folds the whole chain into a
 	// single rate-latency node with the bottleneck rate and the cumulative
@@ -352,7 +453,6 @@ func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
 	a.BacklogEstimate = units.Bytes(a.AlphaPrime.Burst() + float64(arrivalRate)*secs(cumLatency))
 
 	// End-to-end bounds.
-	a.Overloaded = float64(arrivalRate) > float64(minRate)*(1+1e-12)
 	if a.Overloaded {
 		a.DelayBoundInfinite = true
 		a.BacklogBoundInfinite = true
@@ -369,17 +469,6 @@ func analyzeWith(p Pipeline, thetas []float64) (*Analysis, error) {
 		a.OutputBound = out.ZeroAtOrigin()
 	} else {
 		a.OutputBound = convAG // overloaded: deconvolution diverges
-	}
-
-	// Throughput bounds (paper Tables 1 and 3). Both are capped by the
-	// offered load: a stable pipeline cannot deliver more than arrives.
-	a.ThroughputLower = minRate
-	if arrivalRate < a.ThroughputLower {
-		a.ThroughputLower = arrivalRate
-	}
-	a.ThroughputUpper = arrivalRate
-	if minMaxRate < a.ThroughputUpper {
-		a.ThroughputUpper = minMaxRate
 	}
 	return a, nil
 }

@@ -1,12 +1,10 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // AnalysisTimer receives the wall-clock duration of one computed pipeline
-// analysis (an Analyze call, or an AnalyzeMemo call that missed its Memo).
+// analysis — a chain pass (Bound) or a full analysis (Analyze): a call
+// without a Memo, or one whose Memo entry lacked the half asked for.
 type AnalysisTimer func(seconds float64)
 
 var analysisTimer atomic.Pointer[AnalysisTimer]
@@ -27,17 +25,4 @@ func SetAnalysisTimer(fn AnalysisTimer) (prev AnalysisTimer) {
 		return nil
 	}
 	return *old
-}
-
-// timedAnalyze runs analyze, reporting its duration when a timer is
-// attached. Detached cost: one atomic pointer load per computed analysis.
-func timedAnalyze(p Pipeline) (*Analysis, error) {
-	t := analysisTimer.Load()
-	if t == nil {
-		return analyze(p)
-	}
-	start := time.Now()
-	a, err := analyze(p)
-	(*t)(time.Since(start).Seconds())
-	return a, err
 }

@@ -5,13 +5,15 @@ import (
 	"sync"
 )
 
-// Memo is a bounded cache of Analyze results keyed by a structural digest of
+// Memo is a bounded cache of analysis results keyed by a structural digest of
 // the pipeline description (name, arrival buckets, and every node field).
 // Identical pipelines — the common case in admission control, where each
 // probe re-analyzes the same standalone flows and candidate paths — share
-// one immutable *Analysis.
+// one entry: the Bounds, the full Analysis, or both, each computed when
+// first asked for. An entry that only ever serves Bound holds a handful of
+// scalars and no curve.
 //
-// A Memo is safe for concurrent use. Cached analyses are returned by
+// A Memo is safe for concurrent use. Cached results are returned by
 // pointer; callers must treat them as read-only.
 type Memo struct {
 	mu      sync.Mutex
@@ -22,6 +24,7 @@ type Memo struct {
 
 type memoEntry struct {
 	a   *Analysis
+	b   *Bounds
 	err error
 }
 
@@ -39,18 +42,32 @@ func (m *Memo) Stats() (hits, misses uint64, entries int) {
 	return m.hits, m.misses, len(m.entries)
 }
 
-func (m *Memo) analyze(p Pipeline) (*Analysis, error) {
+// lookup serves AnalyzeMemo (report set) and Bound from p's entry, counting
+// one hit when the entry exists and one miss when it does not. An entry that
+// lacks the half asked for computes it with run, from scratch. A nil Memo
+// computes.
+func (m *Memo) lookup(p Pipeline, report bool) (*Analysis, *Bounds, error) {
+	if m == nil {
+		return run(p, report)
+	}
 	key := p.digest()
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
+	e, ok := m.entries[key]
+	if ok {
 		m.hits++
-		m.mu.Unlock()
-		return e.a, e.err
+	} else {
+		m.misses++
 	}
-	m.misses++
 	m.mu.Unlock()
 
-	a, err := timedAnalyze(p)
+	if e.err != nil || (report && e.a != nil) || (!report && e.b != nil) {
+		return e.a, e.b, e.err
+	}
+	if report {
+		e.a, _, e.err = run(p, true)
+	} else {
+		_, e.b, e.err = run(p, false)
+	}
 
 	m.mu.Lock()
 	if m.entries == nil {
@@ -66,9 +83,9 @@ func (m *Memo) analyze(p Pipeline) (*Analysis, error) {
 			drop--
 		}
 	}
-	m.entries[key] = memoEntry{a: a, err: err}
+	m.entries[key] = e
 	m.mu.Unlock()
-	return a, err
+	return e.a, e.b, e.err
 }
 
 // digest hashes every field of the pipeline description that Analyze reads.

@@ -159,13 +159,12 @@ func tightGrids(p Pipeline, maxCombos int) (grids [][]float64, combos int, hasCr
 	return grids, combos, hasCross, nil
 }
 
-// tightGreedy returns the per-node greedy FIFO θ-vector — the rung-below
-// seed that keeps the top rung from losing to grid thinning — or nil when
-// the greedy pass fails.
+// tightGreedy returns the per-node greedy FIFO θ-vector, or nil when the
+// greedy pass fails.
 func tightGreedy(p Pipeline) []float64 {
 	pg := p
 	pg.Rung = RungFIFO
-	ga, err := analyzeWith(pg, nil)
+	ga, err := analyzeWith(pg, nil, false)
 	if err != nil {
 		return nil
 	}
@@ -211,7 +210,7 @@ type tightSearch struct {
 }
 
 // newTightSearch precomputes the per-candidate chain elements and the
-// branch-and-bound suffix bounds. base is a completed analysis at θ = 0
+// branch-and-bound suffix bounds. base is a completed chain pass at θ = 0
 // everywhere, supplying every θ-independent ingredient.
 func newTightSearch(p Pipeline, base *Analysis, grids [][]float64) (*tightSearch, error) {
 	n := len(p.Nodes)
@@ -353,9 +352,6 @@ func (w *tightWorker) result() tightResult {
 	return tightResult{ok: w.hasBest, score: w.best, vec: w.bestVec, combos: w.combos, pruned: w.pruned}
 }
 
-// analyzeTight runs the top rung at the default lattice budget.
-func analyzeTight(p Pipeline) (*Analysis, error) { return analyzeTightBudget(p, 0) }
-
 // analyzeTightBudget runs the prefix-sharing θ-lattice search: build the
 // dominance-safe grids, precompute each node's candidate chain elements
 // once, then walk the lattice depth-first — fanning the top-level branches
@@ -364,28 +360,25 @@ func analyzeTight(p Pipeline) (*Analysis, error) { return analyzeTightBudget(p, 
 // lexicographically smallest vector (lattice leaves are visited in
 // lexicographic θ-index order and only strict improvements replace the
 // incumbent), making the result deterministic at any worker count and never
-// worse than the blind rung.
-func analyzeTightBudget(p Pipeline, maxCombos int) (*Analysis, error) {
+// worse than the blind rung. Every pass of the search is a chain pass; the
+// report rides on the pass that is returned, when report is set.
+func analyzeTightBudget(p Pipeline, maxCombos int, report bool) (*Analysis, error) {
 	grids, _, hasCross, err := tightGrids(p, maxCombos)
 	if err != nil {
 		return nil, err
 	}
 	if !hasCross {
-		return analyzeWith(p, nil)
+		return analyzeWith(p, nil, report)
 	}
 	// Base pass at θ = 0 everywhere: supplies every θ-independent ingredient
 	// (aggregation delays, non-cross betas, the packetized source envelope).
 	// Analysis errors are θ-independent — the θ = 0 vector failing means
 	// every vector fails, which is the only condition the search reports as
 	// an error.
-	base, err := analyzeWith(p, make([]float64, len(p.Nodes)))
+	base, err := analyzeWith(p, make([]float64, len(p.Nodes)), false)
 	if err != nil {
 		return nil, err
 	}
-	// Seed the search with the greedy rung's vector so the top rung never
-	// loses to the rung below it, even when grid thinning drops the exact
-	// theta the greedy pass picked.
-	greedy := tightGreedy(p)
 	s, err := newTightSearch(p, base, grids)
 	if err != nil {
 		return nil, err
@@ -452,29 +445,39 @@ func analyzeTightBudget(p Pipeline, maxCombos int) (*Analysis, error) {
 		// can engage — but guard rather than return a nil analysis.
 		return nil, fmt.Errorf("core: tight-rung search expanded no candidate vector")
 	}
-	bestScore := results[bestB].score
 	win := make([]float64, n)
 	for i, g := range grids {
 		if len(g) > 0 {
 			win[i] = g[results[bestB].vec[i]]
 		}
 	}
-	finish := func(a *Analysis) *Analysis {
-		a.TightCombos, a.TightPruned = totCombos, totPruned
-		return a
-	}
-	if greedy != nil {
-		if ga, err := analyzeWith(p, greedy); err == nil {
-			if curve.HDev(ga.AlphaPrime, ga.ConcatenatedBeta()) < bestScore*(1-1e-12) {
-				return finish(ga), nil
-			}
-		}
-	}
-	a, err := analyzeWith(p, win)
+	a, err := tightPick(p, win, results[bestB].score, report)
 	if err != nil {
 		return nil, err
 	}
-	return finish(a), nil
+	a.TightCombos, a.TightPruned = totCombos, totPruned
+	return a, nil
+}
+
+// tightPick runs the pass the tight rung returns: on the search's winning
+// θ-vector, or on the greedy rung's when that scores strictly lower, so the
+// top rung never loses to the rung below it even when grid thinning drops the
+// exact theta the greedy pass picked. Only that last pass carries the report:
+// the comparison is a chain pass, so a greedy win under report runs the greedy
+// vector twice — about one search in fifty, against a report pass saved on
+// the other forty-nine (docs/PERFORMANCE.md, PR 15).
+func tightPick(p Pipeline, win []float64, score float64, report bool) (*Analysis, error) {
+	if greedy := tightGreedy(p); greedy != nil {
+		if ga, err := analyzeWith(p, greedy, false); err == nil {
+			if _, d := ga.chainDelay(); d < score*(1-1e-12) {
+				if !report {
+					return ga, nil
+				}
+				win = greedy
+			}
+		}
+	}
+	return analyzeWith(p, win, report)
 }
 
 // AnalyzeTightBudget runs the tight rung with an explicit lattice budget
@@ -486,7 +489,7 @@ func AnalyzeTightBudget(p Pipeline, maxCombos int) (*Analysis, error) {
 		return nil, err
 	}
 	p.Rung = RungTight
-	return analyzeTightBudget(p, maxCombos)
+	return analyzeTightBudget(p, maxCombos, true)
 }
 
 // AnalyzeTightExhaustive is the pre-DP reference implementation of the tight
@@ -506,18 +509,17 @@ func AnalyzeTightExhaustive(p Pipeline, maxCombos int) (*Analysis, error) {
 		return nil, err
 	}
 	if !hasCross {
-		return analyzeWith(p, nil)
+		return analyzeWith(p, nil, true)
 	}
-	greedy := tightGreedy(p)
 	scores := make([]float64, combos)
 	errs := make([]error, combos)
 	_ = pool.ForEach(nil, 0, combos, nil, func(idx int) error {
-		a, err := analyzeWith(p, decodeTight(grids, idx))
+		a, err := analyzeWith(p, decodeTight(grids, idx), true)
 		if err != nil {
 			errs[idx] = err
 			return nil // evaluate every vector; only all-errored fails below
 		}
-		scores[idx] = curve.HDev(a.AlphaPrime, a.ConcatenatedBeta())
+		_, scores[idx] = a.chainDelay()
 		return nil
 	})
 	best := bestIndex(scores, errs)
@@ -529,16 +531,17 @@ func AnalyzeTightExhaustive(p Pipeline, maxCombos int) (*Analysis, error) {
 			}
 		}
 	}
-	win := decodeTight(grids, best)
-	if greedy != nil {
-		if ga, err := analyzeWith(p, greedy); err == nil {
-			if curve.HDev(ga.AlphaPrime, ga.ConcatenatedBeta()) < scores[best]*(1-1e-12) {
+	// The reference keeps its own greedy-vs-winner tail, apart from tightPick,
+	// so the differential test covers the production tail too.
+	if greedy := tightGreedy(p); greedy != nil {
+		if ga, err := analyzeWith(p, greedy, true); err == nil {
+			if _, d := ga.chainDelay(); d < scores[best]*(1-1e-12) {
 				ga.TightCombos = combos
 				return ga, nil
 			}
 		}
 	}
-	a, err := analyzeWith(p, win)
+	a, err := analyzeWith(p, decodeTight(grids, best), true)
 	if err != nil {
 		return nil, err
 	}
@@ -593,16 +596,4 @@ func thinGrid(g []float64, k int) []float64 {
 		out = append(out, g[i*(len(g)-1)/(k-1)])
 	}
 	return out
-}
-
-// RungDelayBound is a convenience for sweeps: the end-to-end delay bound of
-// the concatenated chain curve at the given rung, in seconds (+Inf when
-// overloaded or starved).
-func RungDelayBound(p Pipeline, r Rung) float64 {
-	p.Rung = r
-	a, err := Analyze(p)
-	if err != nil || a.Overloaded {
-		return math.Inf(1)
-	}
-	return curve.HDev(a.AlphaPrime, a.ConcatenatedBeta())
 }
