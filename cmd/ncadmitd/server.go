@@ -273,7 +273,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 			"epoch":                c.Epoch(),
 			"epoch_max":            st.EpochMax,
 			"epoch_distinct_nodes": st.EpochDistinctNode,
-			"commit_conflicts":     st.CommitConflicts,
 			"flows":                c.FlowCount(),
 			"classes":              c.ClassCount(),
 			"heap_alloc_bytes":     mem.HeapAlloc,

@@ -41,31 +41,33 @@
 // one reservation, one analysis and one verdict template per class, however
 // many members it adds.
 //
-// # Concurrency: one admission transaction
+// # Concurrency: one writer
 //
-// State is sharded by node with per-shard locks so residual-curve queries
-// never contend with each other. Every node carries its own epoch, advanced
-// whenever its hosted reservation set changes. Every admission — a single
-// Admit, a combiner group, an AdmitBatch — is the same transaction
-// (transact.go): decideSet analyses the candidate set at the hypothetical
-// final state under the registry *read* lock, pinning the epoch of every node
-// it reads (the paths of the classes gaining members plus the path of every
-// victim class analysed); transact then takes the write lock, re-checks
-// exactly those epochs and commits. A stale snapshot is analysed again from
-// scratch, and after maxCommitRetries the same attempt runs with the write
-// lock held from the start. Only analysed states ever commit: a retry never
-// assumes the bounds are monotone in cross traffic (the job-aggregation
-// cliff breaks monotonicity). transact is the only admission code that
-// takes the registry lock, and releases it by defer, so a panic inside an
-// analysis cannot wedge the controller.
-//
+// Whoever holds the writer role (Controller.leaderSem) is the only goroutine
+// that may mutate the registry, so commit order is a legal serial history.
 // Concurrent Admit/Release callers coalesce through a group-commit combiner
-// (group.go): one caller at a time becomes the leader, drains the queue,
-// commits pending releases first, and hands the queued admissions to
-// transact as one set — a single sweep amortized over every waiting caller,
-// which is what turns k concurrent clients into ~k× admission throughput
-// even on one core. A set that is refused as a whole is decided one ticket
-// at a time; AdmitBatch (batch.go) bisects for the largest prefix that fits.
+// (group.go): one caller at a time takes the role as the leader, drains the
+// queue, commits pending releases first, and hands the queued admissions to
+// the transaction as one set — a single sweep amortized over every waiting
+// caller, which is what turns k concurrent clients into ~k× admission
+// throughput even on one core. A set that is refused as a whole is decided
+// one ticket at a time. AdmitBatch (batch.go) takes the role itself, for all
+// of its transactions, and bisects for the largest prefix that fits.
+//
+// Every admission — a single Admit, a combiner group, an AdmitBatch — is the
+// same transaction (transact.go): decideSet analyses the candidate set at the
+// hypothetical final state under the registry *read* lock, so Recheck, Flows
+// and revalidation overlap it, and a set that fits commits under the write
+// lock. Nothing can go stale in between — only the role holder writes — so
+// only analysed states ever commit, with no assumption that the bounds are
+// monotone in cross traffic (the job-aggregation cliff breaks monotonicity).
+// (PRs 6–20 ran an optimistic validate/retry/fallback protocol here against
+// AdmitBatch calls racing the leader; the role made it unreachable.) Both
+// locks are released by defer, so a panic inside an analysis cannot wedge the
+// controller. Every node carries its own epoch, advanced whenever its hosted
+// reservation set changes: a decision pins the epoch of every node it reads
+// (the paths of the classes gaining members plus the path of every victim
+// class analysed) for the verdict cache and the flight recorder.
 //
 // Two caches keep decisions cheap. Verdict rejections are cached
 // keyed by (arrival-envelope digest, path, SLO, analysis rung) — curve
@@ -73,8 +75,8 @@
 // one entry regardless of flow ID — and each entry pins the node epochs its
 // analysis observed, so a commit on a disjoint path invalidates nothing.
 // All analyses run through a controller-wide core.Memo, so a candidate, a
-// victim re-check, a standalone reservation or a retry never recomputes an
-// identical pipeline. Nothing caches individual curve operations: on the
+// victim re-check or a standalone reservation never recomputes an identical
+// pipeline. Nothing caches individual curve operations: on the
 // one- and two-segment curves of this model an operator costs less than a
 // lookup in front of it.
 package admit
@@ -216,18 +218,14 @@ func removeKey(keys []verdictKey, k verdictKey) []verdictKey {
 	return keys
 }
 
-// shard holds the per-node slice of controller state, guarded by its own
-// lock so residual queries on different nodes never contend. Mutations
-// additionally happen only under the registry write lock, so holders of the
-// registry lock (either mode) may read shard state without the shard lock.
+// shard holds the per-node slice of controller state. It mutates only under
+// the registry write lock and is read under the registry lock in either mode.
 //
-// epoch is the node's own modification counter: it advances (under the
-// registry write lock) whenever the node's hosted reservation set changes.
-// Optimistic admissions snapshot the epochs of every node their analysis
-// read and re-check them at commit time; the verdict cache validates its
-// entries the same way, so a commit on a disjoint path invalidates nothing.
+// epoch is the node's own modification counter: it advances whenever the
+// node's hosted reservation set changes. A decision records the epochs of
+// every node its analysis read and the verdict cache validates its entries
+// against them, so a commit on a disjoint path invalidates nothing.
 type shard struct {
-	mu     sync.RWMutex
 	node   core.Node
 	idx    int // position in Controller.byIdx (dense epoch addressing)
 	epoch  atomic.Uint64
@@ -236,7 +234,7 @@ type shard struct {
 }
 
 // insert adds m members of class k reserving bucket b each. Callers must
-// hold the shard write lock.
+// hold the registry write lock.
 func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
 	i, ok := s.cross.find(k)
 	if ok {
@@ -250,7 +248,8 @@ func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
 	s.nflows += m
 }
 
-// remove drops m members of class k. Callers must hold the shard write lock.
+// remove drops m members of class k. Callers must hold the registry write
+// lock.
 func (s *shard) remove(k verdictKey, m int) {
 	i, ok := s.cross.find(k)
 	if !ok {
@@ -276,10 +275,8 @@ type classState struct {
 	ids     map[string]struct{}    // member flow IDs
 
 	// minID caches the lexicographically smallest member for victim-naming;
-	// recomputed lazily after the minimum is released. Members change only
-	// under the registry write lock, but the lazy recomputation runs from
-	// read-locked analyses, which can overlap: minMu orders those.
-	minMu    sync.Mutex
+	// recomputed lazily, by decideSet under the writer role, after the
+	// minimum is released.
 	minID    string
 	minValid bool
 }
@@ -313,9 +310,8 @@ func (cs *classState) removeID(id string) {
 
 // representative returns the smallest member ID (for victim-naming in
 // rejection reasons), rescanning only when the cached minimum was released.
+// The caller must hold the writer role.
 func (cs *classState) representative() string {
-	cs.minMu.Lock()
-	defer cs.minMu.Unlock()
 	if !cs.minValid {
 		first := true
 		for id := range cs.ids {
@@ -354,17 +350,14 @@ type Controller struct {
 	// per-node (shard.epoch).
 	epoch atomic.Uint64
 
-	// Group-commit combiner (group.go): concurrent Admit/Release callers
-	// enqueue tickets; one caller at a time becomes the leader, drains the
-	// queue, and decides the whole group in a single read-locked sweep with
-	// one validate-and-commit write section.
+	// leaderSem is the writer role (group.go): its holder — the combiner
+	// leader or an AdmitBatch call — is the only goroutine that may take
+	// mu.Lock. Concurrent Admit/Release callers enqueue tickets; the leader
+	// drains the queue and decides the whole group in a single read-locked
+	// sweep with one write section.
 	qmu       sync.Mutex
 	queue     []*ticket
 	leaderSem chan struct{}
-
-	// conflicts counts validate-and-commit sections that found a stale
-	// snapshot and sent the transaction round again.
-	conflicts atomic.Uint64
 
 	// memo caches whole-pipeline analyses across admission probes (the same
 	// standalone, candidate, and victim pipelines recur constantly).
@@ -475,10 +468,6 @@ func (c *Controller) NodeEpochs() map[string]uint64 {
 	return out
 }
 
-// CommitConflicts returns the cumulative count of validate-and-commit
-// sections that observed a stale snapshot and re-ran the transaction.
-func (c *Controller) CommitConflicts() uint64 { return c.conflicts.Load() }
-
 // NodeNames returns the platform node names in declaration order.
 func (c *Controller) NodeNames() []string { return append([]string(nil), c.order...) }
 
@@ -563,9 +552,7 @@ func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Buck
 	c.flows[f.ID] = cs
 	for name, b := range contrib {
 		sh := c.shards[name]
-		sh.mu.Lock()
 		sh.insert(key, b, 1)
-		sh.mu.Unlock()
 		sh.epoch.Add(1)
 	}
 }
@@ -726,9 +713,7 @@ func (c *Controller) releaseLocked(id string) bool {
 	}
 	for name := range cs.contrib {
 		sh := c.shards[name]
-		sh.mu.Lock()
 		sh.remove(cs.key, 1)
-		sh.mu.Unlock()
 		sh.epoch.Add(1)
 	}
 	cs.removeID(id)
@@ -826,9 +811,9 @@ type Residual struct {
 	Rate units.Rate
 }
 
-// ResidualService returns the residual service of one platform node. The
-// aggregate needs only that node's shard lock; the hosted-flow listing
-// walks the classes under the registry read lock (O(hosted flows)).
+// ResidualService returns the residual service of one platform node: the
+// aggregate and the hosted-flow listing (a walk over the classes, O(hosted
+// flows)) of one registry state, read in one read-locked section.
 func (c *Controller) ResidualService(node string) (Residual, error) {
 	sh, ok := c.shards[node]
 	if !ok {
@@ -845,12 +830,10 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 			r.Flows = append(r.Flows, id)
 		}
 	}
+	agg := sh.cross.total
 	c.mu.RUnlock()
 	sort.Strings(r.Flows)
 
-	sh.mu.RLock()
-	agg := sh.cross.total
-	sh.mu.RUnlock()
 	r.Cross = core.Bucket{
 		Rate:  agg.Rate + sh.node.CrossRate,
 		Burst: agg.Burst + sh.node.CrossBurst,
@@ -923,9 +906,8 @@ func (c *Controller) cachedVerdict(key verdictKey) (Verdict, bool) {
 }
 
 // storeVerdict caches a rejection against the node epochs its analysis
-// observed (deps, as recorded by the sweep). Node epochs only grow, so a
-// verdict stored against an already-stale snapshot is harmless: the probe
-// validation can never match it again.
+// observed (deps, as recorded by the sweep). The caller holds the writer
+// role, so those epochs are still the live ones.
 func (c *Controller) storeVerdict(key verdictKey, deps []nodeDep, v Verdict) {
 	v.Cached = false
 	v.FlowID = "" // the stored verdict is ID-independent
@@ -951,10 +933,7 @@ type Stats struct {
 	AnalysisHits    uint64 `json:"analysis_hits"`
 	AnalysisMisses  uint64 `json:"analysis_misses"`
 	AnalysisEntries int    `json:"analysis_entries"`
-	// Optimistic-concurrency counters: failed validate-and-commit sections
-	// (each one re-ran the transaction) and the per-node epoch summary (see
-	// EpochStats).
-	CommitConflicts   uint64 `json:"commit_conflicts"`
+	// The per-node epoch summary (see EpochStats).
 	EpochMax          uint64 `json:"epoch_max"`
 	EpochDistinctNode int    `json:"epoch_distinct_nodes"`
 }
@@ -972,7 +951,6 @@ func (c *Controller) Stats() Stats {
 	s.VerdictEntries = len(c.cache)
 	c.cacheMu.Unlock()
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	s.CommitConflicts = c.conflicts.Load()
 	s.EpochMax, s.EpochDistinctNode = c.EpochStats()
 	return s
 }

@@ -7,7 +7,9 @@ package admit
 // When it does not, the controller commits the largest prefix analysis finds
 // feasible, decides the first flow past it alone so its refusal names the
 // binding constraint, and continues with the remainder; such a batch is a
-// sequence of transactions, not one.
+// sequence of transactions, not one — an uninterrupted one: the call holds
+// the writer role (see group.go) from its first analysis to its last commit,
+// so no Admit, Release or other batch lands in between.
 //
 // Soundness never relies on bound monotonicity in cross traffic: every
 // commit is an atomic set, so intermediate admission orders never exist —
@@ -43,6 +45,17 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 		rem = append(rem, cand{f: f, key: c.keyFor(f), idx: i})
 	}
 	tr.mark(PhasePrecheck)
+	c.decideBatch(rem, out, tr)
+	c.observeBatch(out, tr)
+	return out
+}
+
+// decideBatch takes the writer role and decides rem, writing every
+// candidate's verdict to its place in out.
+func (c *Controller) decideBatch(rem []cand, out []Verdict, tr *decTrace) {
+	c.leaderSem <- struct{}{}
+	defer func() { <-c.leaderSem }()
+	tr.mark(PhaseQueueWait)
 
 	deliver := func(set []cand, d *decision) {
 		for i, cd := range set {
@@ -56,11 +69,9 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 			break
 		}
 		if len(rem) > 1 {
-			if lo := c.feasiblePrefix(rem, tr); lo > 0 {
-				if d = c.transact(rem[:lo], tr); !d.ok {
-					continue // the registry moved since the bisection: start over
-				}
-				deliver(rem[:lo], d)
+			if lo, fits := c.feasiblePrefix(rem, tr); lo > 0 {
+				c.settle(rem[:lo], fits, tr)
+				deliver(rem[:lo], fits)
 				rem = rem[lo:]
 			}
 			// The boundary flow alone: an exact refusal, or — in the model's
@@ -89,25 +100,23 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 		}
 		rem = next
 	}
-
-	c.observeBatch(out, tr)
-	return out
 }
 
 // feasiblePrefix bisects cands, a set refused as a whole, for a large prefix
 // that analysis finds feasible: lo is always verified (the empty prefix
-// trivially), hi always refused.
-func (c *Controller) feasiblePrefix(cands []cand, tr *decTrace) int {
-	lo, hi := 0, len(cands)
+// trivially), hi always refused. It returns lo with the decision that
+// verified it, for the caller to settle.
+func (c *Controller) feasiblePrefix(cands []cand, tr *decTrace) (lo int, fits *decision) {
+	hi := len(cands)
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if c.analyse(cands[:mid], tr).ok {
-			lo = mid
+		if d := c.analyse(cands[:mid], tr); d.ok {
+			lo, fits = mid, d
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, fits
 }
 
 // observeBatch records one batch transaction on the attached telemetry

@@ -5,14 +5,20 @@ import (
 	"runtime/debug"
 )
 
-// This file is the group-commit combiner. Concurrent Admit/Release callers
-// enqueue tickets; one caller at a time becomes the leader (leaderSem),
-// drains the queue, commits the pending releases first, and hands the queued
-// admissions to transact as one set. A set costs one analysis per class and
-// one victim sweep, so k concurrent clients amortize the sweep k ways — the
-// throughput lever a read-locked analysis alone cannot provide when the
-// analysis itself is the CPU cost. A set that does not fit as a whole is
-// decided one ticket at a time, in arrival order, by the same transact.
+// This file is the group-commit combiner, and the writer role it shares with
+// AdmitBatch. Whoever holds Controller.leaderSem is the only goroutine that
+// may mutate the registry: every commit and every release happens under it,
+// so commit order is a legal serial history of the registry. Concurrent
+// Admit/Release callers enqueue tickets; one caller at a time takes the role
+// as the leader, drains the queue, commits the pending releases first, and
+// hands the queued admissions to transact as one set. AdmitBatch (batch.go)
+// takes the role directly, for all of its transactions, without a ticket.
+//
+// A set costs one analysis per class and one victim sweep, so k concurrent
+// clients amortize the sweep k ways — the throughput lever a read-locked
+// analysis alone cannot provide when the analysis itself is the CPU cost. A
+// set that does not fit as a whole is decided one ticket at a time, in
+// arrival order, by the same transact.
 
 const (
 	tkAdmit = iota
@@ -89,7 +95,7 @@ func (c *Controller) lead() {
 // sweep in flight), then the admissions. The callers behind the tickets are
 // parked on their done channels, so a panic in an analysis must not unwind
 // past here: every ticket still unanswered gets an "internal" rejection
-// (uncached; a panicking attempt commits nothing) and the leader carries on.
+// (uncached; a panicking analysis commits nothing) and the leader carries on.
 func (c *Controller) processGroup(q []*ticket) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -151,7 +157,8 @@ func (c *Controller) processGroup(q []*ticket) {
 	}
 }
 
-// releaseAll commits the queued releases in one write-locked section.
+// releaseAll commits the queued releases in one write-locked section. The
+// caller holds the writer role.
 func (c *Controller) releaseAll(rel []*ticket) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

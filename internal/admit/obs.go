@@ -52,7 +52,6 @@ type ctrlObs struct {
 	cached     *obs.Counter
 	releases   *obs.Counter
 	decision   *obs.Histogram
-	conflicts  *obs.Counter
 	commitWait *obs.Histogram
 	groupSize  *obs.Histogram
 	sloFast    *obs.Counter
@@ -120,10 +119,8 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 		cached:   reg.Counter("nc_admit_cached_total", "verdicts served from the epoch cache"),
 		releases: reg.Counter("nc_admit_releases_total", "admitted flows released"),
 		decision: reg.Histogram("nc_admit_decision_seconds", "admission decision latency", DecisionBuckets),
-		conflicts: reg.Counter("nc_admit_commit_conflict_total",
-			"optimistic validate-and-commit sections retried because an observed node epoch moved"),
 		commitWait: reg.Histogram("nc_admit_commit_wait_seconds",
-			"time spent in the write-locked validate-and-commit section per committed decision", DecisionBuckets),
+			"time spent waiting for and in the write-locked commit section per committed decision", DecisionBuckets),
 		groupSize: reg.Histogram("nc_admit_group_size",
 			"admissions decided together per combiner group commit", GroupSizeBuckets),
 		sloFast: reg.Counter("nc_admit_slo_fast_total",
@@ -241,13 +238,12 @@ func (c *Controller) collect(r *obs.Registry) {
 	// behind every verdict. Opt-in: one series per node per family.
 	for _, name := range c.order {
 		sh := c.shards[name]
-		sh.mu.RLock()
-		agg := sh.cross.total
+		c.mu.RLock()
+		agg, nflows := sh.cross.total, sh.nflows
+		c.mu.RUnlock()
 		rate := sh.node.Rate
 		reserved := agg.Rate + sh.node.CrossRate
 		burst := agg.Burst + sh.node.CrossBurst
-		nflows := sh.nflows
-		sh.mu.RUnlock()
 
 		l := obs.Label{Key: "node", Value: name}
 		set("nc_node_epoch", "per-node modification epoch (bumps when the node's aggregate changes)", float64(sh.epoch.Load()), l)
@@ -369,17 +365,8 @@ func (c *Controller) noteInternalError(r any, stack []byte) {
 	}
 }
 
-// noteConflict counts one failed optimistic validate-and-commit (an
-// observed node epoch moved between analysis and commit).
-func (c *Controller) noteConflict() {
-	c.conflicts.Add(1)
-	if m := c.obsm; m != nil {
-		m.conflicts.Inc()
-	}
-}
-
-// observeCommitWait records the duration of one write-locked
-// validate-and-commit section.
+// observeCommitWait records the duration of one write-locked commit section,
+// from asking for the lock.
 func (c *Controller) observeCommitWait(d time.Duration) {
 	if m := c.obsm; m != nil {
 		m.commitWait.Observe(d.Seconds())

@@ -10,9 +10,9 @@ import (
 // This file is the decision flight recorder: every Admit/Release/AdmitBatch
 // call carries a decTrace through the combiner and the admission
 // transaction, recording a contiguous phase breakdown (queue wait, leader
-// drain, analysis, victim sweep, validate-and-commit, retries, fallback) plus the
-// outcome metadata a postmortem needs — verdict, retry count, victim
-// counts, and the per-node epochs the analysis pinned. Finished decisions
+// drain, analysis, victim sweep, commit) plus the outcome metadata a
+// postmortem needs — verdict, victim counts, and the per-node epochs the
+// analysis pinned. Finished decisions
 // land in a ring buffer exposed by ncadmitd as GET /debug/decisions (JSON)
 // and /debug/decisions/trace (Chrome trace_event), and each one stamps its
 // sequence number onto the latency histogram as an exemplar, so a p99
@@ -26,13 +26,11 @@ import (
 // Phase names recorded on decision spans.
 const (
 	PhasePrecheck       = "precheck"        // spec checks + verdict-cache probe
-	PhaseQueueWait      = "queue_wait"      // combiner queue, waiting for a leader
+	PhaseQueueWait      = "queue_wait"      // combiner queue, waiting for a leader; a batch, for the writer role
 	PhaseDrain          = "drain"           // leader committing queued releases first
 	PhaseAnalysis       = "analysis"        // reservations + analysis of the classes gaining members
 	PhaseVictimSweep    = "victim_sweep"    // re-checking co-resident classes
-	PhaseValidateCommit = "validate_commit" // write-locked epoch validation + commit
-	PhaseRetry          = "retry"           // write-locked validation that found the snapshot stale
-	PhaseFallback       = "fallback"        // commit section of the last, write-locked attempt
+	PhaseValidateCommit = "validate_commit" // the write-locked commit (nothing is left to validate; bench/ reads the name)
 	PhaseHandoff        = "handoff"         // result delivery back to the caller
 )
 
@@ -50,8 +48,6 @@ type decTrace struct {
 	span     *obs.Span
 	kind     string
 	group    int // combiner group size this decision rode in (0 = none)
-	retries  int
-	fellBack bool
 	victims  int // victim classes analyzed
 	deps     []NodeEpoch
 	batchN   int // batch decisions: flows offered
@@ -73,18 +69,6 @@ func (c *Controller) newTrace(kind string) *decTrace {
 func (tr *decTrace) mark(phase string) {
 	if tr != nil {
 		tr.span.Mark(phase)
-	}
-}
-
-func (tr *decTrace) noteRetry() {
-	if tr != nil {
-		tr.retries++
-	}
-}
-
-func (tr *decTrace) noteFallback() {
-	if tr != nil {
-		tr.fellBack = true
 	}
 }
 
@@ -118,8 +102,6 @@ func (tr *decTrace) absorb(g *decTrace) {
 		return
 	}
 	tr.span.Absorb(g.span)
-	tr.retries += g.retries
-	tr.fellBack = tr.fellBack || g.fellBack
 	tr.victims += g.victims
 	tr.rungCombos += g.rungCombos
 	tr.rungPruned += g.rungPruned
@@ -144,7 +126,7 @@ func (tr *decTrace) setDeps(c *Controller, deps map[int]uint64) {
 }
 
 // NodeEpoch is one node the decision's analysis read, with the epoch it
-// observed (the dependency the validate-and-commit section checked).
+// observed.
 type NodeEpoch struct {
 	Node  string `json:"node"`
 	Epoch uint64 `json:"epoch"`
@@ -168,9 +150,7 @@ type DecisionRecord struct {
 	Total  time.Duration  `json:"total_ns"`
 	Phases []obs.PhaseDur `json:"phases,omitempty"`
 
-	Retries   int  `json:"retries,omitempty"`
-	Fallback  bool `json:"fallback,omitempty"`
-	GroupSize int  `json:"group_size,omitempty"`
+	GroupSize int `json:"group_size,omitempty"`
 
 	VictimsChecked int         `json:"victims_checked,omitempty"`
 	Nodes          []NodeEpoch `json:"nodes,omitempty"`
@@ -196,8 +176,6 @@ func (tr *decTrace) record(total time.Duration) DecisionRecord {
 		Start:          tr.span.Start(),
 		Total:          total,
 		Phases:         tr.span.Phases(),
-		Retries:        tr.retries,
-		Fallback:       tr.fellBack,
 		GroupSize:      tr.group,
 		VictimsChecked: tr.victims,
 		Nodes:          tr.deps,
@@ -295,8 +273,6 @@ func (r *FlightRecorder) Trace(limit int) *obs.Trace {
 				"flow_id":  rec.FlowID,
 				"admitted": rec.Admitted,
 				"binding":  rec.Binding,
-				"retries":  rec.Retries,
-				"fallback": rec.Fallback,
 				"group":    rec.GroupSize,
 				"victims":  rec.VictimsChecked,
 			})

@@ -9,15 +9,10 @@ import (
 )
 
 // This file is the admission transaction. decideSet is the one function that
-// analyses a candidate set; transact is the one function that locks,
-// validates and commits it. Admit and group commit (group.go) and AdmitBatch
-// (batch.go) differ only in which candidates they hand to transact and in
-// what they do with a set it refuses.
-
-// maxCommitRetries bounds optimistic re-analysis: after this many stale
-// snapshots the next attempt holds the write lock from the start and cannot
-// conflict.
-const maxCommitRetries = 3
+// analyses a candidate set; transact is the one function that locks and
+// commits it. Admit and group commit (group.go) and AdmitBatch (batch.go)
+// differ only in which candidates they hand to transact and in what they do
+// with a set it refuses. All of them run under the writer role.
 
 // cand is one flow offered for admission that has passed precheck.
 type cand struct {
@@ -52,8 +47,8 @@ type decision struct {
 	ok      bool
 	refusal Verdict
 	// deps pins the epoch of every node the analysis read (shard idx ->
-	// epoch): if all still match under the write lock, nothing the decision
-	// depends on has changed.
+	// epoch): a cached refusal stays valid for as long as all still match,
+	// and the flight recorder reports them.
 	deps map[int]uint64
 	// cross holds, per node the analysis read (shard idx), the node's cross
 	// traffic at the final state: merged once, on first use, and shared by
@@ -116,9 +111,10 @@ func (d *decision) depList() []nodeDep {
 // (yielding "victim:<id>"). Each class is analysed once — its members are
 // interchangeable — at the rung it is or was admitted at, with one of its
 // own members left out of the cross traffic. A single Admit is the set of
-// one. The registry lock must be held, in either mode; precheck must have
-// passed for every candidate. Nothing in a refusal mentions a candidate's
-// ID: it is cached and replayed for any flow of the same class.
+// one. The caller must hold the writer role and the registry lock, in either
+// mode; precheck must have passed for every candidate. Nothing in a refusal
+// mentions a candidate's ID: it is cached and replayed for any flow of the
+// same class.
 func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	d := &decision{
 		epoch: c.epoch.Load(),
@@ -302,98 +298,58 @@ func (c *Controller) sharedPipeline(arrival core.Arrival, path []string, rung co
 	return p
 }
 
-// transact decides cands as one atomic set and commits it when it fits: the
-// only admission code that takes the registry lock. An attempt analyses
-// under the read lock, then re-checks under the write lock that no node the
-// analysis read has moved (depsCurrent) and commits; a stale snapshot is
-// analysed again from scratch — only analysed states ever commit, the bounds
-// are not monotone in cross traffic — and after maxCommitRetries the same
-// attempt runs with the write lock held from the start. A refusal commits
-// nothing; that of a set of one is exact and goes to the verdict cache
-// against the node epochs it read.
+// transact decides cands as one atomic set and commits it when it fits. The
+// caller holds the writer role (Controller.leaderSem), so nobody else can
+// mutate the registry between the read-locked analysis and the write-locked
+// commit: the state that commits is the state that was analysed, and nothing
+// needs re-validating. The analysis takes only the read lock so that Recheck,
+// Flows and revalidation overlap it.
 func (c *Controller) transact(cands []cand, tr *decTrace) *decision {
-	for attempt := 0; ; attempt++ {
-		exclusive := attempt == maxCommitRetries
-		if exclusive {
-			tr.noteFallback()
-		}
-		if d := c.attempt(cands, exclusive, tr); d != nil {
-			if exclusive {
-				tr.mark(PhaseFallback)
-			} else {
-				tr.mark(PhaseValidateCommit)
-			}
-			tr.setDeps(c, d.deps)
-			if !d.ok && len(cands) == 1 {
-				c.storeVerdict(cands[0].key, d.depList(), d.refusal)
-			}
-			return d
-		}
-		c.noteConflict()
-		tr.mark(PhaseRetry)
-		tr.noteRetry()
-	}
-}
-
-// attempt is one round of transact; it returns nil when the snapshot it
-// analysed went stale before it could commit. Locks are released by defer,
-// so a panic inside an analysis leaves the registry usable.
-func (c *Controller) attempt(cands []cand, exclusive bool, tr *decTrace) *decision {
-	var d *decision
-	if !exclusive {
-		if d = c.analyse(cands, tr); !d.ok {
-			return d
-		}
-	}
-	waitStart := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exclusive {
-		d = c.decideSet(cands, tr)
-	} else if !c.depsCurrent(d, cands) {
-		return nil
-	}
-	if !d.ok {
-		return d
-	}
-	for i, cd := range cands {
-		if _, own := d.spec[i]; !own {
-			pl := d.plans[cd.key]
-			c.commit(cd.key, cd.f, pl.contrib, pl.verdict)
-		}
-	}
-	if len(d.spec) < len(cands) {
-		// One transaction, one step of the global epoch, however many flows.
-		c.epoch.Add(1)
-		c.observeCommitWait(time.Since(waitStart))
-	}
+	d := c.analyse(cands, tr)
+	c.settle(cands, d, tr)
 	return d
 }
 
-// analyse runs decideSet at a read-locked snapshot.
+// analyse runs decideSet under the registry read lock, released by defer so
+// a panic inside an analysis leaves the registry usable. The caller must hold
+// the writer role.
 func (c *Controller) analyse(cands []cand, tr *decTrace) *decision {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.decideSet(cands, tr)
 }
 
-// depsCurrent reports whether d still describes the registry: every node
-// epoch its analysis read is live, and no candidate it means to commit has
-// been admitted meanwhile. Callers must hold the registry write lock, so a
-// true answer stays true through the commit.
-func (c *Controller) depsCurrent(d *decision, cands []cand) bool {
-	for idx, e := range d.deps {
-		if c.byIdx[idx].epoch.Load() != e {
-			return false
-		}
+// settle acts on d = analyse(cands); the caller must have held the writer
+// role since before that analysis. A set that fits is committed. A refusal
+// commits nothing; that of a set of one is exact and goes to the verdict
+// cache against the node epochs it read.
+func (c *Controller) settle(cands []cand, d *decision, tr *decTrace) {
+	if d.ok {
+		c.commitSet(cands, d)
+	} else if len(cands) == 1 {
+		c.storeVerdict(cands[0].key, d.depList(), d.refusal)
 	}
+	tr.mark(PhaseValidateCommit)
+	tr.setDeps(c, d.deps)
+}
+
+// commitSet registers every candidate of d that was not answered on its own,
+// in one write-locked section: the only place an admission takes the registry
+// write lock.
+func (c *Controller) commitSet(cands []cand, d *decision) {
+	if len(d.spec) == len(cands) {
+		return
+	}
+	waitStart := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, cd := range cands {
-		if _, own := d.spec[i]; own {
-			continue
-		}
-		if _, dup := c.flows[cd.f.ID]; dup {
-			return false
+		if _, own := d.spec[i]; !own {
+			pl := d.plans[cd.key]
+			c.commit(cd.key, cd.f, pl.contrib, pl.verdict)
 		}
 	}
-	return true
+	// One transaction, one step of the global epoch, however many flows.
+	c.epoch.Add(1)
+	c.observeCommitWait(time.Since(waitStart))
 }

@@ -1,108 +1,28 @@
 package admit
 
 import (
-	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"streamcalc/internal/core"
+	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/units"
 )
-
-// TestExclusiveAttemptIsTheSameDecision: the last, write-locked attempt of
-// transact is the optimistic one minus the validation — same function, same
-// answers, same registry afterwards.
-func TestExclusiveAttemptIsTheSameDecision(t *testing.T) {
-	heavy := tenant("heavy", 28*units.MiBPerSec)
-	heavy.SLO = SLO{}
-	for _, flows := range [][]Flow{
-		{tenant("a", 2*units.MiBPerSec), tenant("b", 3*units.MiBPerSec)},
-		{heavy},
-	} {
-		var answers [2][]Verdict
-		var states [2][]Verdict
-		for mode, exclusive := range []bool{false, true} {
-			c := seededRegistry(t)
-			cands := make([]cand, len(flows))
-			for i, f := range flows {
-				cands[i] = cand{f: f, key: c.keyFor(f)}
-			}
-			d := c.attempt(cands, exclusive, nil)
-			if d == nil {
-				t.Fatalf("exclusive=%t: conflict on a quiescent registry", exclusive)
-			}
-			for i, cd := range cands {
-				answers[mode] = append(answers[mode], d.verdict(i, cd))
-			}
-			states[mode] = recheckAll(t, c)
-		}
-		if !reflect.DeepEqual(answers[0], answers[1]) {
-			t.Errorf("optimistic %+v\nexclusive  %+v", answers[0], answers[1])
-		}
-		if !reflect.DeepEqual(states[0], states[1]) {
-			t.Errorf("registries differ after optimistic and exclusive attempts")
-		}
-	}
-}
-
-// TestStaleSnapshotIsNotCommitted: a decision whose analysis read a node
-// that has since changed, or whose candidate has since been admitted, fails
-// validation; one on an untouched path does not.
-func TestStaleSnapshotIsNotCommitted(t *testing.T) {
-	c, aNames, bNames := isolationPlatform(t)
-	onPath := func(id string, path []string) Flow {
-		f := tenant(id, 2*units.MiBPerSec)
-		f.Path = path
-		return f
-	}
-	if v := c.Admit(onPath("a-0", aNames)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	cands := []cand{{f: onPath("a-1", aNames)}}
-	cands[0].key = c.keyFor(cands[0].f)
-	current := func(d *decision) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.depsCurrent(d, cands)
-	}
-
-	d := c.analyse(cands, nil)
-	if !d.ok || !current(d) {
-		t.Fatalf("fresh decision: ok=%t current=%t", d.ok, current(d))
-	}
-	if v := c.Admit(onPath("b-0", bNames)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	if !current(d) {
-		t.Error("a commit on a disjoint path invalidated the snapshot")
-	}
-	if !c.Release("a-0") {
-		t.Fatal("release failed")
-	}
-	if current(d) {
-		t.Error("a release on the analysed path left the snapshot valid")
-	}
-
-	d = c.analyse(cands, nil)
-	if v := c.Admit(cands[0].f); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	if current(d) {
-		t.Error("the candidate was admitted meanwhile and the snapshot still validates")
-	}
-	if d := c.attempt(cands, false, nil); d == nil || d.verdict(0, cands[0]).Binding != "spec" {
-		t.Errorf("re-offering an admitted ID: %+v", d)
-	}
-}
 
 // TestPanicInAnalysisDoesNotWedge injects a panic into the analysis — a
 // ticket that skipped precheck and names a node the platform does not have —
 // first as part of a drained group, then from a live caller racing a
 // well-formed one. Every caller gets an answer, nothing is committed for a
 // group that panicked, no lock and no leadership stays held, and the
-// controller carries on.
+// controller carries on. Then the AdmitBatch entrance, which holds the writer
+// role itself: a panic in its analysis (from the analysis timer, the one hook
+// there is) reaches the caller, and the Admit queued behind it is answered.
 func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
+	defer curve.SetOpTimer(nil)
+	defer core.SetAnalysisTimer(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObs(reg)
@@ -154,16 +74,62 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 
 	// The last leader answers its tickets before it steps down, so give it
 	// a moment.
+	assertIdle := func() {
+		t.Helper()
+		select {
+		case c.leaderSem <- struct{}{}:
+			<-c.leaderSem
+		case <-time.After(30 * time.Second):
+			t.Fatal("the writer role is still held")
+		}
+		if !c.mu.TryLock() {
+			t.Fatal("the registry lock is still held")
+		}
+		c.mu.Unlock()
+	}
+	assertIdle()
+	before := c.FlowCount()
+
+	// The first analysis computed from here on parks until the test lets it
+	// panic; the batch that runs it is then mid-analysis, under the role.
+	var armed atomic.Bool
+	armed.Store(true)
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	core.SetAnalysisTimer(func(float64) {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-proceed
+			panic("injected")
+		}
+	})
+	batchPanic := make(chan any, 1)
+	go func() {
+		defer func() { batchPanic <- recover() }()
+		c.AdmitBatch([]Flow{tenant("batch-bad", 3*units.MiBPerSec)})
+	}()
+	<-entered
+	go func() { answers <- c.Admit(tenant("queued", 5*units.MiBPerSec)) }()
+	for queued := 0; queued == 0; time.Sleep(time.Millisecond) {
+		c.qmu.Lock()
+		queued = len(c.queue)
+		c.qmu.Unlock()
+	}
+	close(proceed)
+	if r := <-batchPanic; r != "injected" {
+		t.Errorf("the batch's caller recovered %v, want the injected panic", r)
+	}
 	select {
-	case c.leaderSem <- struct{}{}:
-		<-c.leaderSem
+	case v := <-answers:
+		if !v.Admitted {
+			t.Errorf("the Admit queued behind the panicked batch: %+v", v)
+		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("leadership is still held")
+		t.Fatal("the Admit queued behind the panicked batch is still waiting")
 	}
-	if !c.mu.TryLock() {
-		t.Fatal("the registry lock is still held")
+	assertIdle()
+	if n := c.FlowCount(); n != before+1 {
+		t.Errorf("%d flows registered after the panicked batch and the queued Admit, want %d", n, before+1)
 	}
-	c.mu.Unlock()
 
 	if v := c.Admit(tenant("after", units.MiBPerSec)); !v.Admitted {
 		t.Errorf("admit after the panics: %s", v.Reason)

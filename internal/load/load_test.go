@@ -55,18 +55,27 @@ func TestHarnessInProc(t *testing.T) {
 	if rep.Steady.Classes == 0 || rep.Steady.Classes > 64 {
 		t.Fatalf("steady classes %d out of [1, 64]", rep.Steady.Classes)
 	}
-	if rep.Churn.MeasuredOps == 0 {
-		t.Fatal("no measured churn ops")
+	// Open loop: every scheduled op is issued and answered, however late.
+	// (The achieved rate is whatever the host allows beside the packages
+	// `go test ./...` runs in parallel, so it is logged, not asserted.)
+	plan, _ := planWindow(cfg.Pop, cfg.Flows, cfg.Warmup+cfg.Measure, cfg.TargetRPS)
+	if got := rep.Churn.WarmupOps + rep.Churn.MeasuredOps; got != len(plan) || rep.Churn.MeasuredOps == 0 {
+		t.Fatalf("%d churn ops answered (%d measured) of %d scheduled", got, rep.Churn.MeasuredOps, len(plan))
 	}
-	ad := rep.Churn.Ops["admit"]
-	if ad.Count == 0 || ad.P50 <= 0 || ad.Errors > 0 {
+	answered := 0
+	for kind, st := range rep.Churn.Ops {
+		if st.Errors > 0 {
+			t.Errorf("%s: %d errors", kind, st.Errors)
+		}
+		answered += st.Count
+	}
+	if answered != rep.Churn.MeasuredOps {
+		t.Errorf("per-kind counts sum to %d, measured %d", answered, rep.Churn.MeasuredOps)
+	}
+	if ad := rep.Churn.Ops["admit"]; ad.Count == 0 || ad.P50 <= 0 {
 		t.Fatalf("bad admit stats: %+v", ad)
 	}
-	// In-process at this scale the harness must keep pace: achieved within
-	// 30% of target.
-	if rep.Churn.AchievedRPS < 0.7*rep.Churn.TargetRPS {
-		t.Fatalf("achieved %.1f rps vs target %.1f", rep.Churn.AchievedRPS, rep.Churn.TargetRPS)
-	}
+	t.Logf("achieved %.1f rps vs target %.1f, lateness p99 %v", rep.Churn.AchievedRPS, rep.Churn.TargetRPS, rep.Churn.Lateness.P99)
 
 	// The target's flight recorder feeds a per-phase breakdown: single-flow
 	// admissions always pass precheck and the combiner queue.

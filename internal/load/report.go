@@ -119,9 +119,9 @@ func (r *Report) BenchText() string {
 			strings.ToUpper(kind[:1])+kind[1:], st.Count,
 			st.Mean.Nanoseconds(), st.P50.Nanoseconds(), st.P99.Nanoseconds(), st.Max.Nanoseconds())
 	}
-	fmt.Fprintf(&b, "BenchmarkNcloadPacing %d %.1f target-rps %.1f achieved-rps %d lateness-p99-ns %d final-flows %d clients %d commit-conflicts\n",
+	fmt.Fprintf(&b, "BenchmarkNcloadPacing %d %.1f target-rps %.1f achieved-rps %d lateness-p99-ns %d final-flows %d clients\n",
 		maxInt(r.Churn.MeasuredOps, 1), r.Churn.TargetRPS, r.Churn.AchievedRPS,
-		r.Churn.Lateness.P99.Nanoseconds(), r.Final.Flows, r.Churn.Clients, r.Final.CommitConflicts)
+		r.Churn.Lateness.P99.Nanoseconds(), r.Final.Flows, r.Churn.Clients)
 	phases := make([]string, 0, len(r.Churn.Phases))
 	for p := range r.Churn.Phases {
 		phases = append(phases, p)

@@ -35,12 +35,10 @@ type TargetStats struct {
 	HeapAlloc uint64 `json:"heap_alloc_bytes"`
 	HeapSys   uint64 `json:"heap_sys_bytes"`
 	// EpochMax and EpochDistinctNodes summarize the per-node modification
-	// epochs; CommitConflicts counts failed optimistic validate-and-commit
-	// sections (zero when concurrent traffic never overlapped). Older
-	// ncadmitd builds omit these healthz fields; they default to zero.
+	// epochs. Older ncadmitd builds omit these healthz fields; they default
+	// to zero.
 	EpochMax           uint64 `json:"epoch_max"`
 	EpochDistinctNodes int    `json:"epoch_distinct_nodes"`
-	CommitConflicts    uint64 `json:"commit_conflicts"`
 }
 
 // Target abstracts where the load lands: the in-process controller or a
@@ -114,7 +112,6 @@ func (t InProc) Stats() (TargetStats, error) {
 		HeapSys:            m.HeapSys,
 		EpochMax:           emax,
 		EpochDistinctNodes: edistinct,
-		CommitConflicts:    t.C.CommitConflicts(),
 	}, nil
 }
 
@@ -275,7 +272,6 @@ func (t *HTTP) Stats() (TargetStats, error) {
 		HeapSys            uint64 `json:"heap_sys_bytes"`
 		EpochMax           uint64 `json:"epoch_max"`
 		EpochDistinctNodes int    `json:"epoch_distinct_nodes"`
-		CommitConflicts    uint64 `json:"commit_conflicts"`
 	}
 	if err := json.Unmarshal(out, &h); err != nil {
 		return TargetStats{}, fmt.Errorf("GET /healthz: %w", err)
