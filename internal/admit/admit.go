@@ -23,8 +23,11 @@
 //     of the per-node report — on its path with the co-resident contributions
 //     as cross traffic, and every co-resident flow sharing a node is
 //     re-checked with the candidate's contributions added. Only if all SLOs
-//     hold is the candidate committed. Reservations alone come from a full
-//     core.Analyze, of the flow on the pristine platform.
+//     hold is the candidate committed. A co-resident class that the paper's
+//     closed form (core.ClosedForm, a few scalars per hop, never better than
+//     core.Bound) already shows to be clear of its SLO skips that re-check.
+//     Reservations alone come from a full core.Analyze, of the flow on the
+//     pristine platform.
 //
 // # Scaling: flow classes
 //
@@ -60,7 +63,8 @@
 // and revalidation overlap it, and a set that fits commits under the write
 // lock. Nothing can go stale in between — only the role holder writes — so
 // only analysed states ever commit, with no assumption that the bounds are
-// monotone in cross traffic (the job-aggregation cliff breaks monotonicity).
+// monotone in cross traffic (the blind rung's are; the θ choices of the fifo
+// and tight rungs carry no such guarantee).
 // (PRs 6–20 ran an optimistic validate/retry/fallback protocol here against
 // AdmitBatch calls racing the leader; the role made it unreachable.) Both
 // locks are released by defer, so a panic inside an analysis cannot wedge the

@@ -14,10 +14,10 @@ import (
 // crypto stage (the natural bottleneck), and an uplink.
 func testPlatform(t *testing.T) *Controller {
 	t.Helper()
-	// Jobs are small (one packet) so delay bounds degrade monotonically
-	// with cross traffic: large JobIn values sit on the model's
-	// job-aggregation cliff, where extra cross traffic can re-inflate the
-	// propagated burst past JobIn and remove the aggregation-delay term.
+	// Jobs are one packet, the grain the tenants deliver, so no node charges
+	// a job-fill latency: a JobIn above the upstream grain costs every flow
+	// JobIn/rate whatever the cross traffic (core/analysis.go, the grain
+	// rule), which for these tenants would dwarf the SLOs under test.
 	c, err := New("edge", []core.Node{
 		{Name: "ingest", Rate: 200 * units.MiBPerSec, Latency: 200 * time.Microsecond,
 			JobIn: 4 * units.KiB, JobOut: 4 * units.KiB, MaxPacket: 4 * units.KiB},

@@ -13,12 +13,14 @@ package admit
 //
 // Soundness never relies on bound monotonicity in cross traffic: every
 // commit is an atomic set, so intermediate admission orders never exist —
-// only explicitly verified states are ever committed. (Greediness does: in
-// the model's non-monotone corners — see the job-aggregation cliff notes in
-// the tests — the committed prefix may be smaller than what sequential
-// admission would have reached.) Relative order within the batch is
-// preserved, so on a quiescent registry the sequence of committed states is
-// a deterministic function of (registry state, batch).
+// only explicitly verified states are ever committed. (Greediness does: the
+// bisection finds the largest prefix that fits only where fitting is monotone
+// in the prefix. The blind rung's bounds are isotone in cross traffic — core's
+// TestClosedFormDominatesBound pins it — but the fifo and tight rungs choose
+// their θ per state and promise no such thing, so there the committed prefix
+// may be smaller than what sequential admission would have reached.) Relative
+// order within the batch is preserved, so on a quiescent registry the sequence
+// of committed states is a deterministic function of (registry state, batch).
 //
 // This is the bulk-ramp path for cmd/ncload: populating a million-flow
 // registry through AdmitBatch costs O(batches × classes) analyses instead
@@ -74,8 +76,8 @@ func (c *Controller) decideBatch(rem []cand, out []Verdict, tr *decTrace) {
 				deliver(rem[:lo], fits)
 				rem = rem[lo:]
 			}
-			// The boundary flow alone: an exact refusal, or — in the model's
-			// non-monotone corners — an admission after all.
+			// The boundary flow alone: an exact refusal, or — where the
+			// bounds are not monotone — an admission after all.
 			d = c.transact(rem[:1], tr)
 		}
 		deliver(rem[:1], d)
@@ -155,6 +157,7 @@ func (c *Controller) observeBatch(out []Verdict, tr *decTrace) {
 			"admitted", admitted,
 			"rejected", rejected,
 			"decision_us", took.Microseconds(),
+			"victims_screened", rec.VictimsScreened,
 		)
 	}
 }

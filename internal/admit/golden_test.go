@@ -26,8 +26,9 @@ const goldenTol = 1e-9
 
 // goldenPlatform is a three-stage platform small enough that a few dozen
 // population flows exhaust it, so the programs meet every rejection kind
-// (saturation, the flow's own SLO, a victim's SLO). One-packet jobs keep the
-// bounds off the job-aggregation cliff.
+// (saturation, the flow's own SLO, a victim's SLO). One-packet jobs at every
+// stage: no node collects more than its upstream delivers, so none charges a
+// job-fill latency.
 func goldenPlatform(t *testing.T, rung core.Rung) *admit.Controller {
 	t.Helper()
 	node := func(name string, rate units.Rate, lat time.Duration) core.Node {
@@ -83,8 +84,9 @@ func goldenLine(op, id string, v admit.Verdict) string {
 // runGoldenProgram drives one seeded program — a ramp through AdmitBatch,
 // then planned churn through Admit/Release/Recheck — and returns one line
 // per answer plus the surviving flow set. After every step the registry is
-// revalidated against a simulated replay: an admission that breaks an
-// earlier promise fails here whatever the goldens say.
+// revalidated against a simulated replay and every admitted flow is rechecked
+// against its SLO by the exact analysis: an admission that breaks an earlier
+// promise fails here whatever the goldens say.
 func runGoldenProgram(t *testing.T, seed uint64, rung core.Rung) []string {
 	t.Helper()
 	const (
@@ -109,6 +111,7 @@ func runGoldenProgram(t *testing.T, seed uint64, rung core.Rung) []string {
 				t.Errorf("%s: flow %s: %s", step, fr.FlowID, viol)
 			}
 		}
+		recheckAll(t, c, step)
 	}
 
 	var lines []string

@@ -56,6 +56,7 @@ type ctrlObs struct {
 	groupSize  *obs.Histogram
 	sloFast    *obs.Counter
 	internal   *obs.Counter
+	screened   *obs.Counter
 
 	// Sliding windows: every decision, and the slow (objective-violating)
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
@@ -127,6 +128,8 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			"decisions completing within the latency objective"),
 		internal: reg.Counter("nc_admit_internal_errors_total",
 			"combiner groups that panicked and were answered with \"internal\" rejections (nothing committed)"),
+		screened: reg.Counter("nc_admit_victims_screened_total",
+			"victim classes cleared by the closed-form screen without an analysis"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}
@@ -339,6 +342,7 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 			"epoch", v.Epoch,
 			"cached", v.Cached,
 			"decision_us", took.Microseconds(),
+			"victims_screened", rec.VictimsScreened,
 		}
 		if v.Admitted {
 			attrs = append(attrs,

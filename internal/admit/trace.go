@@ -48,7 +48,8 @@ type decTrace struct {
 	span     *obs.Span
 	kind     string
 	group    int // combiner group size this decision rode in (0 = none)
-	victims  int // victim classes analyzed
+	victims  int // victim classes considered
+	screened int // of those, cleared by the closed-form screen without an analysis
 	deps     []NodeEpoch
 	batchN   int // batch decisions: flows offered
 	batchAdm int // batch decisions: flows admitted
@@ -78,6 +79,19 @@ func (tr *decTrace) noteVictim() {
 	}
 }
 
+// noteScreened counts one victim the closed-form screen cleared, on the
+// decision and on nc_admit_victims_screened_total. tr is non-nil whenever a
+// sink is attached.
+func (c *Controller) noteScreened(tr *decTrace) {
+	if tr == nil {
+		return
+	}
+	tr.screened++
+	if m := c.obsm; m != nil {
+		m.screened.Inc()
+	}
+}
+
 func (tr *decTrace) noteGroup(n int) {
 	if tr != nil {
 		tr.group = n
@@ -103,6 +117,7 @@ func (tr *decTrace) absorb(g *decTrace) {
 	}
 	tr.span.Absorb(g.span)
 	tr.victims += g.victims
+	tr.screened += g.screened
 	tr.rungCombos += g.rungCombos
 	tr.rungPruned += g.rungPruned
 	if g.deps != nil {
@@ -152,8 +167,12 @@ type DecisionRecord struct {
 
 	GroupSize int `json:"group_size,omitempty"`
 
-	VictimsChecked int         `json:"victims_checked,omitempty"`
-	Nodes          []NodeEpoch `json:"nodes,omitempty"`
+	// VictimsChecked counts the admitted classes the decision considered as
+	// victims; VictimsScreened, how many of them the closed-form screen
+	// cleared without an analysis. The difference ran core.Bound.
+	VictimsChecked  int         `json:"victims_checked,omitempty"`
+	VictimsScreened int         `json:"victims_screened,omitempty"`
+	Nodes           []NodeEpoch `json:"nodes,omitempty"`
 
 	// RungCombos/RungPruned are the tight rung's θ-lattice search effort
 	// summed over every analysis this decision consulted (candidate plus
@@ -172,17 +191,18 @@ type DecisionRecord struct {
 // marked the final phase already, so Total covers every recorded phase.
 func (tr *decTrace) record(total time.Duration) DecisionRecord {
 	return DecisionRecord{
-		Kind:           tr.kind,
-		Start:          tr.span.Start(),
-		Total:          total,
-		Phases:         tr.span.Phases(),
-		GroupSize:      tr.group,
-		VictimsChecked: tr.victims,
-		Nodes:          tr.deps,
-		RungCombos:     tr.rungCombos,
-		RungPruned:     tr.rungPruned,
-		BatchFlows:     tr.batchN,
-		BatchAdmitted:  tr.batchAdm,
+		Kind:            tr.kind,
+		Start:           tr.span.Start(),
+		Total:           total,
+		Phases:          tr.span.Phases(),
+		GroupSize:       tr.group,
+		VictimsChecked:  tr.victims,
+		VictimsScreened: tr.screened,
+		Nodes:           tr.deps,
+		RungCombos:      tr.rungCombos,
+		RungPruned:      tr.rungPruned,
+		BatchFlows:      tr.batchN,
+		BatchAdmitted:   tr.batchAdm,
 	}
 }
 

@@ -95,6 +95,36 @@ func (d *decision) crossAt(sh *shard) *nodeCross {
 	return nc
 }
 
+// screenSlack is the relative margin by which core.ClosedForm must clear every
+// dimension of a victim's SLO for the victim to skip its analysis.
+const screenSlack = 1e-6
+
+// screened reports that admitted class cs provably keeps its SLO at d's final
+// state, by arithmetic alone: core.ClosedForm over the class's path, every
+// node carrying its whole aggregate (one member more than the without(self)
+// an analysis subtracts — more cross traffic only worsens the closed form),
+// bounds what core.Bound would return at any rung. False means "analyse it",
+// never "it fails". It pins the path like check does. The registry lock must
+// be held in either mode.
+func (d *decision) screened(c *Controller, cs *classState) bool {
+	d.addPath(c, cs.path)
+	var onStack [8]core.Node // longer paths spill to the heap
+	hops := onStack[:0]
+	for _, name := range cs.path {
+		sh := c.shards[name]
+		n, agg := sh.node, d.crossAt(sh).total
+		n.CrossRate += agg.Rate
+		n.CrossBurst += agg.Burst
+		hops = append(hops, n)
+	}
+	delay, backlog, throughput, ok := core.ClosedForm(cs.arrival, hops)
+	const worse = 1 + screenSlack
+	return ok &&
+		(cs.slo.MaxDelay <= 0 || delay*worse <= cs.slo.MaxDelay.Seconds()) &&
+		(cs.slo.MaxBacklog <= 0 || backlog*worse <= cs.slo.MaxBacklog) &&
+		(cs.slo.MinThroughput <= 0 || throughput >= cs.slo.MinThroughput*worse)
+}
+
 // depList flattens the dependency set for the verdict cache.
 func (d *decision) depList() []nodeDep {
 	out := make([]nodeDep, 0, len(d.deps))
@@ -110,11 +140,13 @@ func (d *decision) depList() []nodeDep {
 // constraint), then every admitted class sharing a node with the additions
 // (yielding "victim:<id>"). Each class is analysed once — its members are
 // interchangeable — at the rung it is or was admitted at, with one of its
-// own members left out of the cross traffic. A single Admit is the set of
-// one. The caller must hold the writer role and the registry lock, in either
-// mode; precheck must have passed for every candidate. Nothing in a refusal
-// mentions a candidate's ID: it is cached and replayed for any flow of the
-// same class.
+// own members left out of the cross traffic; a victim the closed-form screen
+// clears (decision.screened) is passed without an analysis, which changes no
+// verdict because a victim's bounds are never reported. A single Admit is the
+// set of one. The caller must hold the writer role and the registry lock, in
+// either mode; precheck must have passed for every candidate. Nothing in a
+// refusal mentions a candidate's ID: it is cached and replayed for any flow of
+// the same class.
 func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	d := &decision{
 		epoch: c.epoch.Load(),
@@ -201,6 +233,10 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			continue
 		}
 		tr.noteVictim()
+		if d.screened(c, cs) {
+			c.noteScreened(tr)
+			continue
+		}
 		_, bad, err := check(cs.arrival, cs.path, cs.slo, k)
 		// Only a refused set of one class is ever reported; its rung is that
 		// class's.

@@ -473,6 +473,80 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	return a, nil
 }
 
+// closedFormMargin is how far, relatively, every hop must sit from saturation
+// for ClosedForm to answer: the arrival rate below the hop's residual rate,
+// and the residual rate above zero as a share of the node's own. Nearer than
+// this the curve engine's tolerances decide on which side of overload a
+// pipeline falls.
+const closedFormMargin = 1e-6
+
+// ClosedForm is analyzeWith's chain pass in scalars: the paper's closed form
+// d = T_tot + b'/R_β, x = b' + R_α·T_tot for a leaky-bucket flow over
+// rate-latency hops, with this model's per-hop terms. Hop i, input-referred
+// by the upstream gain product g, has the blind residual rate
+// Rᵢ = (Rate − CrossRate)/g and the latency
+//
+//	Tᵢ = (CrossBurst/g + (Rate/g)·Latency)/Rᵢ   (Latency itself without cross traffic)
+//	   + (MaxPacket/g)/Rᵢ                        (the packetizer's [β − l_max]⁺)
+//	   + (JobIn/g)/r when JobIn exceeds the upstream grain, as in analyzeWith,
+//
+// and the chain is RateLatency(min Rᵢ, ΣTᵢ) — exactly the blind rung's
+// concatenated chain curve, which every fifo and tight chain dominates
+// pointwise (the invariant behind curve.FIFOThetaMax). (r, b) is the arrival
+// bucket of smallest rate: any bucket majorises the envelope, this one also
+// has its ultimate slope; b' = b + MaxPacket. So, in seconds, bytes and
+// bytes per second,
+//
+//	delay = ΣTᵢ + b'/min Rᵢ   backlog = b' + r·ΣTᵢ   throughput = min(r, min Rᵢ)
+//
+// are no better than what Bound returns for the same pipeline at any rung.
+// ok is false — and the other results meaningless — unless at every hop
+// r < Rᵢ(1 − ε) and Rᵢ > ε·Rate/g: overload, starvation and near-saturation
+// are the analysis's to judge. (Where it answers, analyzeWith's clipped
+// arrival rate min(r, R₁…Rᵢ₋₁) is r itself.) arr and nodes must be valid but
+// for that. It allocates nothing: the admission controller clears with it
+// every victim that is nowhere near its SLO.
+func ClosedForm(arr Arrival, nodes []Node) (delay float64, backlog units.Bytes, throughput units.Rate, ok bool) {
+	if len(nodes) == 0 {
+		return 0, 0, 0, false
+	}
+	r, b := float64(arr.Rate), float64(arr.Burst)
+	for _, e := range arr.Extra {
+		if er, eb := float64(e.Rate), float64(e.Burst); er < r || (er == r && eb < b) {
+			r, b = er, eb
+		}
+	}
+	b += float64(arr.MaxPacket)
+	grain := math.Inf(1)
+	if arr.MaxPacket > 0 {
+		grain = float64(arr.MaxPacket)
+	}
+	gain, minR, sumT := 1.0, math.Inf(1), 0.0
+	for _, n := range nodes {
+		full := float64(n.Rate) / gain
+		R := full - float64(n.CrossRate)/gain
+		if R <= closedFormMargin*full || r >= R*(1-closedFormMargin) {
+			return 0, 0, 0, false
+		}
+		T := secs(n.Latency)
+		if T > 0 {
+			T = math.Max(T, curve.MinLatency) // as curve.RateLatency builds it
+		}
+		if n.CrossRate > 0 {
+			T = (float64(n.CrossBurst)/gain + full*T) / R
+		}
+		T += float64(n.MaxPacket) / gain / R
+		if float64(n.JobIn) > grain*(1+1e-12) {
+			T += float64(n.JobIn) / gain / r
+		}
+		sumT += T
+		minR = math.Min(minR, R)
+		gain *= n.Gain()
+		grain = math.Max(float64(n.JobOut), float64(n.MaxPacket)*n.Gain())
+	}
+	return sumT + b/minR, units.Bytes(b + r*sumT), units.Rate(math.Min(r, minR)), true
+}
+
 // ConcatenatedBeta returns the min-plus concatenation of the per-node
 // packetized service curves, with each node's aggregation delay inserted as
 // a pure-delay element. Unlike the folded rate-latency Beta (the paper's

@@ -223,12 +223,21 @@ func Affine(rate, burst float64) Curve {
 // RateLatency returns the rate-latency service curve
 //
 //	beta(t) = rate * max(0, t-latency).
+//
+// A positive latency below MinLatency is rounded up to it.
 func RateLatency(rate, latency float64) Curve {
 	if latency <= 0 {
 		return newOwned(0, []Segment{{0, 0, rate}})
 	}
-	return newOwned(0, []Segment{{0, 0, 0}, {latency, 0, rate}})
+	return newOwned(0, []Segment{{0, 0, 0}, {math.Max(latency, MinLatency), 0, rate}})
 }
+
+// MinLatency is the shortest positive latency RateLatency represents.
+// normalize takes two breakpoints within absEps of each other for one, so a
+// knee nearer the origin than that would overwrite the origin segment (and
+// fail validation). Rounding goes up, never down to zero: a service curve may
+// only get lower.
+const MinLatency = 2 * eps
 
 // Line returns the curve rate*t (an affine curve with zero burst).
 func Line(rate float64) Curve { return Affine(rate, 0) }

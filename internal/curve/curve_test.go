@@ -320,3 +320,29 @@ func TestValidateToleratesMergeDrift(t *testing.T) {
 	}()
 	New(0, []Segment{a, b, {X: 2, Y: bEnd - 100*tol, Slope: 500}})
 }
+
+// A rate-latency curve whose latency falls within normalize's x-resolution
+// of the origin used to lose its origin segment and panic in validation. It
+// is built with the latency rounded up to MinLatency — never down to zero: a
+// service curve may only get lower.
+func TestRateLatencySubResolutionLatency(t *testing.T) {
+	for _, rate := range []float64{1, 1e6, 1e11} {
+		for _, lat := range []float64{1e-12, 1e-9, 1e-9 * (1 + 1e-9), 1.5e-9} {
+			c := RateLatency(rate, lat)
+			if got := c.Latency(); got != MinLatency {
+				t.Errorf("RateLatency(%g, %g): latency %g, want %g", rate, lat, got, MinLatency)
+			}
+			for _, x := range []float64{0, lat, MinLatency, 1e-6, 1} {
+				if exact := rate * math.Max(0, x-lat); c.Value(x) > exact*(1+1e-12) {
+					t.Errorf("RateLatency(%g, %g)(%g) = %g above the exact %g", rate, lat, x, c.Value(x), exact)
+				}
+			}
+		}
+		if got := RateLatency(rate, 2e-9).Latency(); got != 2e-9 {
+			t.Errorf("RateLatency(%g, 2e-9): latency %g, want it kept", rate, got)
+		}
+		if got := RateLatency(rate, 0).Latency(); got != 0 {
+			t.Errorf("RateLatency(%g, 0): latency %g, want 0", rate, got)
+		}
+	}
+}
