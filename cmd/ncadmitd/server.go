@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,9 +118,8 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /admit", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r, 1<<20)
+		if !ok {
 			return
 		}
 		f, err := parseFlowBody(body)
@@ -139,9 +139,8 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 	mux.HandleFunc("POST /admit/batch", func(w http.ResponseWriter, r *http.Request) {
 		// Batch bodies carry whole populations; allow up to 64 MiB (a
 		// million-flow ramp arrives as ~60 batches of 16k flows each).
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<26))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r, 1<<26)
+		if !ok {
 			return
 		}
 		wire, err := spec.ParseFlows(body)
@@ -263,20 +262,17 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 		st := c.Stats()
 		var mem runtime.MemStats
 		runtime.ReadMemStats(&mem)
-		// epoch is the coarse global commit counter; epoch_max and
-		// epoch_distinct_nodes summarize the per-node modification epochs in
-		// one O(nodes) pass (the epoch vector itself is on /metrics as
-		// nc_node_epoch).
+		// epoch is the global commit counter: it steps once per committed
+		// transaction or release, and a cached verdict is valid only at the
+		// epoch it was decided at.
 		health := map[string]any{
-			"ok":                   true,
-			"platform":             c.Name(),
-			"epoch":                c.Epoch(),
-			"epoch_max":            st.EpochMax,
-			"epoch_distinct_nodes": st.EpochDistinctNode,
-			"flows":                c.FlowCount(),
-			"classes":              c.ClassCount(),
-			"heap_alloc_bytes":     mem.HeapAlloc,
-			"heap_sys_bytes":       mem.HeapSys,
+			"ok":               true,
+			"platform":         c.Name(),
+			"epoch":            c.Epoch(),
+			"flows":            c.FlowCount(),
+			"classes":          c.ClassCount(),
+			"heap_alloc_bytes": mem.HeapAlloc,
+			"heap_sys_bytes":   mem.HeapSys,
 			"caches": map[string]any{
 				"verdict": map[string]any{
 					"hits":     st.VerdictHits,
@@ -390,6 +386,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// readBody reads r's body up to limit bytes. A longer body is answered 413,
+// any other read error 400; ok is false once an error has been written.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
+		return nil, false
+	}
+	return body, true
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -176,6 +177,40 @@ func TestAPIBadRequests(t *testing.T) {
 	var res residualJSON
 	if code := getJSON(t, ts, "/nodes/gpu/residual", &res); code != http.StatusNotFound {
 		t.Errorf("unknown node: status %d", code)
+	}
+}
+
+// filler is an endless body of 'x' bytes.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestAPIOversizedBodies: a body past a route's limit is refused with 413,
+// not truncated into a 400 parse error.
+func TestAPIOversizedBodies(t *testing.T) {
+	ts := testServer(t)
+	for _, tc := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/admit", 1 << 20},
+		{"/admit/batch", 1 << 26},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", io.LimitReader(filler{}, tc.limit+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%d bytes: status %d, want 413", tc.limit+1, resp.StatusCode)
+			}
+		})
 	}
 }
 
@@ -400,8 +435,11 @@ func TestDecisionsEndpoint(t *testing.T) {
 	if cam.Kind != "admit" || !cam.Admitted || cam.Seq == 0 {
 		t.Errorf("cam-1 record: %+v", *cam)
 	}
-	if len(cam.Phases) == 0 || len(cam.Nodes) == 0 {
-		t.Errorf("cam-1 record lacks phases/nodes: %+v", *cam)
+	if len(cam.Phases) == 0 {
+		t.Errorf("cam-1 record lacks phases: %+v", *cam)
+	}
+	if want := []string{"encrypt", "ingest", "uplink"}; !reflect.DeepEqual(cam.Nodes, want) {
+		t.Errorf("cam-1 record: nodes read %q, want the sorted path %q", cam.Nodes, want)
 	}
 
 	// ?n= caps the slice; bad values are 400.

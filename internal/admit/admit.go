@@ -68,16 +68,14 @@
 // (PRs 6–20 ran an optimistic validate/retry/fallback protocol here against
 // AdmitBatch calls racing the leader; the role made it unreachable.) Both
 // locks are released by defer, so a panic inside an analysis cannot wedge the
-// controller. Every node carries its own epoch, advanced whenever its hosted
-// reservation set changes: a decision pins the epoch of every node it reads
-// (the paths of the classes gaining members plus the path of every victim
-// class analysed) for the verdict cache and the flight recorder.
+// controller. The platform epoch steps once per committed transaction or
+// release.
 //
 // Two caches keep decisions cheap. Verdict rejections are cached
 // keyed by (arrival-envelope digest, path, SLO, analysis rung) — curve
 // digests rather than spec hashes, so two specs with identical curves share
-// one entry regardless of flow ID — and each entry pins the node epochs its
-// analysis observed, so a commit on a disjoint path invalidates nothing.
+// one entry regardless of flow ID — and an entry is valid only at the epoch
+// it was decided at: any commit or release invalidates every entry.
 // All analyses run through a controller-wide core.Memo, so a candidate, a
 // victim re-check or a standalone reservation never recomputes an identical
 // pipeline. Nothing caches individual curve operations: on the
@@ -224,15 +222,8 @@ func removeKey(keys []verdictKey, k verdictKey) []verdictKey {
 
 // shard holds the per-node slice of controller state. It mutates only under
 // the registry write lock and is read under the registry lock in either mode.
-//
-// epoch is the node's own modification counter: it advances whenever the
-// node's hosted reservation set changes. A decision records the epochs of
-// every node its analysis read and the verdict cache validates its entries
-// against them, so a commit on a disjoint path invalidates nothing.
 type shard struct {
 	node   core.Node
-	idx    int // position in Controller.byIdx (dense epoch addressing)
-	epoch  atomic.Uint64
 	cross  nodeCross // the hosted classes' reservations, summed (cross.go)
 	nflows int       // total members hosted (sum of term counts)
 }
@@ -334,7 +325,6 @@ type Controller struct {
 	name   string
 	shards map[string]*shard
 	order  []string // node names in platform order, for stable reports
-	byIdx  []*shard // shards addressed by shard.idx (platform order)
 
 	// rung is the default analysis tightness for flows that do not carry
 	// their own (SetRung; zero value resolves to blind). Set before serving
@@ -348,10 +338,9 @@ type Controller struct {
 	// deterministic victim-check iteration order.
 	classKeys []verdictKey
 
-	// epoch is the coarse global commit counter (one bump per committed
-	// admission, release, or batch transaction) kept for external
-	// observability and snapshot comparison; fine-grained invalidation is
-	// per-node (shard.epoch).
+	// epoch is the global commit counter: one step per committed admission
+	// transaction (a single Admit, a group, a batch) or release. A cached
+	// verdict is valid only at the epoch it carries.
 	epoch atomic.Uint64
 
 	// leaderSem is the writer role (group.go): its holder — the combiner
@@ -368,7 +357,7 @@ type Controller struct {
 	memo *core.Memo
 
 	cacheMu   sync.Mutex
-	cache     map[verdictKey]cacheEntry
+	cache     map[verdictKey]Verdict
 	cacheHits atomic.Uint64
 	cacheMiss atomic.Uint64
 
@@ -394,7 +383,7 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		classes:   make(map[verdictKey]*classState),
 		leaderSem: make(chan struct{}, 1),
 		memo:      core.NewMemo(),
-		cache:     make(map[verdictKey]cacheEntry),
+		cache:     make(map[verdictKey]Verdict),
 	}
 	for i, n := range nodes {
 		if n.Name == "" {
@@ -410,9 +399,7 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		if err := probe.Validate(); err != nil {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
-		sh := &shard{node: n, idx: len(c.byIdx)}
-		c.shards[n.Name] = sh
-		c.byIdx = append(c.byIdx, sh)
+		c.shards[n.Name] = &shard{node: n}
 		c.order = append(c.order, n.Name)
 	}
 	return c, nil
@@ -440,37 +427,9 @@ func (c *Controller) rungFor(f Flow) core.Rung {
 }
 
 // Epoch returns the current platform epoch; it increments on every
-// successful admit or release (once per batch transaction). It is a coarse
-// change detector for snapshots and replays; cache invalidation is scoped
-// by the per-node epochs (see EpochStats).
+// successful admit or release (once per batch transaction). It is the change
+// detector for snapshots, replays and the verdict cache.
 func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
-
-// EpochStats summarizes the per-node epoch vector in O(nodes): the maximum
-// node epoch and the number of distinct epoch values across nodes. A
-// distinct count above 1 is the signature of path-scoped commits — disjoint
-// paths advancing independently instead of every commit touching every
-// node.
-func (c *Controller) EpochStats() (max uint64, distinct int) {
-	seen := make(map[uint64]struct{}, len(c.byIdx))
-	for _, sh := range c.byIdx {
-		e := sh.epoch.Load()
-		if e > max {
-			max = e
-		}
-		seen[e] = struct{}{}
-	}
-	return max, len(seen)
-}
-
-// NodeEpochs returns the per-node epoch of every platform node in
-// declaration order, keyed by node name. O(nodes), lock-free.
-func (c *Controller) NodeEpochs() map[string]uint64 {
-	out := make(map[string]uint64, len(c.byIdx))
-	for _, sh := range c.byIdx {
-		out[sh.node.Name] = sh.epoch.Load()
-	}
-	return out
-}
 
 // NodeNames returns the platform node names in declaration order.
 func (c *Controller) NodeNames() []string { return append([]string(nil), c.order...) }
@@ -532,9 +491,9 @@ func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
 	return c.submit(&ticket{kind: tkAdmit, f: f, key: key, tr: tr}).v
 }
 
-// commit registers flow f (already decided admissible) under class key and
-// advances the epoch of every node the reservation touches. Callers must
-// hold the registry write lock.
+// commit registers flow f (already decided admissible) under class key; the
+// caller steps the epoch once per transaction. Callers must hold the registry
+// write lock.
 func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Bucket, v Verdict) {
 	cs, ok := c.classes[key]
 	if !ok {
@@ -555,9 +514,7 @@ func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Buck
 	cs.verdict = tv
 	c.flows[f.ID] = cs
 	for name, b := range contrib {
-		sh := c.shards[name]
-		sh.insert(key, b, 1)
-		sh.epoch.Add(1)
+		c.shards[name].insert(key, b, 1)
 	}
 }
 
@@ -707,18 +664,15 @@ func (c *Controller) release(id string, tr *decTrace) bool {
 	return c.submit(&ticket{kind: tkRelease, id: id, tr: tr}).ok
 }
 
-// releaseLocked removes an admitted flow, freeing its reservations and
-// advancing the touched nodes' epochs. Callers must hold the registry write
-// lock.
+// releaseLocked removes an admitted flow, freeing its reservations, and steps
+// the epoch. Callers must hold the registry write lock.
 func (c *Controller) releaseLocked(id string) bool {
 	cs, ok := c.flows[id]
 	if !ok {
 		return false
 	}
 	for name := range cs.contrib {
-		sh := c.shards[name]
-		sh.remove(cs.key, 1)
-		sh.epoch.Add(1)
+		c.shards[name].remove(cs.key, 1)
 	}
 	cs.removeID(id)
 	if len(cs.ids) == 0 {
@@ -861,66 +815,39 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 
 // --- Verdict cache ---------------------------------------------------------
 
-// nodeDep pins one node's epoch as observed during an analysis. A set of
-// nodeDeps is a consistency witness: if every pinned epoch still matches
-// the live shard epoch, no state the analysis read has changed since.
-type nodeDep struct {
-	idx   int
-	epoch uint64
-}
-
-// cacheEntry is one cached (rejection) verdict plus the epochs of every
-// node its analysis read. The entry stays valid exactly as long as those
-// nodes are untouched — commits and releases on disjoint paths invalidate
-// nothing.
-type cacheEntry struct {
-	v    Verdict
-	deps []nodeDep
-}
-
-// cachedVerdict returns a stored verdict whose node dependencies are all
-// still at their recorded epochs. Only rejections are ever stored: an
-// admission commits state, so replaying it from a cache would skip the
-// commit.
+// cachedVerdict returns a stored verdict decided at the current epoch. Only
+// rejections are ever stored: an admission commits state, so replaying it
+// from a cache would skip the commit.
 func (c *Controller) cachedVerdict(key verdictKey) (Verdict, bool) {
 	c.cacheMu.Lock()
-	e, ok := c.cache[key]
-	c.cacheMu.Unlock()
-	if ok {
-		for _, d := range e.deps {
-			if c.byIdx[d.idx].epoch.Load() != d.epoch {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			// Stale: drop it so the map doesn't accumulate dead entries.
-			c.cacheMu.Lock()
-			delete(c.cache, key)
-			c.cacheMu.Unlock()
-		}
+	v, ok := c.cache[key]
+	if ok && v.Epoch != c.epoch.Load() {
+		// Stale: drop it so the map doesn't accumulate dead entries.
+		delete(c.cache, key)
+		ok = false
 	}
+	c.cacheMu.Unlock()
 	if !ok {
 		c.cacheMiss.Add(1)
 		return Verdict{}, false
 	}
 	c.cacheHits.Add(1)
-	e.v.Cached = true
-	return e.v, true
+	v.Cached = true
+	return v, true
 }
 
-// storeVerdict caches a rejection against the node epochs its analysis
-// observed (deps, as recorded by the sweep). The caller holds the writer
-// role, so those epochs are still the live ones.
-func (c *Controller) storeVerdict(key verdictKey, deps []nodeDep, v Verdict) {
+// storeVerdict caches a rejection decided at v.Epoch. The caller holds the
+// writer role, so nothing has committed since and v.Epoch is still the live
+// epoch.
+func (c *Controller) storeVerdict(key verdictKey, v Verdict) {
 	v.Cached = false
 	v.FlowID = "" // the stored verdict is ID-independent
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
 	if len(c.cache) >= 8192 {
-		c.cache = make(map[verdictKey]cacheEntry)
+		c.cache = make(map[verdictKey]Verdict)
 	}
-	c.cache[key] = cacheEntry{v: v, deps: deps}
+	c.cache[key] = v
 }
 
 // Stats is a snapshot of the controller's cache and memo effectiveness, for
@@ -929,7 +856,7 @@ type Stats struct {
 	// Registry cardinality: admitted flows and distinct flow classes.
 	Flows   int `json:"flows"`
 	Classes int `json:"classes"`
-	// Verdict cache (epoch-scoped, digest-keyed).
+	// Verdict cache (valid at one epoch, digest-keyed).
 	VerdictHits    uint64 `json:"verdict_hits"`
 	VerdictMisses  uint64 `json:"verdict_misses"`
 	VerdictEntries int    `json:"verdict_entries"`
@@ -937,9 +864,6 @@ type Stats struct {
 	AnalysisHits    uint64 `json:"analysis_hits"`
 	AnalysisMisses  uint64 `json:"analysis_misses"`
 	AnalysisEntries int    `json:"analysis_entries"`
-	// The per-node epoch summary (see EpochStats).
-	EpochMax          uint64 `json:"epoch_max"`
-	EpochDistinctNode int    `json:"epoch_distinct_nodes"`
 }
 
 // Stats reports cumulative cache counters.
@@ -955,6 +879,5 @@ func (c *Controller) Stats() Stats {
 	s.VerdictEntries = len(c.cache)
 	c.cacheMu.Unlock()
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	s.EpochMax, s.EpochDistinctNode = c.EpochStats()
 	return s
 }

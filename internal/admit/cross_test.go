@@ -85,7 +85,7 @@ func randomBucket(rng *rand.Rand) core.Bucket {
 func newCrossPopulation(rng *rand.Rand, classes int) *crossPopulation {
 	p := &crossPopulation{contrib: make(map[verdictKey]map[string]core.Bucket)}
 	for i := 0; i < 4; i++ {
-		p.shards = append(p.shards, &shard{node: core.Node{Name: fmt.Sprintf("n%d", i)}, idx: i})
+		p.shards = append(p.shards, &shard{node: core.Node{Name: fmt.Sprintf("n%d", i)}})
 	}
 	for len(p.keys) < classes {
 		p.admit(p.newClass(rng), 1+rng.Intn(3)*rng.Intn(40))

@@ -26,10 +26,9 @@ var GroupSizeBuckets = obs.ExponentialBuckets(1, 2, 8)
 // ObsOptions tunes EnableObsOpts. The zero value is the recommended
 // production default.
 type ObsOptions struct {
-	// PerNodeMetrics opts into the per-node gauge families (nc_node_epoch,
-	// nc_node_utilization, ...): one series per platform node per family,
-	// unbounded cardinality at 10k+ nodes. Off by default; the aggregate
-	// nc_admit_epoch_max/_distinct_nodes gauges are always exported.
+	// PerNodeMetrics opts into the per-node gauge families
+	// (nc_node_utilization, nc_node_flows, ...): one series per platform node
+	// per family, unbounded cardinality at 10k+ nodes. Off by default.
 	PerNodeMetrics bool
 	// SLOObjective is the decision-latency objective: decisions at or under
 	// it count as "fast" for the SLO instruments. Default 100ms.
@@ -224,8 +223,6 @@ func (c *Controller) collect(r *obs.Registry) {
 		r.Gauge(name, help, labels...).Set(v)
 	}
 	set("nc_admit_epoch", "platform epoch (bumps on every commit/release)", float64(c.Epoch()))
-	set("nc_admit_epoch_max", "highest per-node epoch (modification counter of the busiest node)", float64(st.EpochMax))
-	set("nc_admit_epoch_distinct_nodes", "number of distinct per-node epoch values across the platform", float64(st.EpochDistinctNode))
 	set("nc_admit_flows", "currently admitted flows", float64(st.Flows))
 	set("nc_admit_classes", "distinct admitted flow classes (shared curves+path+SLO)", float64(st.Classes))
 
@@ -249,7 +246,6 @@ func (c *Controller) collect(r *obs.Registry) {
 		burst := agg.Burst + sh.node.CrossBurst
 
 		l := obs.Label{Key: "node", Value: name}
-		set("nc_node_epoch", "per-node modification epoch (bumps when the node's aggregate changes)", float64(sh.epoch.Load()), l)
 		set("nc_node_reserved_rate_bytes_per_second", "aggregate reserved cross-traffic rate (local units)", float64(reserved), l)
 		set("nc_node_reserved_burst_bytes", "aggregate reserved cross-traffic burst (local units)", float64(burst), l)
 		set("nc_node_flows", "flows holding reservations on the node", float64(nflows), l)

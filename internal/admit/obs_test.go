@@ -130,7 +130,8 @@ func TestOpTimerCostContract(t *testing.T) {
 }
 
 // TestObsPerNodeDefaultOff: without the PerNodeMetrics opt-in, a scrape
-// carries the aggregate epoch gauges but no per-node series.
+// carries the platform epoch but no per-node series, and no per-node epoch
+// summary.
 func TestObsPerNodeDefaultOff(t *testing.T) {
 	defer curve.SetOpTimer(nil)
 	c := testPlatform(t)
@@ -142,10 +143,11 @@ func TestObsPerNodeDefaultOff(t *testing.T) {
 	if strings.Contains(text, "nc_node_") {
 		t.Error("per-node series exported without opt-in")
 	}
-	for _, want := range []string{"nc_admit_epoch_max", "nc_admit_epoch_distinct_nodes"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("scrape missing aggregate gauge %q", want)
-		}
+	if !strings.Contains(text, "nc_admit_epoch ") {
+		t.Error("scrape missing nc_admit_epoch")
+	}
+	if strings.Contains(text, "nc_admit_epoch_") {
+		t.Error("scrape exports an epoch summary beside nc_admit_epoch")
 	}
 }
 

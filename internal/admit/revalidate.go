@@ -66,9 +66,7 @@ type RevalidateReport struct {
 //
 // The snapshot is taken once up front: admissions or releases that commit
 // while the batch runs are not reflected (compare Report.Epoch with
-// Controller.Epoch — the coarse global commit counter, which bumps on every
-// commit or release regardless of which nodes changed — to detect that; the
-// finer per-node epochs only drive verdict-cache invalidation).
+// Controller.Epoch, which steps on every commit or release, to detect that).
 func (c *Controller) RevalidateAll(opt RevalidateOptions) (*RevalidateReport, error) {
 	c.mu.RLock()
 	epoch := c.epoch.Load()

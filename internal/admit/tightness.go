@@ -18,11 +18,10 @@ type Tightness struct {
 	// Rung is the analysis tightness rung the bounds were computed at (the
 	// rung the flow was admitted with).
 	Rung string
-	// Epoch is the global platform epoch (the coarse per-commit counter, not
-	// a per-node epoch) the comparison was taken at. The analytic bounds are
-	// recomputed at this epoch (under the co-resident reservations of the
-	// moment), not copied from the possibly older admission verdict — both
-	// sides of the comparison must see the same platform state.
+	// Epoch is the platform epoch the comparison was taken at. The analytic
+	// bounds are recomputed at this epoch (under the co-resident reservations
+	// of the moment), not copied from the possibly older admission verdict —
+	// both sides of the comparison must see the same platform state.
 	Epoch uint64
 
 	// Delay: analytic HDev bound vs. the replayed sojourn distribution.

@@ -1,7 +1,6 @@
 package admit
 
 import (
-	"sort"
 	"time"
 
 	"streamcalc/internal/obs"
@@ -11,12 +10,12 @@ import (
 // call carries a decTrace through the combiner and the admission
 // transaction, recording a contiguous phase breakdown (queue wait, leader
 // drain, analysis, victim sweep, commit) plus the outcome metadata a
-// postmortem needs — verdict, victim counts, and the per-node epochs the
-// analysis pinned. Finished decisions
-// land in a ring buffer exposed by ncadmitd as GET /debug/decisions (JSON)
-// and /debug/decisions/trace (Chrome trace_event), and each one stamps its
-// sequence number onto the latency histogram as an exemplar, so a p99
-// bucket on /metrics links to the concrete decision that landed there.
+// postmortem needs — verdict, victim counts, and the nodes the analysis
+// read. Finished decisions land in a ring buffer exposed by ncadmitd as
+// GET /debug/decisions (JSON) and /debug/decisions/trace (Chrome
+// trace_event), and each one stamps its sequence number onto the latency
+// histogram as an exemplar, so a p99 bucket on /metrics links to the
+// concrete decision that landed there.
 //
 // Ownership rule: a decTrace is written by exactly one goroutine at a time
 // — the submitter before enqueue and after the done-channel receive, the
@@ -50,7 +49,7 @@ type decTrace struct {
 	group    int // combiner group size this decision rode in (0 = none)
 	victims  int // victim classes considered
 	screened int // of those, cleared by the closed-form screen without an analysis
-	deps     []NodeEpoch
+	nodes    []string
 	batchN   int // batch decisions: flows offered
 	batchAdm int // batch decisions: flows admitted
 
@@ -109,7 +108,7 @@ func (tr *decTrace) noteRungSearch(combos, pruned int) {
 }
 
 // absorb folds the leader's shared trace of one transaction (span phases,
-// counters, dependency epochs) into this ticket's trace. Called by the
+// counters, nodes read) into this ticket's trace. Called by the
 // leader before the done-channel handoff.
 func (tr *decTrace) absorb(g *decTrace) {
 	if tr == nil || g == nil {
@@ -120,31 +119,16 @@ func (tr *decTrace) absorb(g *decTrace) {
 	tr.screened += g.screened
 	tr.rungCombos += g.rungCombos
 	tr.rungPruned += g.rungPruned
-	if g.deps != nil {
-		tr.deps = g.deps
+	if g.nodes != nil {
+		tr.nodes = g.nodes
 	}
 }
 
-// setDeps snapshots a decision's dependency set as (node name, epoch)
-// pairs, sorted by name. Callers need no lock: shard names and indices are
-// immutable after New.
-func (tr *decTrace) setDeps(c *Controller, deps map[int]uint64) {
-	if tr == nil || len(deps) == 0 {
-		return
+// setNodes records the nodes d's analysis read.
+func (tr *decTrace) setNodes(d *decision) {
+	if tr != nil && len(d.cross) > 0 {
+		tr.nodes = d.nodeNames()
 	}
-	out := make([]NodeEpoch, 0, len(deps))
-	for idx, e := range deps {
-		out = append(out, NodeEpoch{Node: c.byIdx[idx].node.Name, Epoch: e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	tr.deps = out
-}
-
-// NodeEpoch is one node the decision's analysis read, with the epoch it
-// observed.
-type NodeEpoch struct {
-	Node  string `json:"node"`
-	Epoch uint64 `json:"epoch"`
 }
 
 // DecisionRecord is one finished decision in the flight recorder, fully
@@ -170,9 +154,10 @@ type DecisionRecord struct {
 	// VictimsChecked counts the admitted classes the decision considered as
 	// victims; VictimsScreened, how many of them the closed-form screen
 	// cleared without an analysis. The difference ran core.Bound.
-	VictimsChecked  int         `json:"victims_checked,omitempty"`
-	VictimsScreened int         `json:"victims_screened,omitempty"`
-	Nodes           []NodeEpoch `json:"nodes,omitempty"`
+	VictimsChecked  int `json:"victims_checked,omitempty"`
+	VictimsScreened int `json:"victims_screened,omitempty"`
+	// Nodes names the nodes the decision's analysis read, sorted.
+	Nodes []string `json:"nodes,omitempty"`
 
 	// RungCombos/RungPruned are the tight rung's θ-lattice search effort
 	// summed over every analysis this decision consulted (candidate plus
@@ -198,7 +183,7 @@ func (tr *decTrace) record(total time.Duration) DecisionRecord {
 		GroupSize:       tr.group,
 		VictimsChecked:  tr.victims,
 		VictimsScreened: tr.screened,
-		Nodes:           tr.deps,
+		Nodes:           tr.nodes,
 		RungCombos:      tr.rungCombos,
 		RungPruned:      tr.rungPruned,
 		BatchFlows:      tr.batchN,

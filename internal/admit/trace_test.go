@@ -2,6 +2,7 @@ package admit
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func phaseSum(rec DecisionRecord) time.Duration {
 }
 
 // TestFlightRecorderSingle: one admission and one release land in the
-// recorder with verdict metadata, contiguous phases, and dependency epochs.
+// recorder with verdict metadata, contiguous phases, and the nodes read.
 func TestFlightRecorderSingle(t *testing.T) {
 	c := testPlatform(t)
 	rec := c.EnableFlightRecorder(16)
@@ -40,8 +41,8 @@ func TestFlightRecorderSingle(t *testing.T) {
 	if r.Epoch != v.Epoch {
 		t.Errorf("record epoch %d, verdict epoch %d", r.Epoch, v.Epoch)
 	}
-	if len(r.Nodes) != 3 {
-		t.Errorf("want 3 dependency nodes (path length), got %+v", r.Nodes)
+	if want := []string{"encrypt", "ingest", "uplink"}; !reflect.DeepEqual(r.Nodes, want) {
+		t.Errorf("nodes read %q, want the sorted path %q", r.Nodes, want)
 	}
 	if sum, total := phaseSum(r), r.Total; sum > total || total-sum > total/10+time.Millisecond {
 		t.Errorf("phase sum %v vs total %v", sum, total)
@@ -116,8 +117,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}
 		if r.Kind == KindAdmit && r.Admitted && !r.Cached {
 			admitSeen = true
-			if len(r.Nodes) == 0 {
-				t.Errorf("admitted record %d lacks dependency nodes: %+v", r.Seq, r)
+			if want := []string{"encrypt", "ingest", "uplink"}; !reflect.DeepEqual(r.Nodes, want) {
+				t.Errorf("admitted record %d: nodes read %q, want %q", r.Seq, r.Nodes, want)
 			}
 		}
 	}

@@ -46,14 +46,11 @@ type decision struct {
 	// only a reason to split for a larger set.
 	ok      bool
 	refusal Verdict
-	// deps pins the epoch of every node the analysis read (shard idx ->
-	// epoch): a cached refusal stays valid for as long as all still match,
-	// and the flight recorder reports them.
-	deps map[int]uint64
-	// cross holds, per node the analysis read (shard idx), the node's cross
-	// traffic at the final state: merged once, on first use, and shared by
-	// every class the decision checks there.
-	cross map[int]*nodeCross
+	// cross holds, per node the analysis read, the node's cross traffic at
+	// the final state: merged once, on first use, and shared by every class
+	// the decision checks there. Its keys are the nodes the flight recorder
+	// reports.
+	cross map[*shard]*nodeCross
 }
 
 // verdict returns the answer for candidate cd at position i of the set.
@@ -70,27 +67,16 @@ func (d *decision) verdict(i int, cd cand) Verdict {
 	return v
 }
 
-// addPath pins the current epoch of every node on path. Epochs cannot move
-// while the registry lock is held in either mode.
-func (d *decision) addPath(c *Controller, path []string) {
-	for _, name := range path {
-		sh := c.shards[name]
-		if _, ok := d.deps[sh.idx]; !ok {
-			d.deps[sh.idx] = sh.epoch.Load()
-		}
-	}
-}
-
 // crossAt returns sh's cross traffic with d's additions merged in, building
 // it on first use. The registry lock must be held in either mode.
 func (d *decision) crossAt(sh *shard) *nodeCross {
-	nc := d.cross[sh.idx]
+	nc := d.cross[sh]
 	if nc == nil {
 		if d.cross == nil {
-			d.cross = make(map[int]*nodeCross)
+			d.cross = make(map[*shard]*nodeCross)
 		}
 		nc = sh.crossWith(d.keys, d.plans)
-		d.cross[sh.idx] = nc
+		d.cross[sh] = nc
 	}
 	return nc
 }
@@ -104,10 +90,8 @@ const screenSlack = 1e-6
 // node carrying its whole aggregate (one member more than the without(self)
 // an analysis subtracts — more cross traffic only worsens the closed form),
 // bounds what core.Bound would return at any rung. False means "analyse it",
-// never "it fails". It pins the path like check does. The registry lock must
-// be held in either mode.
+// never "it fails". The registry lock must be held in either mode.
 func (d *decision) screened(c *Controller, cs *classState) bool {
-	d.addPath(c, cs.path)
 	var onStack [8]core.Node // longer paths spill to the heap
 	hops := onStack[:0]
 	for _, name := range cs.path {
@@ -125,12 +109,13 @@ func (d *decision) screened(c *Controller, cs *classState) bool {
 		(cs.slo.MinThroughput <= 0 || throughput >= cs.slo.MinThroughput*worse)
 }
 
-// depList flattens the dependency set for the verdict cache.
-func (d *decision) depList() []nodeDep {
-	out := make([]nodeDep, 0, len(d.deps))
-	for idx, e := range d.deps {
-		out = append(out, nodeDep{idx: idx, epoch: e})
+// nodeNames returns the names of the nodes d's analysis read, sorted.
+func (d *decision) nodeNames() []string {
+	out := make([]string, 0, len(d.cross))
+	for sh := range d.cross {
+		out = append(out, sh.node.Name)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -151,7 +136,6 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	d := &decision{
 		epoch: c.epoch.Load(),
 		plans: make(map[verdictKey]*classPlan),
-		deps:  make(map[int]uint64),
 	}
 	own := func(i int, k verdictKey, format string, args ...any) {
 		if d.spec == nil {
@@ -199,7 +183,6 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	// class's own rung whoever else is in the set: a tight-rung candidate
 	// must not loosen (or tighten) the promises made to blind-rung classes.
 	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Bounds, *sloCheck, error) {
-		d.addPath(c, path)
 		p := c.sharedPipeline(arrival, path, self.rung, self, d)
 		b, err := core.Bound(p, c.memo)
 		if err != nil {
@@ -358,15 +341,15 @@ func (c *Controller) analyse(cands []cand, tr *decTrace) *decision {
 // settle acts on d = analyse(cands); the caller must have held the writer
 // role since before that analysis. A set that fits is committed. A refusal
 // commits nothing; that of a set of one is exact and goes to the verdict
-// cache against the node epochs it read.
+// cache, valid until the epoch next steps.
 func (c *Controller) settle(cands []cand, d *decision, tr *decTrace) {
 	if d.ok {
 		c.commitSet(cands, d)
 	} else if len(cands) == 1 {
-		c.storeVerdict(cands[0].key, d.depList(), d.refusal)
+		c.storeVerdict(cands[0].key, d.refusal)
 	}
 	tr.mark(PhaseValidateCommit)
-	tr.setDeps(c, d.deps)
+	tr.setNodes(d)
 }
 
 // commitSet registers every candidate of d that was not answered on its own,

@@ -34,11 +34,6 @@ type TargetStats struct {
 	Epoch     uint64 `json:"epoch"`
 	HeapAlloc uint64 `json:"heap_alloc_bytes"`
 	HeapSys   uint64 `json:"heap_sys_bytes"`
-	// EpochMax and EpochDistinctNodes summarize the per-node modification
-	// epochs. Older ncadmitd builds omit these healthz fields; they default
-	// to zero.
-	EpochMax           uint64 `json:"epoch_max"`
-	EpochDistinctNodes int    `json:"epoch_distinct_nodes"`
 }
 
 // Target abstracts where the load lands: the in-process controller or a
@@ -103,15 +98,12 @@ func (t InProc) Decisions(limit int) ([]admit.DecisionRecord, error) {
 func (t InProc) Stats() (TargetStats, error) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	emax, edistinct := t.C.EpochStats()
 	return TargetStats{
-		Flows:              t.C.FlowCount(),
-		Classes:            t.C.ClassCount(),
-		Epoch:              t.C.Epoch(),
-		HeapAlloc:          m.HeapAlloc,
-		HeapSys:            m.HeapSys,
-		EpochMax:           emax,
-		EpochDistinctNodes: edistinct,
+		Flows:     t.C.FlowCount(),
+		Classes:   t.C.ClassCount(),
+		Epoch:     t.C.Epoch(),
+		HeapAlloc: m.HeapAlloc,
+		HeapSys:   m.HeapSys,
 	}, nil
 }
 
@@ -264,17 +256,9 @@ func (t *HTTP) Stats() (TargetStats, error) {
 	if status != http.StatusOK {
 		return TargetStats{}, fmt.Errorf("GET /healthz: unexpected status %d", status)
 	}
-	var h struct {
-		Flows              int    `json:"flows"`
-		Classes            int    `json:"classes"`
-		Epoch              uint64 `json:"epoch"`
-		HeapAlloc          uint64 `json:"heap_alloc_bytes"`
-		HeapSys            uint64 `json:"heap_sys_bytes"`
-		EpochMax           uint64 `json:"epoch_max"`
-		EpochDistinctNodes int    `json:"epoch_distinct_nodes"`
-	}
+	var h TargetStats
 	if err := json.Unmarshal(out, &h); err != nil {
 		return TargetStats{}, fmt.Errorf("GET /healthz: %w", err)
 	}
-	return TargetStats(h), nil
+	return h, nil
 }
