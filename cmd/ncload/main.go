@@ -1,80 +1,69 @@
-// Command ncload ramps a generated tenant population into the admission
-// controller — in-process or against a running ncadmitd — and then drives a
-// paced open-loop churn schedule, reporting per-op latency percentiles,
-// pacing lateness, achieved vs target RPS, and registry/heap state as JSON.
+// Command ncload is the in-process scale check of the admission controller.
+// By default it ramps a generated tenant population into a controller in
+// transactional batches — a million flows unless -flows says otherwise —
+// and reports the ramp rate and the registry and heap it leaves as JSON.
+// With -rungsweep it runs the FIFO-ladder acceptance sweep instead and exits
+// non-zero when the ladder does not hold.
 //
 // Usage:
 //
-//	ncload -flows 1000000 -measure 30s -out results/loadtest_1m.json -bench bench.txt
-//	ncload -mode http -addr http://127.0.0.1:8080 -flows 50000 -rps 400
-//	ncload -rungsweep -out results/rung_sweep.json -bench bench_fifo.txt
-//	ncload -rungbench -out results/rung_scaling.json -bench bench_rung.txt
+//	ncload -flows 1000000 -out results/loadtest_1m.json
+//	ncload -rungsweep -out results/rung_sweep.json
 //	ncload -example-spec > population.json
 //	ncload -example-platform > platform.json
 //
-// The workload is deterministic at the request level: the same population
-// spec, seed, and flow target produce the same flow envelopes and the same
-// churn op sequence (kind, target flow, scheduled time). Only runtime
-// outcomes — verdicts, latencies, lateness — vary between runs.
+// The ramp is deterministic at the request level: the same population spec,
+// seed and flow target offer the same flows in the same batches.
 //
 // With no -platform, the built-in scenario sizes a three-node streaming
 // platform so the expected demand of -flows heavy-tailed flows fills half
 // of each node's capacity; with no -spec, the built-in heavy-tailed
-// population spec is used. The -bench output is Go-benchmark formatted for
-// the repo's .github/benchjson converter (BENCH_admitd.json in CI).
+// population spec is used. Request-level load against a running ncadmitd
+// is the repository's benchmark (bench/).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"streamcalc/internal/admit"
 	"streamcalc/internal/gen"
 	"streamcalc/internal/load"
-	"streamcalc/internal/obs"
 	"streamcalc/internal/spec"
 )
 
 func main() {
 	var (
-		mode         = flag.String("mode", "inproc", `"inproc" drives the controller directly; "http" drives a running ncadmitd`)
-		addr         = flag.String("addr", "http://127.0.0.1:8080", "ncadmitd base URL for -mode http")
-		platformPath = flag.String("platform", "", "platform JSON (default: built-in scenario sized for -flows; ignored in -mode http)")
+		platformPath = flag.String("platform", "", "platform JSON (default: built-in scenario sized for -flows)")
 		specPath     = flag.String("spec", "", "population spec JSON (default: built-in heavy-tailed spec)")
-		flows        = flag.Int("flows", 1_000_000, "registered-flow target of the ramp phase")
-		rps          = flag.Float64("rps", 0, "target churn op rate (0 keeps the spec's base_rps)")
-		warmup       = flag.Duration("warmup", 2*time.Second, "churn ops before this elapses are issued but not measured")
-		measure      = flag.Duration("measure", 30*time.Second, "measured churn window")
+		flows        = flag.Int("flows", 1_000_000, "registered-flow target of the ramp")
 		batch        = flag.Int("batch", 16384, "ramp transaction size")
-		workers      = flag.Int("workers", 0, "ramp/churn worker count (0 = GOMAXPROCS)")
-		clients      = flag.Int("clients", 0, "concurrent churn client lanes with per-client lateness (0 = workers default)")
-		seed         = flag.Uint64("seed", 1, "population seed (same spec+seed+flows = same request sequence)")
+		workers      = flag.Int("workers", 0, "concurrent ramp batches (0 = GOMAXPROCS)")
+		seed         = flag.Uint64("seed", 1, "population seed (same spec+seed+flows = same batches); -rungsweep's replay seed")
 		out          = flag.String("out", "", "write the JSON report to this file (default stdout)")
-		benchOut     = flag.String("bench", "", "write Go-benchmark lines to this file (benchjson input)")
-		decisions    = flag.Int("decisions", 1<<16, "flight-recorder depth on the in-process controller: retains the last N decisions for the per-phase breakdown (0 disables; ignored in -mode http)")
 		quiet        = flag.Bool("q", false, "suppress progress lines on stderr")
-		rungSweep    = flag.Bool("rungsweep", false, "run the FIFO-ladder comparison sweep instead of the load (fills a shared node at each analysis rung, asserts tight admits strictly more than blind with zero replay violations)")
-		rungBench    = flag.Bool("rungbench", false, "run the tight-rung lattice cost benchmark instead of the load (times the prefix-sharing search against the exhaustive reference at matched combo budgets, asserts bit-identical winners and the speedup floor)")
+		rungSweep    = flag.Bool("rungsweep", false, "run the FIFO-ladder comparison sweep instead of the ramp (fills a shared node at each analysis rung, asserts tight admits strictly more than blind with zero replay violations)")
 		exampleSpec  = flag.Bool("example-spec", false, "print the built-in population spec and exit")
 		examplePlat  = flag.Bool("example-platform", false, "print the built-in platform (sized for -flows) and exit")
 	)
 	flag.Parse()
 
+	var logf func(format string, args ...any)
+	if !*quiet {
+		logf = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "ncload: "+format+"\n", args...)
+		}
+	}
+
 	if *rungSweep {
-		if err := runRungSweep(*seed, *out, *benchOut, *quiet); err != nil {
+		rep, err := load.RungSweep(load.RungSweepConfig{Replay: admit.ReplayOptions{Seed: *seed}, Logf: logf})
+		if err != nil {
 			fail(err)
 		}
-		return
-	}
-	if *rungBench {
-		if err := runRungBench(*out, *benchOut, *quiet); err != nil {
+		writeJSON(*out, rep)
+		if err := rep.Check(); err != nil {
 			fail(err)
 		}
 		return
@@ -84,7 +73,7 @@ func main() {
 	scenarioName := sc.Name
 
 	if *exampleSpec {
-		printJSON(sc.Spec)
+		writeJSON("", sc.Spec)
 		return
 	}
 
@@ -110,172 +99,42 @@ func main() {
 	sc = sc.Sized(pop, *flows, 2.0)
 
 	if *examplePlat {
-		printJSON(wirePlatform(sc))
+		writeJSON("", wirePlatform(sc))
 		return
 	}
 
-	var target load.Target
-	switch *mode {
-	case "inproc":
-		var c *admit.Controller
-		if *platformPath != "" {
-			data, err := os.ReadFile(*platformPath)
-			if err != nil {
-				fail(err)
-			}
-			pl, err := spec.ParsePlatform(data)
-			if err != nil {
-				fail(err)
-			}
-			if c, err = pl.Controller(); err != nil {
-				fail(err)
-			}
-			scenarioName = pl.Name
-		} else {
-			var err error
-			if c, err = sc.Controller(); err != nil {
-				fail(err)
-			}
+	var c *admit.Controller
+	if *platformPath != "" {
+		data, err := os.ReadFile(*platformPath)
+		if err != nil {
+			fail(err)
 		}
-		if *decisions > 0 {
-			// Recorder only (no metrics registry on the controller): the
-			// per-phase breakdown costs one span per decision and one ring
-			// push, keeping bench overhead minimal.
-			c.EnableFlightRecorder(*decisions)
+		pl, err := spec.ParsePlatform(data)
+		if err != nil {
+			fail(err)
 		}
-		target = load.InProc{C: c}
-	case "http":
-		target = &load.HTTP{Base: *addr, Client: &http.Client{Timeout: 30 * time.Second}}
-	default:
-		fail(fmt.Errorf("unknown -mode %q (want inproc or http)", *mode))
+		if c, err = pl.Controller(); err != nil {
+			fail(err)
+		}
+		scenarioName = pl.Name
+	} else if c, err = sc.Controller(); err != nil {
+		fail(err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := load.Config{
-		Target:    target,
-		Pop:       pop,
-		Flows:     *flows,
-		BatchSize: *batch,
-		Workers:   *workers,
-		Clients:   *clients,
-		TargetRPS: *rps,
-		Warmup:    *warmup,
-		Measure:   *measure,
-		Metrics:   obs.NewRegistry(),
-		Context:   ctx,
-	}
-	if !*quiet {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ncload: "+format+"\n", args...)
-		}
-	}
-
-	rep, err := load.Run(cfg)
+	rep, err := load.Run(load.Config{
+		Controller: c,
+		Pop:        pop,
+		Flows:      *flows,
+		BatchSize:  *batch,
+		Workers:    *workers,
+		Logf:       logf,
+	})
 	if err != nil {
 		fail(err)
 	}
 	rep.Scenario = scenarioName
-	rep.Mode = *mode
 	rep.Seed = *seed
-
-	body, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	body = append(body, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, body, 0o644); err != nil {
-			fail(err)
-		}
-	} else {
-		os.Stdout.Write(body)
-	}
-	if *benchOut != "" {
-		if err := os.WriteFile(*benchOut, []byte(rep.BenchText()), 0o644); err != nil {
-			fail(err)
-		}
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr,
-			"ncload: done — %d flows (%d classes), admit p99 %v, achieved %.1f/%.1f rps, heap %.1f MiB\n",
-			rep.Final.Flows, rep.Final.Classes, rep.Churn.Ops["admit"].P99,
-			rep.Churn.AchievedRPS, rep.Churn.TargetRPS, float64(rep.Final.HeapAlloc)/(1<<20))
-	}
-}
-
-// runRungSweep runs the FIFO-ladder comparison sweep (load.RungSweep) and
-// writes the results/rung_sweep.json artifact plus BENCH_fifo benchmark
-// lines. It exits non-zero when the ladder acceptance invariants fail —
-// tight must admit strictly more flows than blind at identical SLAs, with
-// every rung's replay free of bound violations — which is what the CI
-// load-smoke job gates on.
-func runRungSweep(seed uint64, out, benchOut string, quiet bool) error {
-	cfg := load.RungSweepConfig{Replay: admit.ReplayOptions{Seed: seed}}
-	if !quiet {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ncload: "+format+"\n", args...)
-		}
-	}
-	rep, err := load.RungSweep(cfg)
-	if err != nil {
-		return err
-	}
-	body, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	body = append(body, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, body, 0o644); err != nil {
-			return err
-		}
-	} else {
-		os.Stdout.Write(body)
-	}
-	if benchOut != "" {
-		if err := os.WriteFile(benchOut, []byte(rep.BenchText()), 0o644); err != nil {
-			return err
-		}
-	}
-	return rep.Check()
-}
-
-// runRungBench runs the tight-rung lattice cost benchmark (load.RungBench)
-// and writes the results/rung_scaling.json artifact plus BENCH_rung
-// benchmark lines. It exits non-zero when a matched case's winners diverge
-// or the large matched budgets miss the speedup floor — the CI rung-cost
-// gate.
-func runRungBench(out, benchOut string, quiet bool) error {
-	var cfg load.RungBenchConfig
-	if !quiet {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ncload: "+format+"\n", args...)
-		}
-	}
-	rep, err := load.RungBench(cfg)
-	if err != nil {
-		return err
-	}
-	body, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	body = append(body, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, body, 0o644); err != nil {
-			return err
-		}
-	} else {
-		os.Stdout.Write(body)
-	}
-	if benchOut != "" {
-		if err := os.WriteFile(benchOut, []byte(rep.BenchText()), 0o644); err != nil {
-			return err
-		}
-	}
-	return rep.Check()
+	writeJSON(*out, rep)
 }
 
 // wirePlatform renders a scenario's node set in the ncadmitd platform JSON
@@ -296,10 +155,20 @@ func wirePlatform(sc load.Scenario) spec.Platform {
 	return p
 }
 
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// writeJSON writes v as indented JSON to path, or to stdout when path is
+// empty.
+func writeJSON(path string, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	body = append(body, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(body)
+	} else {
+		err = os.WriteFile(path, body, 0o644)
+	}
+	if err != nil {
 		fail(err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -370,5 +371,88 @@ func TestTightSearchCounters(t *testing.T) {
 	}
 	if ab.TightCombos != 0 || ab.TightPruned != 0 {
 		t.Errorf("blind analysis reported search effort: %d/%d", ab.TightCombos, ab.TightPruned)
+	}
+}
+
+// latticeBenchPipeline is an n-node chain where every node carries cross
+// traffic with its own rate, latency and burst, so each node contributes a
+// full θ grid and the lattice grows with n.
+func latticeBenchPipeline(n int) Pipeline {
+	nodes := make([]Node, n)
+	for i := range nodes {
+		rate := units.Rate(100e6 + 10e6*float64(i))
+		nodes[i] = Node{
+			Name:    fmt.Sprintf("x%d", i),
+			Rate:    rate,
+			Latency: time.Duration(20+10*i) * time.Millisecond,
+			JobIn:   1500, JobOut: 1500, MaxPacket: 1500,
+			CrossRate:  rate.Mul(0.35 + 0.05*float64(i%3)),
+			CrossBurst: units.Bytes(2e6 + 5e5*float64(i)),
+		}
+	}
+	return Pipeline{
+		Name:    "rung-bench",
+		Arrival: Arrival{Rate: 5e6, Burst: 4e6, MaxPacket: 1500},
+		Nodes:   nodes,
+		Rung:    RungTight,
+	}
+}
+
+// BenchmarkTightLattice times the prefix-sharing θ-lattice search (dp)
+// against the exhaustive per-vector reference at matched lattice budgets on
+// 2-6 cross nodes — the 64 budget forces grid thinning — and the search
+// alone on 7-8 nodes, where the reference would take seconds. Each
+// exhaustive case also checks that both return the same winning θ-vector
+// and delay bound. combos (the lattice after thinning) and pruned are counts
+// of one search and do not depend on the host; exhaustive ns/op over dp
+// ns/op is the speedup.
+func BenchmarkTightLattice(b *testing.B) {
+	for n := 2; n <= 8; n++ {
+		p := latticeBenchPipeline(n)
+		budgets := []int{64, 2048, 65536}
+		if n > 6 {
+			budgets = budgets[2:]
+		}
+		for _, budget := range budgets {
+			name := fmt.Sprintf("n=%d/budget=%d", n, budget)
+			b.Run(name+"/dp", func(b *testing.B) {
+				var a *Analysis
+				for i := 0; i < b.N; i++ {
+					var err error
+					if a, err = AnalyzeTightBudget(p, budget); err != nil {
+						b.Fatal(err)
+					}
+				}
+				benchSink = a
+				b.ReportMetric(float64(a.TightCombos+a.TightPruned), "combos")
+				b.ReportMetric(float64(a.TightPruned), "pruned")
+			})
+			if n > 6 {
+				continue
+			}
+			b.Run(name+"/exhaustive", func(b *testing.B) {
+				dp, err := AnalyzeTightBudget(p, budget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				var ex *Analysis
+				for i := 0; i < b.N; i++ {
+					if ex, err = AnalyzeTightExhaustive(p, budget); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				benchSink = ex
+				if ex.DelayBound != dp.DelayBound {
+					b.Fatalf("delay bound %v (exhaustive) != %v (dp)", ex.DelayBound, dp.DelayBound)
+				}
+				for i := range ex.Nodes {
+					if ex.Nodes[i].FIFOTheta != dp.Nodes[i].FIFOTheta {
+						b.Fatalf("node %d: θ %v (exhaustive) != %v (dp)", i, ex.Nodes[i].FIFOTheta, dp.Nodes[i].FIFOTheta)
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,54 +1,42 @@
+// Package load is the scale check of the admission controller: it ramps a
+// generated tenant population (internal/gen) into an in-process
+// admit.Controller in transactional batches and reports the ramp rate and
+// the registry and heap it leaves behind. It also holds the rung sweep
+// (rungsweep.go), the acceptance artifact of the FIFO tightness ladder.
+//
+// Request-level load against a running ncadmitd — latency, saturation, CPU
+// per operation — is measured by the repository's benchmark (bench/), not
+// here.
 package load
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"streamcalc/internal/admit"
 	"streamcalc/internal/gen"
-	"streamcalc/internal/obs"
 	"streamcalc/internal/pool"
 )
 
-// Config tunes one harness run.
+// Config tunes one ramp.
 type Config struct {
-	Target Target
-	Pop    *gen.Population
+	Controller *admit.Controller
+	Pop        *gen.Population
 
-	// Flows is the registered-flow target of the ramp phase: batches are
-	// offered until the registry holds at least this many flows (or the
-	// overcommit cap of 4× is reached — the scenario is then undersized).
+	// Flows is the registered-flow target: batches are offered until the
+	// registry holds at least this many flows (or 4× Flows have been
+	// offered — the scenario is then undersized).
 	Flows int
-	// BatchSize is the ramp transaction size (default 16384).
+	// BatchSize is the transaction size (default 16384).
 	BatchSize int
-	// Workers bounds concurrent ramp batches and churn workers (< 1 means
-	// GOMAXPROCS).
+	// Workers bounds concurrent batches (< 1 means GOMAXPROCS).
 	Workers int
-	// Clients is the number of concurrent churn issuers: the planned
-	// schedule is dealt round-robin across this many client lanes, each
-	// issuing its own ops in order and recording its own pacing lateness
-	// (< 1 falls back to the Workers default, capped at 64).
-	Clients int
 
-	// TargetRPS overrides the population spec's churn base rate by
-	// time-rescaling the planned schedule (0 keeps the spec's base_rps).
-	TargetRPS float64
-	// Warmup and Measure bound the churn phases: ops scheduled before
-	// Warmup elapses are issued but not recorded.
-	Warmup  time.Duration
-	Measure time.Duration
-
-	// Metrics, when non-nil, receives per-op latency and lateness
-	// histograms plus the worker-pool telemetry.
-	Metrics *obs.Registry
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-	// Context cancels the run early (nil means Background).
-	Context context.Context
 }
 
 func (c *Config) logf(format string, args ...any) {
@@ -57,21 +45,59 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
-// LoadBuckets are the histogram bounds for harness op latency and pacing
-// lateness (seconds): 10µs to ~40s.
-var LoadBuckets = obs.ExponentialBuckets(1e-5, 4, 12)
+// Snapshot is the registry and heap state after the ramp.
+type Snapshot struct {
+	Flows     int    `json:"flows"`
+	Classes   int    `json:"classes"`
+	Epoch     uint64 `json:"epoch"`
+	HeapAlloc uint64 `json:"heap_alloc_bytes"`
+	HeapSys   uint64 `json:"heap_sys_bytes"`
+}
 
-// Run executes the full harness sequence — ramp, steady-state assertion,
-// paced warmup+measure churn, final snapshot — and returns the report.
+func snapshot(c *admit.Controller) Snapshot {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return Snapshot{
+		Flows:     c.FlowCount(),
+		Classes:   c.ClassCount(),
+		Epoch:     c.Epoch(),
+		HeapAlloc: m.HeapAlloc,
+		HeapSys:   m.HeapSys,
+	}
+}
+
+// RampReport covers the bulk registration.
+type RampReport struct {
+	TargetFlows int           `json:"target_flows"`
+	Offered     int           `json:"offered"`
+	Admitted    int           `json:"admitted"`
+	Rejected    int           `json:"rejected"`
+	Batches     int           `json:"batches"`
+	BatchSize   int           `json:"batch_size"`
+	Duration    time.Duration `json:"duration_ns"`
+	FlowsPerSec float64       `json:"flows_per_second"`
+}
+
+// Report is the run artifact (results/loadtest_1m.json).
+type Report struct {
+	Scenario   string    `json:"scenario"`
+	Seed       uint64    `json:"seed"`
+	Workers    int       `json:"workers"`
+	GOMAXPROCS int       `json:"gomaxprocs"`
+	StartedAt  time.Time `json:"started_at"`
+
+	Ramp   RampReport `json:"ramp"`
+	Steady Snapshot   `json:"steady"` // after the ramp
+}
+
+// Run ramps cfg.Pop into cfg.Controller and returns the report.
 //
-// The workload is deterministic at the request level: the flows of every
-// ramp batch and the kind, target, and scheduled time of every churn op are
-// pure functions of (population spec, seed, flow target). Runtime outcomes
-// (verdicts, latencies, which releases miss) depend on the target's state
-// and timing and are what the report measures.
+// The ramp is deterministic at the request level: the flows of every batch
+// are pure functions of (population spec, seed, flow target). Verdicts and
+// timings are what the report measures.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Target == nil || cfg.Pop == nil {
-		return nil, fmt.Errorf("load: config needs Target and Pop")
+	if cfg.Controller == nil || cfg.Pop == nil {
+		return nil, fmt.Errorf("load: config needs Controller and Pop")
 	}
 	if cfg.Flows <= 0 {
 		return nil, fmt.Errorf("load: config needs Flows > 0")
@@ -79,61 +105,18 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16384
 	}
-	if cfg.Measure <= 0 {
-		return nil, fmt.Errorf("load: config needs Measure > 0")
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := pool.Workers(cfg.Workers, 1<<30)
-
 	rep := &Report{
-		Mode:       "custom",
-		Seed:       0,
-		Workers:    workers,
+		Workers:    pool.Workers(cfg.Workers, 1<<30),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		StartedAt:  time.Now(),
+		Ramp:       ramp(&cfg),
 	}
-	start := time.Now()
-
-	if err := ramp(ctx, &cfg, rep); err != nil {
-		return nil, err
-	}
-
-	steady, err := cfg.Target.Stats()
-	if err != nil {
-		return nil, fmt.Errorf("load: steady-state snapshot: %w", err)
-	}
-	rep.Steady = steady
-	if steady.Flows == 0 {
-		return nil, fmt.Errorf("load: steady-state assertion failed: registry is empty after ramp")
+	rep.Steady = snapshot(cfg.Controller)
+	if rep.Steady.Flows == 0 {
+		return nil, fmt.Errorf("load: registry is empty after the ramp")
 	}
 	cfg.logf("steady state: %d flows, %d classes, epoch %d, heap %.1f MiB",
-		steady.Flows, steady.Classes, steady.Epoch, float64(steady.HeapAlloc)/(1<<20))
-
-	if err := churn(ctx, &cfg, rep); err != nil {
-		return nil, err
-	}
-
-	// Phase breakdown: whatever admission decisions the target's flight
-	// recorder still retains (best effort — a missing recorder or an old
-	// daemon just omits the section).
-	if recs, err := cfg.Target.Decisions(0); err != nil {
-		cfg.logf("decisions fetch failed: %v", err)
-	} else if ph := PhaseStats(recs); ph != nil {
-		rep.Churn.Phases = ph
-		if st, ok := ph["analysis"]; ok {
-			cfg.logf("phases: analysis p50 %v p99 %v over %d decisions", st.P50, st.P99, st.Count)
-		}
-	}
-
-	final, err := cfg.Target.Stats()
-	if err != nil {
-		return nil, fmt.Errorf("load: final snapshot: %w", err)
-	}
-	rep.Final = final
-	rep.Duration = time.Since(start)
+		rep.Steady.Flows, rep.Steady.Classes, rep.Steady.Epoch, float64(rep.Steady.HeapAlloc)/(1<<20))
 	return rep, nil
 }
 
@@ -142,52 +125,41 @@ func Run(cfg Config) (*Report, error) {
 // nothing rejects) fans out over the worker pool; if SLO rejections leave
 // the registry short, sequential top-up batches follow until the target or
 // the 4× overcommit cap is reached.
-func ramp(ctx context.Context, cfg *Config, rep *Report) error {
+func ramp(cfg *Config) RampReport {
 	t0 := time.Now()
 	nBatches := (cfg.Flows + cfg.BatchSize - 1) / cfg.BatchSize
 	var admitted, offered, batches atomic.Int64
 
-	runBatch := func(lo, hi int) error {
-		n, err := cfg.Target.AdmitBatch(cfg.Pop.Flows(lo, hi))
-		if err != nil {
-			return fmt.Errorf("load: ramp batch [%d,%d): %w", lo, hi, err)
+	runBatch := func(lo, hi int) {
+		n := 0
+		for _, v := range cfg.Controller.AdmitBatch(cfg.Pop.Flows(lo, hi)) {
+			if v.Admitted {
+				n++
+			}
 		}
 		admitted.Add(int64(n))
 		offered.Add(int64(hi - lo))
-		b := batches.Add(1)
-		if b%16 == 0 {
+		if b := batches.Add(1); b%16 == 0 {
 			cfg.logf("ramp: %d batches, %d/%d admitted", b, admitted.Load(), cfg.Flows)
 		}
-		return nil
 	}
 
-	err := pool.ForEach(ctx, cfg.Workers, nBatches, pool.NewMetrics(cfg.Metrics, "load-ramp"), func(i int) error {
+	// No batch returns an error and the context is never canceled, so
+	// ForEach cannot fail.
+	_ = pool.ForEach(context.Background(), cfg.Workers, nBatches, nil, func(i int) error {
 		lo := i * cfg.BatchSize
-		hi := lo + cfg.BatchSize
-		if hi > cfg.Flows {
-			hi = cfg.Flows
-		}
-		return runBatch(lo, hi)
+		runBatch(lo, min(lo+cfg.BatchSize, cfg.Flows))
+		return nil
 	})
-	if err != nil {
-		return err
-	}
 
 	// Top up past rejections: later indexes draw fresh template assignments,
 	// so loose-tier flows keep landing until the target count registers.
-	next := cfg.Flows
-	for int(admitted.Load()) < cfg.Flows && next < 4*cfg.Flows {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := runBatch(next, next+cfg.BatchSize); err != nil {
-			return err
-		}
-		next += cfg.BatchSize
+	for next := cfg.Flows; int(admitted.Load()) < cfg.Flows && next < 4*cfg.Flows; next += cfg.BatchSize {
+		runBatch(next, next+cfg.BatchSize)
 	}
 
 	d := time.Since(t0)
-	rep.Ramp = RampReport{
+	r := RampReport{
 		TargetFlows: cfg.Flows,
 		Offered:     int(offered.Load()),
 		Admitted:    int(admitted.Load()),
@@ -198,218 +170,9 @@ func ramp(ctx context.Context, cfg *Config, rep *Report) error {
 		FlowsPerSec: float64(admitted.Load()) / d.Seconds(),
 	}
 	cfg.logf("ramp done: %d admitted / %d offered in %v (%.0f flows/s)",
-		rep.Ramp.Admitted, rep.Ramp.Offered, d.Round(time.Millisecond), rep.Ramp.FlowsPerSec)
-	if int(admitted.Load()) < cfg.Flows {
+		r.Admitted, r.Offered, d.Round(time.Millisecond), r.FlowsPerSec)
+	if r.Admitted < cfg.Flows {
 		cfg.logf("ramp fell short of %d flows: scenario platform is undersized", cfg.Flows)
 	}
-	return nil
-}
-
-// planWindow plans the churn schedule covering [0, window) of phase time,
-// rescaled from the spec's base_rps to targetRPS (0 keeps the spec rate).
-// PlanOps is prefix-stable in n, so growing the plan until it spans the
-// window preserves determinism.
-func planWindow(pop *gen.Population, rampN int, window time.Duration, targetRPS float64) ([]gen.Op, float64) {
-	base := pop.Spec().Arrival.BaseRPS
-	scale := 1.0
-	rps := base
-	if targetRPS > 0 {
-		scale = base / targetRPS
-		rps = targetRPS
-	}
-	specWindow := time.Duration(float64(window) / scale)
-
-	n := int(specWindow.Seconds()*base*1.5) + 64
-	var ops []gen.Op
-	for {
-		ops = pop.PlanOps(rampN, n)
-		if ops[len(ops)-1].At >= specWindow {
-			break
-		}
-		n *= 2
-	}
-	cut := sort.Search(len(ops), func(i int) bool { return ops[i].At >= specWindow })
-	ops = ops[:cut]
-	if scale != 1 {
-		for i := range ops {
-			ops[i].At = time.Duration(float64(ops[i].At) * scale)
-		}
-	}
-	return ops, rps
-}
-
-// churn drives the paced open-loop schedule: the planned ops are dealt
-// round-robin across cfg.Clients concurrent client lanes; each lane issues
-// its own ops in schedule order, sleeping until each deadline, and records
-// latency and lateness. Ops scheduled inside the warmup window are issued
-// but excluded from the statistics. Lateness is summarized both globally
-// and per client lane, so a single stalled client is visible next to the
-// aggregate.
-func churn(ctx context.Context, cfg *Config, rep *Report) error {
-	window := cfg.Warmup + cfg.Measure
-	ops, rps := planWindow(cfg.Pop, cfg.Flows, window, cfg.TargetRPS)
-	if len(ops) == 0 {
-		return fmt.Errorf("load: churn plan is empty (rps %.1f over %v)", rps, window)
-	}
-	warmCount := sort.Search(len(ops), func(i int) bool { return ops[i].At >= cfg.Warmup })
-	lanes := cfg.Clients
-	if lanes < 1 {
-		lanes = pool.Workers(cfg.Workers, 64)
-	}
-	if lanes > len(ops) {
-		lanes = len(ops)
-	}
-	cfg.logf("churn: %d ops over %v at %.1f rps (%d warmup, %d clients)",
-		len(ops), window, rps, warmCount, lanes)
-
-	var hists map[gen.OpKind]*obs.Histogram
-	var lateHist *obs.Histogram
-	if cfg.Metrics != nil {
-		hists = make(map[gen.OpKind]*obs.Histogram)
-		for _, k := range []gen.OpKind{gen.OpAdmit, gen.OpRelease, gen.OpRecheck} {
-			hists[k] = cfg.Metrics.Histogram("nc_load_op_seconds",
-				"harness-observed op latency", LoadBuckets,
-				obs.Label{Key: "op", Value: k.String()})
-		}
-		lateHist = cfg.Metrics.Histogram("nc_load_lateness_seconds",
-			"open-loop pacing debt (issue minus scheduled time)", LoadBuckets)
-	}
-
-	lat := make([]int64, len(ops))
-	late := make([]int64, len(ops))
-	miss := make([]bool, len(ops))
-	errs := make([]bool, len(ops))
-	var errCount atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	recordErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var issued atomic.Int64
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for lane := 0; lane < lanes; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			// The lane's ops (every lanes-th index) are in schedule order, so
-			// sleeping to each deadline keeps the lane open-loop on its own
-			// sub-schedule.
-			for i := lane; i < len(ops); i += lanes {
-				if cctx.Err() != nil {
-					return
-				}
-				op := ops[i]
-				sched := t0.Add(op.At)
-				if d := time.Until(sched); d > 0 {
-					time.Sleep(d)
-				}
-				issue := time.Now()
-				var ok bool
-				var err error
-				switch op.Kind {
-				case gen.OpAdmit:
-					ok, err = cfg.Target.Admit(op.Flow)
-				case gen.OpRelease:
-					ok, err = cfg.Target.Release(op.ID)
-				case gen.OpRecheck:
-					ok, err = cfg.Target.Recheck(op.ID)
-				}
-				took := time.Since(issue)
-				done := issued.Add(1)
-				lat[i] = took.Nanoseconds()
-				l := issue.Sub(sched)
-				if l < 0 {
-					l = 0
-				}
-				late[i] = l.Nanoseconds()
-				miss[i] = err == nil && !ok
-				if hists != nil {
-					hists[op.Kind].Observe(took.Seconds())
-					lateHist.Observe(l.Seconds())
-				}
-				if err != nil {
-					errs[i] = true
-					recordErr(fmt.Errorf("load: churn op %d (%s): %w", i, op.Kind, err))
-					// Individual transport errors are tolerated and counted; a
-					// drowning target (>10% failing after the first 50) aborts
-					// the phase.
-					if n := errCount.Add(1); n > 50 && n*10 > done {
-						cancel()
-					}
-				}
-			}
-		}(lane)
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if cctx.Err() != nil {
-		// Only our own error-rate cancel can get here.
-		return fmt.Errorf("load: churn aborted after %d op errors; first: %w", errCount.Load(), firstErr)
-	}
-
-	// Partition the measured window per op kind.
-	byKind := map[string][]int64{}
-	missCount := map[string]int{}
-	errKind := map[string]int{}
-	measured := 0
-	for i := warmCount; i < len(ops); i++ {
-		k := ops[i].Kind.String()
-		byKind[k] = append(byKind[k], lat[i])
-		if miss[i] {
-			missCount[k]++
-		}
-		if errs[i] {
-			errKind[k]++
-		}
-		measured++
-	}
-	opStats := make(map[string]LatencyStats, len(byKind))
-	for k, ns := range byKind {
-		st := summarize(ns)
-		st.Misses = missCount[k]
-		st.Errors = errKind[k]
-		opStats[k] = st
-	}
-	measureWall := wall - cfg.Warmup
-	if measureWall <= 0 {
-		measureWall = cfg.Measure
-	}
-	perClient := make([]LatencyStats, lanes)
-	for lane := 0; lane < lanes; lane++ {
-		var ns []int64
-		for i := warmCount; i < len(ops); i++ {
-			if i%lanes == lane {
-				ns = append(ns, late[i])
-			}
-		}
-		perClient[lane] = summarize(ns)
-	}
-	rep.Churn = ChurnReport{
-		TargetRPS:      rps,
-		AchievedRPS:    float64(measured) / measureWall.Seconds(),
-		WarmupOps:      warmCount,
-		MeasuredOps:    measured,
-		Clients:        lanes,
-		Duration:       wall,
-		Ops:            opStats,
-		Lateness:       summarize(append([]int64(nil), late[warmCount:]...)),
-		ClientLateness: perClient,
-	}
-	if n := errCount.Load(); n > 0 {
-		cfg.logf("churn: %d op errors; first: %v", n, firstErr)
-	}
-	cfg.logf("churn done: %d measured ops in %v (%.1f rps achieved, lateness p99 %v)",
-		measured, wall.Round(time.Millisecond), rep.Churn.AchievedRPS, rep.Churn.Lateness.P99)
-	return nil
+	return r
 }

@@ -2,7 +2,7 @@ package load
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"streamcalc/internal/admit"
@@ -22,6 +22,38 @@ type RungSweepConfig struct {
 	// service after the fill; Replay.Total defaults to 1 MiB.
 	Replay admit.ReplayOptions
 	Logf   func(format string, args ...any)
+}
+
+// LatencyStats summarizes measured latencies (exact percentiles over every
+// sample, not histogram interpolation).
+type LatencyStats struct {
+	Count int           `json:"count"`
+	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Max   time.Duration `json:"max_ns"`
+	Mean  time.Duration `json:"mean_ns"`
+}
+
+// summarize computes exact percentile statistics; ns is consumed (sorted in
+// place).
+func summarize(ns []int64) LatencyStats {
+	s := LatencyStats{Count: len(ns)}
+	if len(ns) == 0 {
+		return s
+	}
+	slices.Sort(ns)
+	q := func(p float64) time.Duration {
+		return time.Duration(ns[int(p*float64(len(ns)-1))])
+	}
+	var sum int64
+	for _, v := range ns {
+		sum += v
+	}
+	s.P50, s.P90, s.P99 = q(0.50), q(0.90), q(0.99)
+	s.Max = time.Duration(ns[len(ns)-1])
+	s.Mean = time.Duration(sum / int64(len(ns)))
+	return s
 }
 
 // RungResult is one rung's fill outcome.
@@ -72,7 +104,7 @@ func rungSweepScenario() (core.Node, admit.Flow, time.Duration) {
 // and reports admitted counts, decision-latency stats, and replay soundness.
 // The acceptance invariant — tighter rungs admit at least as many flows, the
 // tight rung strictly more than blind, all with zero replay violations — is
-// asserted by the caller (ncload -rungsweep, the CI load-smoke gate).
+// Check, which ncload -rungsweep (the CI gate) turns into its exit status.
 func RungSweep(cfg RungSweepConfig) (*RungSweepReport, error) {
 	if len(cfg.Rungs) == 0 {
 		cfg.Rungs = []core.Rung{core.RungBlind, core.RungFIFO, core.RungTight}
@@ -162,17 +194,4 @@ func (r *RungSweepReport) Check() error {
 			last.Rung, last.Admitted, first.Rung, first.Admitted)
 	}
 	return nil
-}
-
-// BenchText renders the sweep as Go benchmark lines for the .github/benchjson
-// converter — the bridge into BENCH_fifo.json.
-func (r *RungSweepReport) BenchText() string {
-	var b strings.Builder
-	for _, res := range r.Rungs {
-		fmt.Fprintf(&b, "BenchmarkRungSweep%s %d %d ns/op %d admitted-flows %d violations %d last-delay-ns\n",
-			strings.ToUpper(res.Rung[:1])+res.Rung[1:],
-			maxInt(res.Decide.Count, 1), res.Decide.Mean.Nanoseconds(),
-			res.Admitted, res.Violations, res.LastDelay.Nanoseconds())
-	}
-	return b.String()
 }
