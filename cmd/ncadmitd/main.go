@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ncadmitd -platform platform.json [-addr :8080] [-rung blind|fifo|tight]
+//	ncadmitd -platform platform.json [-addr :8080] [-rung blind|fifo|tight] [-simtotal total] [-seed n]
 //	ncadmitd -platform platform.json -validate trace.json [-simtotal total] [-seed n]
 //	ncadmitd -example > platform.json
 //	ncadmitd -example-trace > trace.json
@@ -63,9 +63,8 @@ func main() {
 		platformPath = flag.String("platform", "", "path to the platform JSON description")
 		addr         = flag.String("addr", ":8080", "listen address")
 		validate     = flag.String("validate", "", "replay this admitted-flow trace through the simulator and exit")
-		simTotal     = flag.String("simtotal", "8 MiB", "input volume per simulated flow in -validate mode")
-		seed         = flag.Uint64("seed", 1, "simulation seed (-validate replay and /metrics tightness replay)")
-		tightTotal   = flag.String("tightness-total", "1 MiB", "input volume per flow for the /metrics bound-tightness replay")
+		simTotal     = flag.String("simtotal", "1 MiB", "input volume per simulated flow in every replay: -validate, POST /revalidate and the /metrics bound-tightness probe")
+		seed         = flag.Uint64("seed", 1, "simulation seed for every replay (-validate, POST /revalidate, /metrics)")
 		rungFlag     = flag.String("rung", "", "default analysis tightness rung: blind, fifo or tight (overrides the platform's \"rung\" field; a flow's own \"rung\" overrides both)")
 		audit        = flag.Bool("audit", true, "log every admission decision and release as a structured line on stderr")
 		example      = flag.Bool("example", false, "print a sample platform and exit")
@@ -109,9 +108,14 @@ func main() {
 		}
 		c.SetRung(r)
 	}
+	total, err := units.ParseBytes(*simTotal)
+	if err != nil {
+		fail(fmt.Errorf("simtotal: %w", err))
+	}
+	replay := admit.ReplayOptions{Total: total, Seed: *seed}
 
 	if *validate != "" {
-		if err := runValidate(c, *validate, *simTotal, *seed); err != nil {
+		if err := runValidate(c, *validate, replay); err != nil {
 			fail(err)
 		}
 		return
@@ -129,14 +133,10 @@ func main() {
 	if *audit {
 		c.SetAudit(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
-	tt, err := units.ParseBytes(*tightTotal)
-	if err != nil {
-		fail(fmt.Errorf("tightness-total: %w", err))
-	}
 	srv := newServer(c, serverOptions{
 		pprof:   *pprofOn,
 		metrics: reg,
-		replay:  admit.ReplayOptions{Total: tt, Seed: *seed},
+		replay:  replay,
 		start:   time.Now(),
 	})
 
@@ -180,7 +180,7 @@ func serve(addr string, h http.Handler) error {
 // runValidate replays a trace through the controller, simulating every
 // admitted flow at the residual service and asserting the promised bounds.
 // It exits non-zero when any promise is violated.
-func runValidate(c *admit.Controller, tracePath, simTotal string, seed uint64) error {
+func runValidate(c *admit.Controller, tracePath string, opt admit.ReplayOptions) error {
 	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		return err
@@ -193,17 +193,13 @@ func runValidate(c *admit.Controller, tracePath, simTotal string, seed uint64) e
 	if err != nil {
 		return err
 	}
-	total, err := units.ParseBytes(simTotal)
-	if err != nil {
-		return fmt.Errorf("simtotal: %w", err)
-	}
-	rep, err := admit.Replay(c, ops, admit.ReplayOptions{Total: total, Seed: seed})
+	rep, err := admit.Replay(c, ops, opt)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("validate: platform %q, %d trace ops (%s input per flow, seed %d)\n",
-		c.Name(), len(rep.Steps), total, seed)
+		c.Name(), len(rep.Steps), opt.Total, opt.Seed)
 	for _, s := range rep.Steps {
 		switch {
 		case s.Op == "release":
@@ -211,7 +207,7 @@ func runValidate(c *admit.Controller, tracePath, simTotal string, seed uint64) e
 		case s.Verdict.Admitted:
 			fmt.Printf("  [%2d] admit   %-8s ok    promised delay %v backlog %v; simulated delay %v backlog %v throughput %v\n",
 				s.Index, s.FlowID, s.Verdict.Delay, s.Verdict.Backlog,
-				s.SimDelayMax, s.SimMaxBacklog, s.SimThroughput)
+				s.Revalidation.SimDelayMax, s.Revalidation.SimMaxBacklog, s.Revalidation.SimThroughput)
 		default:
 			fmt.Printf("  [%2d] admit   %-8s REJECTED (%s)\n", s.Index, s.FlowID, s.Verdict.Binding)
 		}

@@ -11,25 +11,15 @@ import (
 // tightnessProbe publishes bound-vs-observed gauges for every admitted flow:
 // the analytic delay/backlog bound next to the sim-replayed p50/p99/max, and
 // their ratio (nc_bound_tightness, ≥ 1 when the network-calculus promise is
-// sound). Replays are cached per (flow, platform epoch) so a scrape after a
-// quiet period costs nothing; an admission or release bumps the epoch and the
-// next scrape re-replays the flows that remain.
+// sound). The gauges come from one RevalidateAll report, kept until the
+// platform epoch moves: a scrape after a quiet period costs nothing, and an
+// admission or release makes the next scrape replay the registry again.
 type tightnessProbe struct {
 	c   *admit.Controller
 	opt admit.ReplayOptions
 
-	mu    sync.Mutex
-	cache map[string]tightEntry
-}
-
-type tightEntry struct {
-	epoch uint64
-	t     admit.Tightness
-	err   error
-}
-
-func newTightnessProbe(c *admit.Controller, opt admit.ReplayOptions) *tightnessProbe {
-	return &tightnessProbe{c: c, opt: opt, cache: make(map[string]tightEntry)}
+	mu  sync.Mutex
+	rep *admit.RevalidateReport // last report, valid while its Epoch is current
 }
 
 // tightnessFamilies are reset on every scrape so released flows' series
@@ -48,6 +38,23 @@ var tightnessFamilies = []string{
 // publishes only nc_tightness_skipped_flows and bails.
 const tightnessMaxFlows = 512
 
+// report returns a revalidation of the registry at the current epoch,
+// replaying it only when the epoch has moved since the last report. A
+// failed pass is not kept, so the next scrape retries it.
+func (p *tightnessProbe) report() (*admit.RevalidateReport, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.rep != nil && p.rep.Epoch == p.c.Epoch() {
+		return p.rep, nil
+	}
+	rep, err := p.c.RevalidateAll(admit.RevalidateOptions{Replay: p.opt, Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	p.rep = rep
+	return rep, nil
+}
+
 // collect runs at scrape time as an obs.Registry collector.
 func (p *tightnessProbe) collect(r *obs.Registry) {
 	for _, fam := range tightnessFamilies {
@@ -62,31 +69,15 @@ func (p *tightnessProbe) collect(r *obs.Registry) {
 	r.Gauge("nc_tightness_skipped_flows",
 		"flows not replayed because the registry exceeds the tightness probe cap").
 		Set(0)
-	epoch := p.c.Epoch()
-	live := make(map[string]bool)
+	// A failed replay pass publishes no per-flow series this round.
+	var flows []admit.FlowRevalidation
+	if rep, err := p.report(); err == nil {
+		flows = rep.Flows
+	}
 	capped := 0
-	for _, af := range p.c.Flows() {
-		id := af.Flow.ID
-		live[id] = true
-
-		p.mu.Lock()
-		e, ok := p.cache[id]
-		p.mu.Unlock()
-		if !ok || e.epoch != epoch {
-			t, err := p.c.Tightness(id, p.opt)
-			e = tightEntry{epoch: epoch, t: t, err: err}
-			p.mu.Lock()
-			p.cache[id] = e
-			p.mu.Unlock()
-		}
-		if e.err != nil {
-			// The flow was released mid-scrape (or the replay failed);
-			// skip its series this round.
-			continue
-		}
-
-		fl := obs.Label{Key: "flow", Value: id}
-		if e.t.Capped {
+	for _, fr := range flows {
+		fl := obs.Label{Key: "flow", Value: fr.FlowID}
+		if fr.Capped {
 			// The replay hit its event cap: the observed maxima cover only a
 			// prefix of the run, so the bound-over-observed ratios would read
 			// as slack that was never verified. Publish the raw bound/sim
@@ -96,45 +87,44 @@ func (p *tightnessProbe) collect(r *obs.Registry) {
 		} else {
 			dim := func(d string) []obs.Label {
 				return []obs.Label{fl, {Key: "dimension", Value: d},
-					{Key: "rung", Value: e.t.Rung}}
+					{Key: "rung", Value: fr.Rung}}
 			}
 			r.Gauge("nc_bound_tightness",
 				"analytic bound over sim-observed max (>= 1 means the promise held)",
-				dim("delay")...).Set(e.t.DelayTightness)
+				dim("delay")...).Set(ratio(fr.Delay.Seconds(), fr.SimDelayMax.Seconds()))
 			r.Gauge("nc_bound_tightness",
 				"analytic bound over sim-observed max (>= 1 means the promise held)",
-				dim("backlog")...).Set(e.t.BacklogTightness)
+				dim("backlog")...).Set(ratio(float64(fr.Backlog), float64(fr.SimMaxBacklog)))
 		}
 
 		r.Gauge("nc_bound_delay_seconds", "analytic end-to-end delay bound", fl).
-			Set(e.t.DelayBound.Seconds())
+			Set(fr.Delay.Seconds())
 		q := func(name string) []obs.Label {
 			return []obs.Label{fl, {Key: "quantile", Value: name}}
 		}
 		r.Gauge("nc_sim_delay_seconds", "sim-replayed sojourn quantiles", q("p50")...).
-			Set(e.t.SimDelayP50.Seconds())
+			Set(fr.SimDelayP50.Seconds())
 		r.Gauge("nc_sim_delay_seconds", "sim-replayed sojourn quantiles", q("p99")...).
-			Set(e.t.SimDelayP99.Seconds())
+			Set(fr.SimDelayP99.Seconds())
 		r.Gauge("nc_sim_delay_seconds", "sim-replayed sojourn quantiles", q("max")...).
-			Set(e.t.SimDelayMax.Seconds())
+			Set(fr.SimDelayMax.Seconds())
 
 		r.Gauge("nc_bound_backlog_bytes", "analytic end-to-end backlog bound", fl).
-			Set(float64(e.t.BacklogBound))
+			Set(float64(fr.Backlog))
 		r.Gauge("nc_sim_backlog_bytes", "sim-replayed peak backlog", fl).
-			Set(float64(e.t.SimBacklogMax))
+			Set(float64(fr.SimMaxBacklog))
 	}
 	r.Gauge("nc_tightness_capped_flows",
 		"flows whose replay hit the event cap; their tightness ratios are withheld").
 		Set(float64(capped))
+}
 
-	// Drop cache entries for flows that are gone.
-	p.mu.Lock()
-	for id := range p.cache {
-		if !live[id] {
-			delete(p.cache, id)
-		}
+// ratio is bound over observed, 0 when nothing was observed.
+func ratio(bound, observed float64) float64 {
+	if observed <= 0 {
+		return 0
 	}
-	p.mu.Unlock()
+	return bound / observed
 }
 
 // metricsHandler serves the registry: Prometheus text exposition by default,

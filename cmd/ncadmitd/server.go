@@ -106,7 +106,8 @@ type serverOptions struct {
 	// metrics, when non-nil, serves the registry on GET /metrics and
 	// registers the bound-tightness collector on it.
 	metrics *obs.Registry
-	// replay tunes the tightness replay (input volume per flow, seed).
+	// replay tunes every replay the server runs, POST /revalidate and the
+	// /metrics tightness probe (input volume per flow, seed).
 	replay admit.ReplayOptions
 	// start is the process start time behind /healthz uptime_seconds (zero
 	// hides the field — tests construct servers without one).
@@ -343,7 +344,7 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 	})
 
 	if opt.metrics != nil {
-		opt.metrics.AddCollector(newTightnessProbe(c, opt.replay).collect)
+		opt.metrics.AddCollector((&tightnessProbe{c: c, opt: opt.replay}).collect)
 		mux.HandleFunc("GET /metrics", metricsHandler(opt.metrics))
 	}
 

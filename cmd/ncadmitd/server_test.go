@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -399,6 +400,65 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if len(snap) == 0 {
 		t.Error("JSON snapshot is empty")
+	}
+}
+
+// Scrapes racing admissions and releases share the probe's one report; once
+// the registry settles, a scrape shows exactly the flows it holds.
+func TestMetricsConcurrentScrapes(t *testing.T) {
+	ts := metricsServer(t)
+	scrape := func() (string, error) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return string(body), err
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, err := scrape(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ids := []string{"s0", "s1", "s2", "s3"}
+	for _, id := range ids {
+		if _, v := postAdmit(t, ts, flowBody(id, "5 MiB/s")); !v.Admitted {
+			t.Errorf("admit %s: %s", id, v.Reason)
+		}
+	}
+	for _, id := range ids[:2] {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/flows/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		resp.Body.Close()
+	}
+	wg.Wait()
+
+	text, err := scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[2:] {
+		if !strings.Contains(text, `nc_bound_delay_seconds{flow="`+id+`"}`) {
+			t.Errorf("held flow %s has no series", id)
+		}
+	}
+	for _, id := range ids[:2] {
+		if strings.Contains(text, `flow="`+id+`"`) {
+			t.Errorf("released flow %s still has series", id)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package admit
 import (
 	"bytes"
 	"log/slog"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -172,7 +173,9 @@ func TestAuditLog(t *testing.T) {
 	}
 }
 
-func TestTightness(t *testing.T) {
+// The bound-tightness gauges come from RevalidateAll: every admitted flow's
+// analytic bounds next to its replayed sojourn quantiles and peak backlog.
+func TestRevalidateTightnessRatios(t *testing.T) {
 	c := testPlatform(t)
 	if v := c.Admit(tenant("t1", 10*units.MiBPerSec)); !v.Admitted {
 		t.Fatalf("expected admission: %s", v.Reason)
@@ -182,40 +185,39 @@ func TestTightness(t *testing.T) {
 		t.Fatalf("expected admission: %s", v.Reason)
 	}
 
-	tt, err := c.Tightness("t1", ReplayOptions{Total: 2 * units.MiB, Seed: 7})
+	opt := RevalidateOptions{Replay: ReplayOptions{Total: 2 * units.MiB, Seed: 7}, Workers: 1}
+	rep, err := c.RevalidateAll(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt.SimDelayMax <= 0 || tt.SimBacklogMax <= 0 {
-		t.Fatalf("replay observed nothing: %+v", tt)
+	if len(rep.Flows) != 2 || rep.Flows[0].FlowID != "t1" {
+		t.Fatalf("flows = %+v, want t1, t2", rep.Flows)
+	}
+	fr := rep.Flows[0]
+	if fr.SimDelayMax <= 0 || fr.SimMaxBacklog <= 0 {
+		t.Fatalf("replay observed nothing: %+v", fr)
 	}
 	// Soundness: the analytic bound must dominate every observation.
-	if tt.DelayTightness < 1 {
-		t.Errorf("delay tightness %.3f < 1 (bound %v, observed max %v)",
-			tt.DelayTightness, tt.DelayBound, tt.SimDelayMax)
+	if r := fr.Delay.Seconds() / fr.SimDelayMax.Seconds(); r < 1 {
+		t.Errorf("delay tightness %.3f < 1 (bound %v, observed max %v)", r, fr.Delay, fr.SimDelayMax)
 	}
-	if tt.BacklogTightness < 1 {
-		t.Errorf("backlog tightness %.3f < 1 (bound %v, observed max %v)",
-			tt.BacklogTightness, tt.BacklogBound, tt.SimBacklogMax)
+	if r := float64(fr.Backlog) / float64(fr.SimMaxBacklog); r < 1 {
+		t.Errorf("backlog tightness %.3f < 1 (bound %v, observed max %v)", r, fr.Backlog, fr.SimMaxBacklog)
 	}
-	if tt.SimDelayP50 > tt.SimDelayP99 || tt.SimDelayP99 > tt.SimDelayMax {
+	if fr.SimDelayP50 > fr.SimDelayP99 || fr.SimDelayP99 > fr.SimDelayMax {
 		t.Errorf("quantiles out of order: p50=%v p99=%v max=%v",
-			tt.SimDelayP50, tt.SimDelayP99, tt.SimDelayMax)
+			fr.SimDelayP50, fr.SimDelayP99, fr.SimDelayMax)
 	}
-	if tt.Capped {
+	if fr.Capped {
 		t.Error("short replay should not hit the event cap")
 	}
 
 	// Determinism per seed.
-	tt2, err := c.Tightness("t1", ReplayOptions{Total: 2 * units.MiB, Seed: 7})
+	rep2, err := c.RevalidateAll(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt2.SimDelayMax != tt.SimDelayMax || tt2.Events != tt.Events {
-		t.Errorf("replay not deterministic: %+v vs %+v", tt, tt2)
-	}
-
-	if _, err := c.Tightness("ghost", ReplayOptions{}); err == nil {
-		t.Error("expected error for unknown flow")
+	if !reflect.DeepEqual(rep, rep2) {
+		t.Errorf("replay not deterministic: %+v vs %+v", rep, rep2)
 	}
 }

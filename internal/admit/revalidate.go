@@ -12,8 +12,8 @@ import (
 
 // RevalidateOptions tunes a batch revalidation pass.
 type RevalidateOptions struct {
-	// Replay configures each flow's simulation (input volume, seed,
-	// throughput slack), exactly as in -validate trace replay.
+	// Replay configures each flow's simulation (input volume, seed),
+	// exactly as in -validate trace replay.
 	Replay ReplayOptions
 	// Workers bounds the concurrent per-flow re-checks; < 1 means
 	// GOMAXPROCS. The report is identical at every worker count.
@@ -30,16 +30,25 @@ type RevalidateOptions struct {
 // replay measurements, and any violations of bounds or SLO.
 type FlowRevalidation struct {
 	FlowID string
+	// Rung is the analysis rung the bounds were computed at (the rung the
+	// flow was admitted with).
+	Rung string
 	// Delay/Backlog/Throughput are the current analytic bounds for the flow
 	// given today's co-resident reservations (not the possibly looser
 	// bounds promised at admission time).
 	Delay      time.Duration
 	Backlog    units.Bytes
 	Throughput units.Rate
-	// Sim measurements from the residual-service replay.
+	// Sim measurements from the residual-service replay: the sojourn
+	// quantiles, peak in-flight bytes and finite-run throughput.
+	SimDelayP50   time.Duration
+	SimDelayP99   time.Duration
 	SimDelayMax   time.Duration
 	SimMaxBacklog units.Bytes
 	SimThroughput units.Rate
+	// Capped reports the replay hit its event cap: the measurements cover
+	// only a prefix of the run.
+	Capped bool
 	// Violations lists broken bounds/SLO dimensions (empty when sound).
 	Violations []string
 }
@@ -64,9 +73,13 @@ type RevalidateReport struct {
 // worker pool; results are assembled in flow-ID order, so the report is
 // deterministic for every worker count.
 //
-// The snapshot is taken once up front: admissions or releases that commit
-// while the batch runs are not reflected (compare Report.Epoch with
-// Controller.Epoch, which steps on every commit or release, to detect that).
+// Only the flow list is snapshotted, at Report.Epoch. Each flow's bounds
+// and stages are read under their own read lock, at the registry state
+// current when that flow's replay starts, so a commit or release during the
+// pass shows in the flows re-checked after it. Controller.Epoch steps on
+// every commit or release: while it still reads Report.Epoch, nothing has
+// committed since the pass began and the report describes the registry
+// exactly, so a caller may reuse it for as long as the epoch has not moved.
 func (c *Controller) RevalidateAll(opt RevalidateOptions) (*RevalidateReport, error) {
 	c.mu.RLock()
 	epoch := c.epoch.Load()
@@ -100,29 +113,28 @@ func (c *Controller) RevalidateAll(opt RevalidateOptions) (*RevalidateReport, er
 // the current co-resident cross traffic, then a residual-service replay
 // checked against those bounds and the SLO.
 func (c *Controller) revalidateFlow(f Flow, opt ReplayOptions) (FlowRevalidation, error) {
-	fr := FlowRevalidation{FlowID: f.ID}
-	if opt.Total <= 0 {
-		opt.Total = 8 * units.MiB
-	}
-	if opt.ThroughputSlack <= 0 {
-		opt.ThroughputSlack = 0.05
-	}
-
 	sp, b, err := c.replaySim(f, opt)
 	if err != nil {
-		return fr, err
+		return FlowRevalidation{}, err
 	}
-	fr.Delay, fr.Backlog, fr.Throughput = b.Delay, b.Backlog, b.Throughput
-
 	res, err := sp.Run()
 	if err != nil {
-		return fr, err
+		return FlowRevalidation{}, err
 	}
-	fr.SimDelayMax = res.DelayMax
-	fr.SimMaxBacklog = res.MaxBacklog
-	fr.SimThroughput = res.Throughput
+	return FlowRevalidation{
+		FlowID:     f.ID,
+		Rung:       b.Rung.String(),
+		Delay:      b.Delay,
+		Backlog:    b.Backlog,
+		Throughput: b.Throughput,
 
-	promised := Verdict{Delay: b.Delay, Backlog: b.Backlog, Throughput: b.Throughput}
-	fr.Violations = boundViolations(promised, f.SLO, res, opt.ThroughputSlack)
-	return fr, nil
+		SimDelayP50:   res.DelayP50,
+		SimDelayP99:   res.DelayP99,
+		SimDelayMax:   res.DelayMax,
+		SimMaxBacklog: res.MaxBacklog,
+		SimThroughput: res.Throughput,
+		Capped:        res.Capped,
+
+		Violations: boundViolations(b, f.SLO, res),
+	}, nil
 }

@@ -173,9 +173,9 @@ func TestRungSeparatesClasses(t *testing.T) {
 
 // Rung-aware replay: an admitted FIFO-rung flow survives the -validate
 // replay (the sim stages serve the rate-latency majorant of the chosen
-// theta-shifted residual, so the analytic bounds must dominate), and the
-// tightness probe reports the rung with sound ratios.
-func TestRungReplayAndTightness(t *testing.T) {
+// theta-shifted residual, so the analytic bounds must dominate), and
+// revalidation reports the rung with sound tightness ratios.
+func TestRungReplayAndRevalidate(t *testing.T) {
 	for _, r := range []core.Rung{core.RungBlind, core.RungFIFO, core.RungTight} {
 		c := sharedNodePlatform(t)
 		rep, err := Replay(c, []TraceOp{
@@ -188,16 +188,19 @@ func TestRungReplayAndTightness(t *testing.T) {
 			t.Fatalf("rung %v: admitted=%d violations=%d: %+v",
 				r, rep.Admitted, rep.Violations, rep.Steps)
 		}
-		ti, err := c.Tightness("flow", ReplayOptions{Total: units.MiB, Seed: 3})
+		rv, err := c.RevalidateAll(RevalidateOptions{
+			Replay: ReplayOptions{Total: units.MiB, Seed: 3}, Workers: 1})
 		if err != nil {
 			t.Fatalf("rung %v: %v", r, err)
 		}
-		if ti.Rung != r.String() {
-			t.Errorf("tightness rung = %q, want %q", ti.Rung, r)
+		fr := rv.Flows[0]
+		if fr.Rung != r.String() {
+			t.Errorf("revalidation rung = %q, want %q", fr.Rung, r)
 		}
-		if ti.DelayTightness < 1 || ti.BacklogTightness < 1 {
-			t.Errorf("rung %v: tightness below 1: delay %v backlog %v",
-				r, ti.DelayTightness, ti.BacklogTightness)
+		delay := fr.Delay.Seconds() / fr.SimDelayMax.Seconds()
+		backlog := float64(fr.Backlog) / float64(fr.SimMaxBacklog)
+		if delay < 1 || backlog < 1 {
+			t.Errorf("rung %v: tightness below 1: delay %v backlog %v", r, delay, backlog)
 		}
 	}
 }

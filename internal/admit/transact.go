@@ -299,7 +299,7 @@ func touches(path []string, nodes map[string]struct{}) bool {
 // platform as it stands with d's additions committed (an empty decision adds
 // none): at every path node the static background plus the node's cross
 // traffic without that member. Every shared-state analysis — a decision,
-// Recheck, Tightness, revalidation, replay — is built here, so the pipeline
+// Recheck, revalidation, replay — is built here, so the pipeline
 // a decision analysed is bit-identical to the one Recheck builds after the
 // commit. The name is ID-independent (see planClass). The registry lock must
 // be held in either mode.

@@ -25,11 +25,12 @@ type ReplayOptions struct {
 	Total units.Bytes
 	// Seed seeds the simulator (replays are deterministic per seed).
 	Seed uint64
-	// ThroughputSlack is the relative tolerance when checking the measured
-	// finite-run throughput against the promised sustained bound (drain
-	// tails bias short runs low). Default 0.05.
-	ThroughputSlack float64
 }
+
+// throughputSlack is the relative tolerance when checking the measured
+// finite-run throughput against the promised sustained bound (drain tails
+// bias short runs low).
+const throughputSlack = 0.05
 
 // StepReport records one replayed trace operation and, for committed
 // admissions, the simulated measurements against the promised bounds.
@@ -39,12 +40,11 @@ type StepReport struct {
 	FlowID  string
 	Verdict Verdict
 
-	// Simulated reports that the flow was admitted and replayed through
-	// the discrete-event simulator.
-	Simulated     bool
-	SimDelayMax   time.Duration
-	SimMaxBacklog units.Bytes
-	SimThroughput units.Rate
+	// Revalidation is the admitted flow's re-check, as RevalidateAll runs
+	// it, taken right after the commit (nil unless the step admitted a
+	// flow). Its recomputed bounds equal the Verdict's: the decision
+	// analysed the same pipeline.
+	Revalidation *FlowRevalidation
 
 	// Violations lists promised bounds the simulation broke (empty when
 	// the controller's promises held).
@@ -63,14 +63,9 @@ type ReplayReport struct {
 // Replay drives the controller through a trace of admit/release operations
 // and validates every admission the controller grants by simulating the
 // flow over its path at the residual service the co-resident reservations
-// leave, asserting the promised delay, backlog, and throughput bounds hold.
+// leave, asserting the promised delay, backlog, and throughput bounds hold
+// (the per-flow re-check RevalidateAll runs).
 func Replay(c *Controller, ops []TraceOp, opt ReplayOptions) (*ReplayReport, error) {
-	if opt.Total <= 0 {
-		opt.Total = 8 * units.MiB
-	}
-	if opt.ThroughputSlack <= 0 {
-		opt.ThroughputSlack = 0.05
-	}
 	rep := &ReplayReport{}
 	for i, op := range ops {
 		step := StepReport{Index: i, Op: op.Op}
@@ -84,9 +79,12 @@ func Replay(c *Controller, ops []TraceOp, opt ReplayOptions) (*ReplayReport, err
 				break
 			}
 			rep.Admitted++
-			if err := simulateAdmitted(c, op.Flow, v, opt, &step); err != nil {
+			fr, err := c.revalidateFlow(op.Flow, opt)
+			if err != nil {
 				return nil, fmt.Errorf("admit: replay step %d (%s): %w", i, op.Flow.ID, err)
 			}
+			step.Revalidation = &fr
+			step.Violations = fr.Violations
 		case "release":
 			step.FlowID = op.ID
 			if !c.Release(op.ID) {
@@ -102,44 +100,21 @@ func Replay(c *Controller, ops []TraceOp, opt ReplayOptions) (*ReplayReport, err
 	return rep, nil
 }
 
-// simulateAdmitted replays one admitted flow through internal/sim. Each
-// path node serves deterministically at its residual sustained rate (the
-// worst case the admission analysis assumed), with the residual latency as
-// a one-time startup; the measured delay, backlog, and throughput must
-// respect the promised bounds.
-func simulateAdmitted(c *Controller, f Flow, v Verdict, opt ReplayOptions, step *StepReport) error {
-	sp, _, err := c.replaySim(f, opt)
-	if err != nil {
-		return err
-	}
-	res, err := sp.Run()
-	if err != nil {
-		return err
-	}
-	step.Simulated = true
-	step.SimDelayMax = res.DelayMax
-	step.SimMaxBacklog = res.MaxBacklog
-	step.SimThroughput = res.Throughput
-	step.Violations = append(step.Violations, boundViolations(v, f.SLO, res, opt.ThroughputSlack)...)
-	return nil
-}
-
 // boundViolations checks one replay's measurements against the promised
-// bounds and the flow's SLO, returning the violated dimensions. Shared by
-// the -validate trace replay and the batch revalidation path.
-func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string {
+// bounds and the flow's SLO, returning the violated dimensions.
+func boundViolations(b *core.Bounds, s SLO, res *sim.Result) []string {
 	var out []string
-	if res.DelayMax > v.Delay+time.Microsecond {
+	if res.DelayMax > b.Delay+time.Microsecond {
 		out = append(out, fmt.Sprintf(
-			"simulated delay %v exceeds promised bound %v", res.DelayMax, v.Delay))
+			"simulated delay %v exceeds promised bound %v", res.DelayMax, b.Delay))
 	}
-	if float64(res.MaxBacklog) > float64(v.Backlog)+1 {
+	if float64(res.MaxBacklog) > float64(b.Backlog)+1 {
 		out = append(out, fmt.Sprintf(
-			"simulated backlog %v exceeds promised bound %v", res.MaxBacklog, v.Backlog))
+			"simulated backlog %v exceeds promised bound %v", res.MaxBacklog, b.Backlog))
 	}
-	if float64(res.Throughput) < float64(v.Throughput)*(1-slack) {
+	if float64(res.Throughput) < float64(b.Throughput)*(1-throughputSlack) {
 		out = append(out, fmt.Sprintf(
-			"simulated throughput %v below promised bound %v", res.Throughput, v.Throughput))
+			"simulated throughput %v below promised bound %v", res.Throughput, b.Throughput))
 	}
 	if s.MaxDelay > 0 && res.DelayMax > s.MaxDelay {
 		out = append(out, fmt.Sprintf(
@@ -149,7 +124,7 @@ func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string 
 		out = append(out, fmt.Sprintf(
 			"simulated backlog %v exceeds SLO max_backlog %v", res.MaxBacklog, s.MaxBacklog))
 	}
-	if s.MinThroughput > 0 && float64(res.Throughput) < float64(s.MinThroughput)*(1-slack) {
+	if s.MinThroughput > 0 && float64(res.Throughput) < float64(s.MinThroughput)*(1-throughputSlack) {
 		out = append(out, fmt.Sprintf(
 			"simulated throughput %v below SLO min_throughput %v", res.Throughput, s.MinThroughput))
 	}
@@ -159,9 +134,12 @@ func boundViolations(v Verdict, s SLO, res *sim.Result, slack float64) []string 
 // replaySim builds the replay simulation for admitted flow f: its offered
 // envelope played into the residual service its co-residents leave (see
 // residualStages), next to the bounds of f at the same registry snapshot —
-// the bounds the replay is to be held against. Shared by the -validate
-// replay, revalidation and the bound-tightness probe.
+// the bounds the replay is to be held against. A zero opt.Total replays
+// 8 MiB.
 func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.Bounds, error) {
+	if opt.Total <= 0 {
+		opt.Total = 8 * units.MiB
+	}
 	stages, packet, b, err := c.residualStages(f)
 	if err != nil {
 		return nil, nil, err

@@ -31,12 +31,12 @@ func TestReplayNoViolations(t *testing.T) {
 	}
 	for _, s := range rep.Steps {
 		if s.Op == "admit" && s.Verdict.Admitted {
-			if !s.Simulated {
-				t.Errorf("admitted flow %s was not simulated", s.FlowID)
+			if s.Revalidation == nil {
+				t.Fatalf("admitted flow %s was not simulated", s.FlowID)
 			}
-			if s.SimDelayMax > s.Verdict.Delay {
+			if s.Revalidation.SimDelayMax > s.Verdict.Delay {
 				t.Errorf("flow %s: simulated delay %v above promised %v",
-					s.FlowID, s.SimDelayMax, s.Verdict.Delay)
+					s.FlowID, s.Revalidation.SimDelayMax, s.Verdict.Delay)
 			}
 		}
 	}

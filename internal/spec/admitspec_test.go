@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streamcalc/internal/admit"
+	"streamcalc/internal/core"
 	"streamcalc/internal/units"
 )
 
@@ -50,6 +51,48 @@ func TestExampleTraceReplays(t *testing.T) {
 		for _, s := range rep.Steps {
 			for _, v := range s.Violations {
 				t.Errorf("step %d: %s", s.Index, v)
+			}
+		}
+	}
+}
+
+// Replay judges each admission against bounds recomputed right after the
+// commit. They must equal the decision's own bounds at every rung: the
+// recheck analyses the same pipeline the decision did.
+func TestReplayRecomputedBoundsMatchVerdict(t *testing.T) {
+	wire, err := ParseTrace([]byte(ExampleTrace()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := TraceOps(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []core.Rung{core.RungBlind, core.RungFIFO, core.RungTight} {
+		p, err := ParsePlatform([]byte(ExamplePlatform()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.Controller()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetRung(r)
+		rep, err := admit.Replay(c, ops, admit.ReplayOptions{Total: units.MiB, Seed: 1})
+		if err != nil {
+			t.Fatalf("rung %v: %v", r, err)
+		}
+		if rep.Admitted == 0 {
+			t.Fatalf("rung %v: nothing admitted", r)
+		}
+		for _, s := range rep.Steps {
+			if !s.Verdict.Admitted {
+				continue
+			}
+			fr, v := s.Revalidation, s.Verdict
+			if fr.Delay != v.Delay || fr.Backlog != v.Backlog || fr.Throughput != v.Throughput {
+				t.Errorf("rung %v step %d (%s): recomputed %v/%v/%v, verdict %v/%v/%v", r, s.Index, s.FlowID,
+					fr.Delay, fr.Backlog, fr.Throughput, v.Delay, v.Backlog, v.Throughput)
 			}
 		}
 	}
