@@ -26,8 +26,11 @@
 //     hold is the candidate committed. A co-resident class that the paper's
 //     closed form (core.ClosedForm, a few scalars per hop, never better than
 //     core.Bound) already shows to be clear of its SLO skips that re-check.
-//     Reservations alone come from a full core.Analyze, of the flow on the
-//     pristine platform.
+//     A tight-rung class keeps the θ-vector of the check that admitted its
+//     newest members, and its victim checks, Recheck and revalidation first
+//     evaluate that vector (core.BoundAt, sound under any cross traffic)
+//     before they re-run the lattice search (classBound). Reservations alone
+//     come from a full core.Analyze, of the flow on the pristine platform.
 //
 // # Scaling: flow classes
 //
@@ -269,6 +272,11 @@ type classState struct {
 	verdict Verdict                // latest admission verdict, FlowID blank
 	ids     map[string]struct{}    // member flow IDs
 
+	// theta is the θ-vector (indexed by path node) of the check that admitted
+	// the class's newest members, kept at the tight rung only: nil otherwise.
+	// classBound evaluates it before it re-runs the lattice search.
+	theta []float64
+
 	// minID caches the lexicographically smallest member for victim-naming;
 	// recomputed lazily, by decideSet under the writer role, after the
 	// minimum is released.
@@ -491,10 +499,10 @@ func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
 	return c.submit(&ticket{kind: tkAdmit, f: f, key: key, tr: tr}).v
 }
 
-// commit registers flow f (already decided admissible) under class key; the
-// caller steps the epoch once per transaction. Callers must hold the registry
-// write lock.
-func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Bucket, v Verdict) {
+// commit registers flow f (already decided admissible by plan pl) under
+// class key; the caller steps the epoch once per transaction. Callers must
+// hold the registry write lock.
+func (c *Controller) commit(key verdictKey, f Flow, pl *classPlan) {
 	cs, ok := c.classes[key]
 	if !ok {
 		cs = &classState{
@@ -502,18 +510,19 @@ func (c *Controller) commit(key verdictKey, f Flow, contrib map[string]core.Buck
 			arrival: f.Arrival,
 			path:    append([]string(nil), f.Path...),
 			slo:     f.SLO,
-			contrib: contrib,
+			contrib: pl.contrib,
 			ids:     make(map[string]struct{}),
 		}
 		c.classes[key] = cs
 		c.classKeys = insertKey(c.classKeys, key)
 	}
 	cs.addID(f.ID)
-	tv := v
+	tv := pl.verdict
 	tv.FlowID = "" // the stored template is ID-independent
 	cs.verdict = tv
+	cs.theta = pl.theta
 	c.flows[f.ID] = cs
-	for name, b := range contrib {
+	for name, b := range pl.contrib {
 		c.shards[name].insert(key, b, 1)
 	}
 }
@@ -740,16 +749,43 @@ func (c *Controller) Recheck(id string) (Verdict, error) {
 }
 
 // boundLocked builds f's pipeline under the current reservations, leaving
-// out f's own when f is admitted, and bounds it. The registry lock must be
-// held in either mode.
+// out f's own when f is admitted, and bounds it with classBound, as a bound
+// to report. The registry lock must be held in either mode.
 func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
+	cs := c.flows[f.ID] // nil when f is not admitted
 	var self verdictKey
-	if cs, ok := c.flows[f.ID]; ok {
+	if cs != nil {
 		self = cs.key
 	}
 	p := c.sharedPipeline(f.Arrival, f.Path, c.rungFor(f), self, &decision{})
-	b, err := core.Bound(p, c.memo)
+	b, _, err := c.classBound(cs, p, true)
 	return p, b, err
+}
+
+// classBound bounds one member of admitted class cs (nil: a flow of no
+// class) on p, the pipeline sharedPipeline built for it. Without a stored
+// θ-vector it is core.Bound. With one (a tight class) it first evaluates
+// core.BoundAt at that vector — sound under any cross traffic, one chain pass
+// and no search. A victim check (report false) stops there when that bound
+// meets the class's SLO, and certified says so. Otherwise the fresh search
+// runs too, and classBound returns whichever of the two Bounds meets the SLO —
+// the smaller delay when both do, the fresh one when neither does — so a
+// replay is built from the vector its bound was taken at.
+func (c *Controller) classBound(cs *classState, p core.Pipeline, report bool) (b *core.Bounds, certified bool, err error) {
+	if cs == nil || cs.theta == nil {
+		b, err = core.Bound(p, c.memo)
+		return b, false, err
+	}
+	at, atErr := core.BoundAt(p, cs.theta)
+	atOK := atErr == nil && sloViolation(cs.slo, p, at) == nil
+	if atOK && !report {
+		return at, true, nil
+	}
+	b, err = core.Bound(p, c.memo)
+	if atOK && (err != nil || sloViolation(cs.slo, p, b) != nil || at.Delay < b.Delay) {
+		return at, true, nil
+	}
+	return b, false, err
 }
 
 // Residual describes a node's leftover service after all admitted

@@ -158,6 +158,7 @@ func (c *Controller) observeBatch(out []Verdict, tr *decTrace) {
 			"rejected", rejected,
 			"decision_us", took.Microseconds(),
 			"victims_screened", rec.VictimsScreened,
+			"victims_certified", rec.VictimsCertified,
 		)
 	}
 }

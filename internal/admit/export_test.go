@@ -1,5 +1,11 @@
 package admit
 
+import (
+	"fmt"
+
+	"streamcalc/internal/core"
+)
+
 // RedecideCache re-decides, as a set of one, every verdict-cache entry that
 // is valid at the current epoch and asks the question of one of flows. It
 // returns each stored refusal beside the fresh answer, and the number of
@@ -32,4 +38,21 @@ func (c *Controller) RedecideCache(flows []Flow) (stored, fresh []Verdict, valid
 		valid++
 	}
 	return stored, fresh, valid + len(live)
+}
+
+// FreshBound bounds admitted flow id on the pipeline Recheck builds for it,
+// by the fresh analysis alone (core.Bound, no stored θ-vector), and reports
+// whether that bound meets the flow's SLO.
+func (c *Controller) FreshBound(id string) (b *core.Bounds, meets bool, err error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cs, ok := c.flows[id]
+	if !ok {
+		return nil, false, fmt.Errorf("flow %q not admitted", id)
+	}
+	p := c.sharedPipeline(cs.arrival, cs.path, cs.key.rung, cs.key, &decision{})
+	if b, err = core.Bound(p, nil); err != nil {
+		return nil, false, err
+	}
+	return b, sloViolation(cs.slo, p, b) == nil, nil
 }

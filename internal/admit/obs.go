@@ -56,6 +56,7 @@ type ctrlObs struct {
 	sloFast    *obs.Counter
 	internal   *obs.Counter
 	screened   *obs.Counter
+	certified  *obs.Counter
 
 	// Sliding windows: every decision, and the slow (objective-violating)
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
@@ -129,6 +130,8 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			"combiner groups that panicked and were answered with \"internal\" rejections (nothing committed)"),
 		screened: reg.Counter("nc_admit_victims_screened_total",
 			"victim classes cleared by the closed-form screen without an analysis"),
+		certified: reg.Counter("nc_admit_victims_certified_total",
+			"tight-rung victim classes cleared by a chain pass at their stored θ-vector without a lattice search"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}
@@ -339,6 +342,7 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 			"cached", v.Cached,
 			"decision_us", took.Microseconds(),
 			"victims_screened", rec.VictimsScreened,
+			"victims_certified", rec.VictimsCertified,
 		}
 		if v.Admitted {
 			attrs = append(attrs,

@@ -44,14 +44,15 @@ const (
 // the decision is in flight. All methods are nil-receiver safe so
 // uninstrumented controllers pass nil and pay one branch per call site.
 type decTrace struct {
-	span     *obs.Span
-	kind     string
-	group    int // combiner group size this decision rode in (0 = none)
-	victims  int // victim classes considered
-	screened int // of those, cleared by the closed-form screen without an analysis
-	nodes    []string
-	batchN   int // batch decisions: flows offered
-	batchAdm int // batch decisions: flows admitted
+	span      *obs.Span
+	kind      string
+	group     int // combiner group size this decision rode in (0 = none)
+	victims   int // victim classes considered
+	screened  int // of those, cleared by the closed-form screen without an analysis
+	certified int // of the rest, cleared by their stored θ-vector without a search
+	nodes     []string
+	batchN    int // batch decisions: flows offered
+	batchAdm  int // batch decisions: flows admitted
 
 	rungCombos int // tight-rung θ-vectors scored across this decision's analyses
 	rungPruned int // tight-rung θ-vectors skipped by branch-and-bound
@@ -91,6 +92,19 @@ func (c *Controller) noteScreened(tr *decTrace) {
 	}
 }
 
+// noteCertified counts one victim its stored θ-vector cleared, on the
+// decision and on nc_admit_victims_certified_total. tr is non-nil whenever a
+// sink is attached.
+func (c *Controller) noteCertified(tr *decTrace) {
+	if tr == nil {
+		return
+	}
+	tr.certified++
+	if m := c.obsm; m != nil {
+		m.certified.Inc()
+	}
+}
+
 func (tr *decTrace) noteGroup(n int) {
 	if tr != nil {
 		tr.group = n
@@ -117,6 +131,7 @@ func (tr *decTrace) absorb(g *decTrace) {
 	tr.span.Absorb(g.span)
 	tr.victims += g.victims
 	tr.screened += g.screened
+	tr.certified += g.certified
 	tr.rungCombos += g.rungCombos
 	tr.rungPruned += g.rungPruned
 	if g.nodes != nil {
@@ -153,9 +168,12 @@ type DecisionRecord struct {
 
 	// VictimsChecked counts the admitted classes the decision considered as
 	// victims; VictimsScreened, how many of them the closed-form screen
-	// cleared without an analysis. The difference ran core.Bound.
-	VictimsChecked  int `json:"victims_checked,omitempty"`
-	VictimsScreened int `json:"victims_screened,omitempty"`
+	// cleared without an analysis; VictimsCertified, how many of the rest a
+	// chain pass at their stored θ-vector cleared (tight rung only). The
+	// remainder ran core.Bound.
+	VictimsChecked   int `json:"victims_checked,omitempty"`
+	VictimsScreened  int `json:"victims_screened,omitempty"`
+	VictimsCertified int `json:"victims_certified,omitempty"`
 	// Nodes names the nodes the decision's analysis read, sorted.
 	Nodes []string `json:"nodes,omitempty"`
 
@@ -176,18 +194,19 @@ type DecisionRecord struct {
 // marked the final phase already, so Total covers every recorded phase.
 func (tr *decTrace) record(total time.Duration) DecisionRecord {
 	return DecisionRecord{
-		Kind:            tr.kind,
-		Start:           tr.span.Start(),
-		Total:           total,
-		Phases:          tr.span.Phases(),
-		GroupSize:       tr.group,
-		VictimsChecked:  tr.victims,
-		VictimsScreened: tr.screened,
-		Nodes:           tr.nodes,
-		RungCombos:      tr.rungCombos,
-		RungPruned:      tr.rungPruned,
-		BatchFlows:      tr.batchN,
-		BatchAdmitted:   tr.batchAdm,
+		Kind:             tr.kind,
+		Start:            tr.span.Start(),
+		Total:            total,
+		Phases:           tr.span.Phases(),
+		GroupSize:        tr.group,
+		VictimsChecked:   tr.victims,
+		VictimsScreened:  tr.screened,
+		VictimsCertified: tr.certified,
+		Nodes:            tr.nodes,
+		RungCombos:       tr.rungCombos,
+		RungPruned:       tr.rungPruned,
+		BatchFlows:       tr.batchN,
+		BatchAdmitted:    tr.batchAdm,
 	}
 }
 

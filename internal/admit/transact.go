@@ -28,6 +28,7 @@ type classPlan struct {
 	contrib map[string]core.Bucket // per-member reservation (shared, read-only)
 	err     error                  // the standalone analysis failed: members are spec rejections
 	verdict Verdict                // admitted template (FlowID blank), set when the set fits
+	theta   []float64              // the θ-vector the class's check committed to (tight rung only)
 }
 
 // decision is decideSet's answer for one candidate set at one registry
@@ -182,13 +183,19 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	// check analyses one member of class self at the final state, at the
 	// class's own rung whoever else is in the set: a tight-rung candidate
 	// must not loosen (or tighten) the promises made to blind-rung classes.
-	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey) (*core.Bounds, *sloCheck, error) {
+	// A class gaining members (cs nil) runs the fresh search; an admitted
+	// victim goes through classBound, which tries its stored θ-vector first.
+	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey, cs *classState) (*core.Bounds, *sloCheck, error) {
 		p := c.sharedPipeline(arrival, path, self.rung, self, d)
-		b, err := core.Bound(p, c.memo)
+		b, certified, err := c.classBound(cs, p, false)
 		if err != nil {
 			// Saturation (aggregate cross >= node rate) surfaces as a
 			// pipeline validation error.
 			return nil, nil, err
+		}
+		if certified {
+			c.noteCertified(tr)
+			return b, nil, nil
 		}
 		tr.noteRungSearch(b.TightCombos, b.TightPruned)
 		return b, sloViolation(slo, p, b), nil
@@ -196,7 +203,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 
 	for _, k := range d.keys {
 		pl := d.plans[k]
-		b, bad, err := check(pl.f.Arrival, pl.f.Path, pl.f.SLO, k)
+		b, bad, err := check(pl.f.Arrival, pl.f.Path, pl.f.SLO, k, nil)
 		switch {
 		case err != nil:
 			return refuse(PhaseAnalysis, k.rung, "saturation", "%v", err)
@@ -204,6 +211,9 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			return refuse(PhaseAnalysis, k.rung, bad.binding, "%s", bad.detail)
 		}
 		pl.verdict = c.admittedVerdict(d, k, pl, b)
+		if k.rung == core.RungTight {
+			pl.theta = b.FIFOTheta
+		}
 	}
 	tr.mark(PhaseAnalysis)
 
@@ -220,7 +230,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			c.noteScreened(tr)
 			continue
 		}
-		_, bad, err := check(cs.arrival, cs.path, cs.slo, k)
+		_, bad, err := check(cs.arrival, cs.path, cs.slo, k, cs)
 		// Only a refused set of one class is ever reported; its rung is that
 		// class's.
 		switch {
@@ -364,8 +374,7 @@ func (c *Controller) commitSet(cands []cand, d *decision) {
 	defer c.mu.Unlock()
 	for i, cd := range cands {
 		if _, own := d.spec[i]; !own {
-			pl := d.plans[cd.key]
-			c.commit(cd.key, cd.f, pl.contrib, pl.verdict)
+			c.commit(cd.key, cd.f, d.plans[cd.key])
 		}
 	}
 	// One transaction, one step of the global epoch, however many flows.

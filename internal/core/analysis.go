@@ -187,20 +187,37 @@ func Bound(p Pipeline, m *Memo) (*Bounds, error) {
 	return b, err
 }
 
+// BoundAt is Bound evaluated at a given θ-vector (indexed by node; entries
+// at nodes without cross traffic are ignored): one chain pass with the FIFO
+// left-over member at every cross node pinned to theta, no search and no
+// memo. Every member of the family is a valid service curve for any θ ≥ 0,
+// so the result is sound whatever cross traffic p carries — a vector taken
+// from an earlier Bounds.FIFOTheta stays a certificate after the cross
+// traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p) but for the
+// search counters, which are zero here.
+func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
+	if len(theta) != len(p.Nodes) {
+		return nil, fmt.Errorf("core: BoundAt: %d thetas for %d nodes", len(theta), len(p.Nodes))
+	}
+	_, b, err := run(p, theta, false)
+	return b, err
+}
+
 // run computes one half of a Memo entry: the Bounds after a chain pass, or
-// with report set the full Analysis. An attached AnalysisTimer is told how
-// long it took; detached, that costs one atomic pointer load.
-func run(p Pipeline, report bool) (a *Analysis, b *Bounds, err error) {
+// with report set the full Analysis; a non-nil theta pins the θ-vector
+// (BoundAt) instead of following the rung. An attached AnalysisTimer is told
+// how long it took; detached, that costs one atomic pointer load.
+func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err error) {
 	if t := analysisTimer.Load(); t != nil {
 		defer func(start time.Time) { (*t)(time.Since(start).Seconds()) }(time.Now())
 	}
 	if err = p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if p.Rung.Resolved() == RungTight {
+	if theta == nil && p.Rung.Resolved() == RungTight {
 		a, err = analyzeTightBudget(p, 0, report)
 	} else {
-		a, err = analyzeWith(p, nil, report)
+		a, err = analyzeWith(p, theta, report)
 	}
 	if err == nil && !report {
 		a, b = nil, a.bounds()

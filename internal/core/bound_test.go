@@ -282,6 +282,51 @@ func TestBoundDelaySaturates(t *testing.T) {
 	}
 }
 
+// BoundAt at the vector a search committed to reproduces that search's
+// Bounds field for field (the search counters aside, which BoundAt leaves at
+// zero): the certificate a class stores is the bound it was admitted with.
+// Draws where Bound errors or panics are skipped; the panic census of
+// TestClosedFormDominatesBound owns those.
+func TestBoundAtCommittedVectorIsBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(closedFormSeed))
+	const trials = 5000
+	var compared int
+	for trial := 0; trial < trials; trial++ {
+		p := randomScreenPipeline(rng)
+		for _, r := range []Rung{RungFIFO, RungTight} {
+			p.Rung = r
+			b, err, panicked := boundOrPanic(p)
+			if err != nil || panicked != "" {
+				continue
+			}
+			at, err := BoundAt(p, b.FIFOTheta)
+			if err != nil {
+				t.Fatalf("trial %d %v: BoundAt at the committed vector: %v\npipeline %+v", trial, r, err, p)
+			}
+			want := *b
+			want.TightCombos, want.TightPruned = 0, 0
+			if !reflect.DeepEqual(*at, want) {
+				t.Fatalf("trial %d %v: BoundAt = %+v, Bound = %+v\npipeline %+v", trial, r, *at, *b, p)
+			}
+			compared++
+		}
+	}
+	if compared < trials {
+		t.Errorf("compared %d of %d draws: the generator is off target", compared, 2*trials)
+	}
+}
+
+// A vector of the wrong length is an error, not a panic.
+func TestBoundAtVectorLength(t *testing.T) {
+	p := Pipeline{
+		Arrival: Arrival{Rate: 1e3, Burst: 1e3},
+		Nodes:   []Node{{Name: "s", Rate: 1e4, JobIn: 1, JobOut: 1, CrossRate: 1e3, CrossBurst: 1e3}},
+	}
+	if _, err := BoundAt(p, nil); err == nil {
+		t.Error("BoundAt with no vector succeeded")
+	}
+}
+
 var benchSink any
 
 // BenchmarkBound prices an admission check (Bound: the chain pass) against

@@ -48,7 +48,7 @@ func (m *Memo) Stats() (hits, misses uint64, entries int) {
 // computes.
 func (m *Memo) lookup(p Pipeline, report bool) (*Analysis, *Bounds, error) {
 	if m == nil {
-		return run(p, report)
+		return run(p, nil, report)
 	}
 	key := p.digest()
 	m.mu.Lock()
@@ -64,9 +64,9 @@ func (m *Memo) lookup(p Pipeline, report bool) (*Analysis, *Bounds, error) {
 		return e.a, e.b, e.err
 	}
 	if report {
-		e.a, _, e.err = run(p, true)
+		e.a, _, e.err = run(p, nil, true)
 	} else {
-		_, e.b, e.err = run(p, false)
+		_, e.b, e.err = run(p, nil, false)
 	}
 
 	m.mu.Lock()

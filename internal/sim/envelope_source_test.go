@@ -89,3 +89,34 @@ func TestEnvelopeSourceValidation(t *testing.T) {
 		t.Error("zero-rate bucket must fail")
 	}
 }
+
+// An envelope source offers no more than its envelope at any emission
+// instant, even with SourceConfig.Burst set beside it (the admission replay
+// sets both): the greedy playback already emits the envelope's burst at t = 0.
+func TestEnvelopeSourceNeverExceedsEnvelope(t *testing.T) {
+	env := []EnvelopeBucket{{Rate: 5000, Burst: 1200}, {Rate: 20000, Burst: 300}}
+	p := New(SourceConfig{
+		Rate:       5000,
+		PacketSize: 100,
+		Burst:      1100,
+		TotalInput: 20000,
+		Envelope:   env,
+	}, 44).Add(StageFromRate("srv", 8000, 8000, 100, 100))
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if float64(res.InputBytes) != 20000 {
+		t.Fatalf("offered %v, want 20000", res.InputBytes)
+	}
+	for _, pt := range res.Input {
+		// Trace times are truncated to the nanosecond; allow what the
+		// fastest bucket adds in one.
+		tt := pt.T.Seconds()
+		for _, b := range env {
+			if lim := float64(b.Burst) + float64(b.Rate)*(tt+1e-9) + 1e-6; float64(pt.Cum) > lim {
+				t.Fatalf("offered %v B by %v, over bucket (%v, %v)'s %v B", pt.Cum, pt.T, b.Rate, b.Burst, lim)
+			}
+		}
+	}
+}

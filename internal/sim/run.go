@@ -171,7 +171,9 @@ func newRun(p *Pipeline) *run {
 }
 
 func (r *run) start() {
-	if r.p.src.Burst > 0 {
+	// An envelope source plays its buckets' bursts itself (sourceTick), and
+	// SourceConfig.Burst is ignored in that mode.
+	if r.p.src.Burst > 0 && len(r.p.src.Envelope) == 0 {
 		r.sim.Schedule(0, func() { r.emit(float64(r.p.src.Burst)) })
 	}
 	r.sim.Schedule(0, r.sourceTick)

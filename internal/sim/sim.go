@@ -32,7 +32,7 @@ type SourceConfig struct {
 	// smaller. Required > 0.
 	PacketSize units.Bytes
 	// Burst is released instantly at time 0 (in addition to the regular
-	// packet schedule).
+	// packet schedule). Ignored when Envelope is set.
 	Burst units.Bytes
 	// Poisson draws exponential interarrival times instead of the default
 	// deterministic schedule (useful for validating the M/M/1 queueing
