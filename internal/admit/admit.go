@@ -29,7 +29,7 @@
 //     A tight-rung class keeps the θ-vector of the check that admitted its
 //     newest members, and its victim checks, Recheck and revalidation first
 //     evaluate that vector (core.BoundAt, sound under any cross traffic)
-//     before they re-run the lattice search (classBound). Reservations alone
+//     before they re-run the search (classBound). Reservations alone
 //     come from a full core.Analyze, of the flow on the pristine platform.
 //
 // # Scaling: flow classes
@@ -274,7 +274,7 @@ type classState struct {
 
 	// theta is the θ-vector (indexed by path node) of the check that admitted
 	// the class's newest members, kept at the tight rung only: nil otherwise.
-	// classBound evaluates it before it re-runs the lattice search.
+	// classBound evaluates it before it re-runs the search.
 	theta []float64
 
 	// minID caches the lexicographically smallest member for victim-naming;

@@ -176,7 +176,8 @@ func sameGoldenLine(got, want string) error {
 // goldens were written with -update by the commit that preceded the
 // single-transaction refactor; the tight ones, later, at the engine of their
 // own commit. A change that moves an answer on purpose rewrites its golden
-// with -update and says which lines moved.
+// with -update, which keeps every line still within tolerance, and says
+// which lines moved.
 func TestGoldenPrograms(t *testing.T) {
 	for _, rung := range []core.Rung{core.RungBlind, core.RungFIFO, core.RungTight} {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -185,7 +186,18 @@ func TestGoldenPrograms(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				got := runGoldenProgram(t, seed, rung)
 				path := filepath.Join("testdata", name+".golden")
+				want, err := readGolden(path)
 				if *update {
+					if err != nil && !os.IsNotExist(err) {
+						t.Fatal(err)
+					}
+					// Keep every golden line the answer still matches, so a
+					// rewrite shows exactly the answers that moved.
+					for i := range got {
+						if i < len(want) && sameGoldenLine(got[i], want[i]) == nil {
+							got[i] = want[i]
+						}
+					}
 					if err := os.MkdirAll("testdata", 0o755); err != nil {
 						t.Fatal(err)
 					}
@@ -194,14 +206,8 @@ func TestGoldenPrograms(t *testing.T) {
 					}
 					return
 				}
-				f, err := os.Open(path)
 				if err != nil {
 					t.Fatal(err)
-				}
-				defer f.Close()
-				var want []string
-				for sc := bufio.NewScanner(f); sc.Scan(); {
-					want = append(want, sc.Text())
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%d answers, golden has %d", len(got), len(want))
@@ -214,4 +220,19 @@ func TestGoldenPrograms(t *testing.T) {
 			})
 		}
 	}
+}
+
+// readGolden returns the lines of a golden file.
+func readGolden(path string) ([]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	return lines, sc.Err()
 }

@@ -57,6 +57,7 @@ type ctrlObs struct {
 	internal   *obs.Counter
 	screened   *obs.Counter
 	certified  *obs.Counter
+	rungCombos *obs.Counter
 
 	// Sliding windows: every decision, and the slow (objective-violating)
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
@@ -131,7 +132,9 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 		screened: reg.Counter("nc_admit_victims_screened_total",
 			"victim classes cleared by the closed-form screen without an analysis"),
 		certified: reg.Counter("nc_admit_victims_certified_total",
-			"tight-rung victim classes cleared by a chain pass at their stored θ-vector without a lattice search"),
+			"tight-rung victim classes cleared by a chain pass at their stored θ-vector without a search"),
+		rungCombos: reg.Counter("nc_rung_combos_total",
+			"tight-rung θ-vectors scored by the analyses decisions consulted (memo hits at their original cost)"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}
@@ -164,27 +167,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 		reg.GaugeFunc("nc_cache_hit_rate", "hits/(hits+misses) by layer",
 			func() float64 { h, mi, _ := m.snapshot().cacheLayer(layer); return obs.HitRate(h, mi) }, l)
 	}
-
-	// Tight-rung lattice search effort, process-wide: θ-vectors actually
-	// scored vs skipped by branch-and-bound. The prune-ratio gauge is the
-	// live health figure for the search — a ratio near 0 on a tight-rung
-	// workload means the bound is not cutting and decide latency scales
-	// with the full lattice.
-	reg.CounterFunc("nc_rung_combos_total",
-		"tight-rung θ-vectors scored by the lattice search",
-		func() float64 { combos, _ := core.RungSearchStats(); return float64(combos) })
-	reg.CounterFunc("nc_rung_pruned_total",
-		"tight-rung θ-vectors skipped by branch-and-bound pruning",
-		func() float64 { _, pruned := core.RungSearchStats(); return float64(pruned) })
-	reg.GaugeFunc("nc_rung_prune_ratio",
-		"pruned/(scored+pruned) across all tight-rung searches since process start",
-		func() float64 {
-			combos, pruned := core.RungSearchStats()
-			if combos+pruned == 0 {
-				return 0
-			}
-			return float64(pruned) / float64(combos+pruned)
-		})
 
 	// The timing families exist (at zero) from startup, and the timers hold
 	// their histograms: no registry lookup on the operator path.

@@ -55,7 +55,6 @@ type decTrace struct {
 	batchAdm  int // batch decisions: flows admitted
 
 	rungCombos int // tight-rung θ-vectors scored across this decision's analyses
-	rungPruned int // tight-rung θ-vectors skipped by branch-and-bound
 }
 
 // newTrace starts a decision trace, or returns nil when no sink is
@@ -111,13 +110,16 @@ func (tr *decTrace) noteGroup(n int) {
 	}
 }
 
-// noteRungSearch accumulates a tight-rung analysis's lattice-search effort
-// (scored and pruned θ-vectors) onto the decision; analyses below RungTight
-// report zeros and the call is a no-op.
-func (tr *decTrace) noteRungSearch(combos, pruned int) {
-	if tr != nil {
-		tr.rungCombos += combos
-		tr.rungPruned += pruned
+// noteRungSearch counts a tight-rung analysis's scored θ-vectors on the
+// decision and on nc_rung_combos_total; analyses below RungTight report zero.
+// tr is non-nil whenever a sink is attached.
+func (c *Controller) noteRungSearch(tr *decTrace, combos int) {
+	if tr == nil || combos == 0 {
+		return
+	}
+	tr.rungCombos += combos
+	if m := c.obsm; m != nil {
+		m.rungCombos.Add(uint64(combos))
 	}
 }
 
@@ -133,7 +135,6 @@ func (tr *decTrace) absorb(g *decTrace) {
 	tr.screened += g.screened
 	tr.certified += g.certified
 	tr.rungCombos += g.rungCombos
-	tr.rungPruned += g.rungPruned
 	if g.nodes != nil {
 		tr.nodes = g.nodes
 	}
@@ -177,13 +178,12 @@ type DecisionRecord struct {
 	// Nodes names the nodes the decision's analysis read, sorted.
 	Nodes []string `json:"nodes,omitempty"`
 
-	// RungCombos/RungPruned are the tight rung's θ-lattice search effort
+	// RungCombos is the number of θ-vectors the tight rung's search scored,
 	// summed over every analysis this decision consulted (candidate plus
 	// victim sweeps); zero below RungTight. A memoized analysis contributes
 	// the effort of its original computation — the cost the decision would
 	// have paid without the memo.
 	RungCombos int `json:"rung_combos,omitempty"`
-	RungPruned int `json:"rung_pruned,omitempty"`
 
 	BatchFlows    int `json:"batch_flows,omitempty"`
 	BatchAdmitted int `json:"batch_admitted,omitempty"`
@@ -204,7 +204,6 @@ func (tr *decTrace) record(total time.Duration) DecisionRecord {
 		VictimsCertified: tr.certified,
 		Nodes:            tr.nodes,
 		RungCombos:       tr.rungCombos,
-		RungPruned:       tr.rungPruned,
 		BatchFlows:       tr.batchN,
 		BatchAdmitted:    tr.batchAdm,
 	}

@@ -197,7 +197,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			c.noteCertified(tr)
 			return b, nil, nil
 		}
-		tr.noteRungSearch(b.TightCombos, b.TightPruned)
+		c.noteRungSearch(tr, b.TightCombos)
 		return b, sloViolation(slo, p, b), nil
 	}
 

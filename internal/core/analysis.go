@@ -121,10 +121,10 @@ type Analysis struct {
 	// sustained rate.
 	BottleneckIndex int
 
-	// TightCombos and TightPruned report the tight rung's θ-lattice search
-	// effort for this analysis: vectors scored and vectors skipped by
-	// branch-and-bound pruning (both zero below RungTight). Their sum is
-	// the full lattice size after grid thinning.
+	// TightCombos is the number of θ-vectors the tight rung's search scored
+	// for this analysis (zero below RungTight). TightPruned is always zero:
+	// the search prunes nothing. It stays for the bench module's probes,
+	// which read it.
 	TightCombos, TightPruned int
 }
 
@@ -167,12 +167,12 @@ type Bounds struct {
 	// +Inf when Overloaded.
 	Delay   time.Duration
 	Backlog units.Bytes
-	// Throughput, Overloaded, BottleneckIndex, TightCombos and TightPruned
-	// are Analysis.ThroughputLower and the Analysis fields of the same name.
-	Throughput               units.Rate
-	Overloaded               bool
-	BottleneckIndex          int
-	TightCombos, TightPruned int
+	// Throughput, Overloaded, BottleneckIndex and TightCombos are
+	// Analysis.ThroughputLower and the Analysis fields of the same name.
+	Throughput      units.Rate
+	Overloaded      bool
+	BottleneckIndex int
+	TightCombos     int
 	// FIFOTheta is NodeAnalysis.FIFOTheta, indexed by node.
 	FIFOTheta []float64
 }
@@ -194,7 +194,7 @@ func Bound(p Pipeline, m *Memo) (*Bounds, error) {
 // so the result is sound whatever cross traffic p carries — a vector taken
 // from an earlier Bounds.FIFOTheta stays a certificate after the cross
 // traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p) but for the
-// search counters, which are zero here.
+// search counter TightCombos, which is zero here.
 func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
 	if len(theta) != len(p.Nodes) {
 		return nil, fmt.Errorf("core: BoundAt: %d thetas for %d nodes", len(theta), len(p.Nodes))
@@ -215,7 +215,7 @@ func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err 
 		return nil, nil, err
 	}
 	if theta == nil && p.Rung.Resolved() == RungTight {
-		a, err = analyzeTightBudget(p, 0, report)
+		a, err = analyzeTight(p, report)
 	} else {
 		a, err = analyzeWith(p, theta, report)
 	}
@@ -238,8 +238,8 @@ func (a *Analysis) bounds() *Bounds {
 	b := &Bounds{
 		Rung: a.Rung, Throughput: a.ThroughputLower,
 		Overloaded: a.Overloaded, BottleneckIndex: a.BottleneckIndex,
-		TightCombos: a.TightCombos, TightPruned: a.TightPruned,
-		FIFOTheta: make([]float64, len(a.Nodes)),
+		TightCombos: a.TightCombos,
+		FIFOTheta:   make([]float64, len(a.Nodes)),
 	}
 	for i := range a.Nodes {
 		b.FIFOTheta[i] = a.Nodes[i].FIFOTheta
@@ -254,7 +254,7 @@ func (a *Analysis) bounds() *Bounds {
 
 // analyzeWith runs one pass of the node loop. A non-nil thetas slice (indexed
 // by node) pins the FIFO left-over theta at every cross-traffic node — the
-// tight rung's joint enumeration drives this; entries at nodes without
+// tight rung's search and BoundAt drive this; entries at nodes without
 // cross traffic are ignored. With thetas nil the residual at a cross node
 // follows the pipeline's rung: the blind residual, or the per-node greedy
 // FIFO member for RungFIFO.
@@ -348,7 +348,7 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 			var ok bool
 			switch {
 			case thetas != nil:
-				// Tight rung: theta pinned by the joint enumeration.
+				// Theta pinned by the tight search or BoundAt.
 				na.FIFOTheta = thetas[i]
 				resid, ok = curve.FIFOResidual(full, crossC, thetas[i])
 			case rung == RungFIFO:

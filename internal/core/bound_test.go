@@ -92,10 +92,10 @@ func checkBounds(t *testing.T, label string, b *Bounds, a *Analysis) {
 		t.Errorf("%s: throughput %v, full analysis %v", label, b.Throughput, a.ThroughputLower)
 	}
 	if b.Rung != a.Rung || b.Overloaded != a.Overloaded || b.BottleneckIndex != a.BottleneckIndex ||
-		b.TightCombos != a.TightCombos || b.TightPruned != a.TightPruned {
-		t.Errorf("%s: rung/overloaded/bottleneck/combos/pruned %v/%v/%d/%d/%d, full analysis %v/%v/%d/%d/%d", label,
-			b.Rung, b.Overloaded, b.BottleneckIndex, b.TightCombos, b.TightPruned,
-			a.Rung, a.Overloaded, a.BottleneckIndex, a.TightCombos, a.TightPruned)
+		b.TightCombos != a.TightCombos {
+		t.Errorf("%s: rung/overloaded/bottleneck/combos %v/%v/%d/%d, full analysis %v/%v/%d/%d", label,
+			b.Rung, b.Overloaded, b.BottleneckIndex, b.TightCombos,
+			a.Rung, a.Overloaded, a.BottleneckIndex, a.TightCombos)
 	}
 	if len(b.FIFOTheta) != len(a.Nodes) {
 		t.Fatalf("%s: %d thetas for %d nodes", label, len(b.FIFOTheta), len(a.Nodes))
@@ -283,7 +283,7 @@ func TestBoundDelaySaturates(t *testing.T) {
 }
 
 // BoundAt at the vector a search committed to reproduces that search's
-// Bounds field for field (the search counters aside, which BoundAt leaves at
+// Bounds field for field (the search counter aside, which BoundAt leaves at
 // zero): the certificate a class stores is the bound it was admitted with.
 // Draws where Bound errors or panics are skipped; the panic census of
 // TestClosedFormDominatesBound owns those.
@@ -304,7 +304,7 @@ func TestBoundAtCommittedVectorIsBound(t *testing.T) {
 				t.Fatalf("trial %d %v: BoundAt at the committed vector: %v\npipeline %+v", trial, r, err, p)
 			}
 			want := *b
-			want.TightCombos, want.TightPruned = 0, 0
+			want.TightCombos = 0
 			if !reflect.DeepEqual(*at, want) {
 				t.Fatalf("trial %d %v: BoundAt = %+v, Bound = %+v\npipeline %+v", trial, r, *at, *b, p)
 			}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"streamcalc/internal/pool"
-)
+import "math"
 
 // RungDelayBound is a convenience for sweeps: the end-to-end delay bound of
 // the concatenated chain curve at the given rung, in seconds (+Inf when
@@ -19,45 +15,40 @@ func RungDelayBound(p Pipeline, r Rung) float64 {
 	return d
 }
 
-// AnalyzeTightBudget runs the tight rung with an explicit lattice budget
-// (maxCombos <= 0 uses the built-in default, which is all Analyze uses).
-func AnalyzeTightBudget(p Pipeline, maxCombos int) (*Analysis, error) {
+// AnalyzeTightExhaustive is the reference for the tight rung's coordinate
+// descent: one chain pass per θ-vector of the full lattice of the same
+// per-node grids, first node most significant, keeping the exact minimum
+// (ties to the lowest index), and the greedy fifo vector when that scores
+// strictly lower. The report pass runs at the winner; TightCombos is the
+// lattice size.
+func AnalyzeTightExhaustive(p Pipeline) (*Analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	p.Rung = RungTight
-	return analyzeTightBudget(p, maxCombos, true)
-}
-
-// AnalyzeTightExhaustive is the pre-DP reference implementation of the tight
-// rung: one full pipeline analysis per θ-vector over the same grids, the
-// same leaf order (first node most significant), and the same exact-minimum
-// selection as the prefix-sharing search, so the two return bit-identical
-// winning vectors. It is the differential test's reference and the
-// BenchmarkTightLattice baseline.
-func AnalyzeTightExhaustive(p Pipeline, maxCombos int) (*Analysis, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p.Rung = RungTight
-	grids, combos, hasCross, err := tightGrids(p, maxCombos)
+	grids, hasCross, err := tightGrids(p)
 	if err != nil {
 		return nil, err
 	}
 	if !hasCross {
 		return analyzeWith(p, nil, true)
 	}
+	combos := 1
+	for _, g := range grids {
+		if len(g) > 0 {
+			combos *= len(g)
+		}
+	}
 	scores := make([]float64, combos)
 	errs := make([]error, combos)
-	_ = pool.ForEach(nil, 0, combos, nil, func(idx int) error {
-		a, err := analyzeWith(p, decodeTight(grids, idx), true)
+	for idx := range scores {
+		a, err := analyzeWith(p, decodeTight(grids, idx), false)
 		if err != nil {
-			errs[idx] = err
-			return nil // evaluate every vector; only all-errored fails below
+			errs[idx] = err // score every vector; only all-errored fails below
+			continue
 		}
 		_, scores[idx] = a.chainDelay()
-		return nil
-	})
+	}
 	best := bestIndex(scores, errs)
 	if best < 0 {
 		// Every vector errored: report the lowest-index error.
@@ -67,17 +58,17 @@ func AnalyzeTightExhaustive(p Pipeline, maxCombos int) (*Analysis, error) {
 			}
 		}
 	}
-	// The reference keeps its own greedy-vs-winner tail, apart from tightPick,
-	// so the differential test covers the production tail too.
-	if greedy := tightGreedy(p); greedy != nil {
-		if ga, err := analyzeWith(p, greedy, true); err == nil {
-			if _, d := ga.chainDelay(); d < scores[best]*(1-1e-12) {
-				ga.TightCombos = combos
-				return ga, nil
+	win := decodeTight(grids, best)
+	pg := p
+	pg.Rung = RungFIFO
+	if ga, err := analyzeWith(pg, nil, false); err == nil {
+		if _, d := ga.chainDelay(); d < scores[best] {
+			for i := range win {
+				win[i] = ga.Nodes[i].FIFOTheta
 			}
 		}
 	}
-	a, err := analyzeWith(p, decodeTight(grids, best), true)
+	a, err := analyzeWith(p, win, true)
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +94,7 @@ func bestIndex(scores []float64, errs []error) int {
 }
 
 // decodeTight maps a leaf index onto its θ-vector with the first node as the
-// most significant digit — the exhaustive reference's enumeration order,
-// chosen to match the DP search's depth-first leaf order so score ties
-// resolve to the same vector in both implementations.
+// most significant digit — the exhaustive reference's enumeration order.
 func decodeTight(grids [][]float64, idx int) []float64 {
 	thetas := make([]float64, len(grids))
 	for i := len(grids) - 1; i >= 0; i-- {

@@ -212,8 +212,7 @@ func TestMemoSeparatesRungs(t *testing.T) {
 }
 
 // randomMixedPipeline builds a 2-4 node chain mixing cross and cross-free
-// nodes, packetizers, and job aggregation — the general shape the
-// prefix-sharing search must reproduce exactly.
+// nodes, packetizers, and job aggregation.
 func randomMixedPipeline(rng *rand.Rand) Pipeline {
 	n := 2 + rng.Intn(3)
 	arrRate := units.Rate(1 + rng.Float64()*4)
@@ -240,41 +239,6 @@ func randomMixedPipeline(rng *rand.Rand) Pipeline {
 		Name:    "rung-mix",
 		Arrival: Arrival{Rate: arrRate, Burst: units.Bytes(1 + rng.Float64()*5), MaxPacket: 1},
 		Nodes:   nodes,
-	}
-}
-
-// The tentpole differential: at matched budgets the prefix-sharing search
-// must return a bit-identical winning θ-vector and delay bound to the
-// pre-DP exhaustive enumeration, and its scored+pruned counters must cover
-// the whole thinned lattice.
-func TestTightMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 40; trial++ {
-		p := randomMixedPipeline(rng)
-		for _, budget := range []int{16, 128} {
-			dp, err1 := AnalyzeTightBudget(p, budget)
-			ex, err2 := AnalyzeTightExhaustive(p, budget)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d budget %d: error mismatch: %v vs %v", trial, budget, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			for i := range dp.Nodes {
-				if dp.Nodes[i].FIFOTheta != ex.Nodes[i].FIFOTheta {
-					t.Fatalf("trial %d budget %d node %d: θ %v (dp) != %v (exhaustive)",
-						trial, budget, i, dp.Nodes[i].FIFOTheta, ex.Nodes[i].FIFOTheta)
-				}
-			}
-			if dp.DelayBound != ex.DelayBound || dp.DelayBoundInfinite != ex.DelayBoundInfinite {
-				t.Fatalf("trial %d budget %d: delay %v/%v != %v/%v", trial, budget,
-					dp.DelayBound, dp.DelayBoundInfinite, ex.DelayBound, ex.DelayBoundInfinite)
-			}
-			if dp.TightCombos+dp.TightPruned != ex.TightCombos {
-				t.Fatalf("trial %d budget %d: lattice coverage %d+%d != %d",
-					trial, budget, dp.TightCombos, dp.TightPruned, ex.TightCombos)
-			}
-		}
 	}
 }
 
@@ -310,67 +274,25 @@ func TestBestIndexSkipsErrors(t *testing.T) {
 }
 
 // Regression for the duplicate-θ grid bug: after the arrival-aware insert
-// every grid must stay strictly increasing (no near-equal duplicates
-// silently multiplying the combo budget), and the reported combo count must
-// match the grid product.
+// every grid must stay strictly increasing (no near-equal duplicates for the
+// search to score twice), and start at θ = 0, the blind residual.
 func TestTightGridsStrictlyIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
-		grids, combos, _, err := tightGrids(randomMixedPipeline(rng), 0)
+		grids, _, err := tightGrids(randomMixedPipeline(rng))
 		if err != nil {
 			continue
 		}
-		prod := 1
 		for i, g := range grids {
+			if len(g) > 0 && g[0] != 0 {
+				t.Fatalf("trial %d node %d: grid does not start at 0: %v", trial, i, g)
+			}
 			for j := 1; j < len(g); j++ {
 				if g[j] <= g[j-1] {
 					t.Fatalf("trial %d node %d: grid not strictly increasing at %d: %v", trial, i, j, g)
 				}
 			}
-			if len(g) > 0 {
-				prod *= len(g)
-			}
 		}
-		if prod != combos {
-			t.Fatalf("trial %d: combos %d != grid product %d", trial, combos, prod)
-		}
-	}
-}
-
-// The search-effort counters feed telemetry: a tight analysis must stamp
-// TightCombos/TightPruned and bump the process-wide totals.
-func TestTightSearchCounters(t *testing.T) {
-	p := Pipeline{
-		Arrival: Arrival{Rate: 2, Burst: 1},
-		Nodes: []Node{
-			{Name: "a", Rate: 10, Latency: time.Second, JobIn: 1, JobOut: 1, CrossRate: 4, CrossBurst: 2},
-			{Name: "b", Rate: 12, Latency: time.Second / 2, JobIn: 1, JobOut: 1, CrossRate: 3, CrossBurst: 1},
-		},
-	}
-	c0, p0 := RungSearchStats()
-	a, err := AnalyzeTightBudget(p, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, combos, _, err := tightGrids(p, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TightCombos <= 0 || a.TightCombos+a.TightPruned != combos {
-		t.Errorf("TightCombos=%d TightPruned=%d, want sum %d", a.TightCombos, a.TightPruned, combos)
-	}
-	c1, p1 := RungSearchStats()
-	if c1-c0 != uint64(a.TightCombos) || p1-p0 != uint64(a.TightPruned) {
-		t.Errorf("global counters moved by %d/%d, want %d/%d", c1-c0, p1-p0, a.TightCombos, a.TightPruned)
-	}
-	pb := p
-	pb.Rung = RungBlind
-	ab, err := Analyze(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab.TightCombos != 0 || ab.TightPruned != 0 {
-		t.Errorf("blind analysis reported search effort: %d/%d", ab.TightCombos, ab.TightPruned)
 	}
 }
 
@@ -398,61 +320,101 @@ func latticeBenchPipeline(n int) Pipeline {
 	}
 }
 
-// BenchmarkTightLattice times the prefix-sharing θ-lattice search (dp)
-// against the exhaustive per-vector reference at matched lattice budgets on
-// 2-6 cross nodes — the 64 budget forces grid thinning — and the search
-// alone on 7-8 nodes, where the reference would take seconds. Each
-// exhaustive case also checks that both return the same winning θ-vector
-// and delay bound. combos (the lattice after thinning) and pruned are counts
-// of one search and do not depend on the host; exhaustive ns/op over dp
-// ns/op is the speedup.
-func BenchmarkTightLattice(b *testing.B) {
-	for n := 2; n <= 8; n++ {
+// tightAgainstReference returns, in seconds, the chain delay of the tight
+// rung's descent and of the exhaustive lattice reference on p, or ok false
+// when either errors, panics or is overloaded.
+func tightAgainstReference(p Pipeline) (descent, ref float64, combos int, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	p.Rung = RungTight
+	a, err := Analyze(p)
+	if err != nil || a.Overloaded {
+		return 0, 0, 0, false
+	}
+	ex, err := AnalyzeTightExhaustive(p)
+	if err != nil {
+		return 0, 0, 0, false
+	}
+	_, descent = a.chainDelay()
+	_, ref = ex.chainDelay()
+	return descent, ref, a.TightCombos, true
+}
+
+// The descent's guarantees on the seed-25 draws: never above the fifo rung
+// (it starts at the greedy vector and only accepts improvements), and within
+// a hair of the exhaustive lattice minimum over the same grids: at most
+// (1+1e-9)× on 99 % of the draws and never more than 1 % above it. A local
+// search may beat the reference, which scores only grid vectors, by keeping
+// the off-grid greedy θ at some nodes.
+func TestTightDescentAgainstExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(closedFormSeed))
+	const trials = 10000
+	var answered, close int
+	for trial := 0; trial < trials; trial++ {
+		p := randomScreenPipeline(rng)
+		p.Rung = RungFIFO
+		fifo, err, panicked := boundOrPanic(p)
+		if err != nil || panicked != "" {
+			continue
+		}
+		p.Rung = RungTight
+		tight, err, panicked := boundOrPanic(p)
+		if err != nil || panicked != "" {
+			continue
+		}
+		if tight.Delay > fifo.Delay {
+			t.Fatalf("trial %d: tight delay %v above fifo %v\npipeline %+v", trial, tight.Delay, fifo.Delay, p)
+		}
+		d, ref, _, ok := tightAgainstReference(p)
+		if !ok {
+			continue
+		}
+		answered++
+		if d > ref*1.01 {
+			t.Fatalf("trial %d: descent %v more than 1%% above the lattice minimum %v\npipeline %+v", trial, d, ref, p)
+		}
+		if d <= ref*(1+1e-9) {
+			close++
+		}
+	}
+	if answered < trials/2 {
+		t.Fatalf("only %d of %d draws answered: the generator is off target", answered, trials)
+	}
+	if close*100 < answered*99 {
+		t.Errorf("descent within 1e-9 of the lattice minimum on %d of %d draws, want ≥ 99 %%", close, answered)
+	}
+}
+
+// On chains of up to six cross nodes the descent finds the lattice minimum,
+// and scores fewer vectors than the lattice holds from three nodes on.
+func TestTightDescentMatchesExhaustiveOnChains(t *testing.T) {
+	for n := 2; n <= 6; n++ {
 		p := latticeBenchPipeline(n)
-		budgets := []int{64, 2048, 65536}
-		if n > 6 {
-			budgets = budgets[2:]
+		d, ref, combos, ok := tightAgainstReference(p)
+		if !ok {
+			t.Fatalf("n=%d: no answer", n)
 		}
-		for _, budget := range budgets {
-			name := fmt.Sprintf("n=%d/budget=%d", n, budget)
-			b.Run(name+"/dp", func(b *testing.B) {
-				var a *Analysis
-				for i := 0; i < b.N; i++ {
-					var err error
-					if a, err = AnalyzeTightBudget(p, budget); err != nil {
-						b.Fatal(err)
-					}
-				}
-				benchSink = a
-				b.ReportMetric(float64(a.TightCombos+a.TightPruned), "combos")
-				b.ReportMetric(float64(a.TightPruned), "pruned")
-			})
-			if n > 6 {
-				continue
-			}
-			b.Run(name+"/exhaustive", func(b *testing.B) {
-				dp, err := AnalyzeTightBudget(p, budget)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var ex *Analysis
-				for i := 0; i < b.N; i++ {
-					if ex, err = AnalyzeTightExhaustive(p, budget); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				benchSink = ex
-				if ex.DelayBound != dp.DelayBound {
-					b.Fatalf("delay bound %v (exhaustive) != %v (dp)", ex.DelayBound, dp.DelayBound)
-				}
-				for i := range ex.Nodes {
-					if ex.Nodes[i].FIFOTheta != dp.Nodes[i].FIFOTheta {
-						b.Fatalf("node %d: θ %v (exhaustive) != %v (dp)", i, ex.Nodes[i].FIFOTheta, dp.Nodes[i].FIFOTheta)
-					}
-				}
-			})
+		if math.Abs(d-ref) > 1e-9*ref {
+			t.Errorf("n=%d: descent %v, lattice minimum %v", n, d, ref)
 		}
+		grids, _, err := tightGrids(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lattice := 1
+		for _, g := range grids {
+			lattice *= len(g)
+		}
+		if combos <= 0 || (n >= 3 && combos >= lattice) {
+			t.Errorf("n=%d: scored %d vectors of a %d-vector lattice", n, combos, lattice)
+		}
+	}
+	pb := latticeBenchPipeline(3)
+	pb.Rung = RungBlind
+	if a, err := Analyze(pb); err != nil || a.TightCombos != 0 {
+		t.Errorf("blind analysis reported search effort: %v, %v", a, err)
 	}
 }

@@ -480,15 +480,6 @@ func (c Curve) Breakpoints() []float64 {
 	return xs
 }
 
-// appendBreakpoints appends the breakpoint abscissas to dst and returns it —
-// the allocation-free sibling of Breakpoints for scratch-buffer callers.
-func (c Curve) appendBreakpoints(dst []float64) []float64 {
-	for _, s := range c.segs {
-		dst = append(dst, s.X)
-	}
-	return dst
-}
-
 // IsConcave reports whether the curve is concave on [0, inf) (slopes
 // non-increasing, no upward jumps except possibly at the origin).
 func (c Curve) IsConcave() bool {

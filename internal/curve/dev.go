@@ -79,14 +79,6 @@ func HDev(f, g Curve) float64 {
 }
 
 func hDev(f, g Curve) float64 {
-	return hDevOn(f, g, f.Breakpoints(), g.Breakpoints())
-}
-
-// hDevOn is the hDev kernel with the breakpoint abscissas supplied by the
-// caller: fbp and gbp must equal f.Breakpoints() and g.Breakpoints(). The
-// split lets Scratch.HDev reuse per-worker buffers while running the exact
-// same candidate evaluation, so its results are bitwise identical to HDev's.
-func hDevOn(f, g Curve, fbp, gbp []float64) float64 {
 	fr, fo := f.UltimateAffine()
 	gr, gOff := g.UltimateAffine()
 	if fr > gr+absEps(gr) {
@@ -106,13 +98,13 @@ func hDevOn(f, g Curve, fbp, gbp []float64) float64 {
 	}
 	// Candidate t values: all f breakpoints (both one-sided values), plus
 	// the pre-images under f of g's breakpoint levels.
-	for _, x := range fbp {
+	for _, x := range f.Breakpoints() {
 		consider(x, f.Value(x))
 		consider(x, f.ValueLeft(x))
 		consider(x, f.ValueRight(x)) // catches the jump at the origin
 	}
 	consider(0, f.AtZero())
-	for _, u := range gbp {
+	for _, u := range g.Breakpoints() {
 		for _, y := range []float64{g.Value(u), g.ValueLeft(u)} {
 			t := f.InverseLower(y)
 			if math.IsInf(t, 1) {

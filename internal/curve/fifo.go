@@ -188,9 +188,9 @@ func FIFOThetaCandidates(beta, cross Curve) []float64 {
 // FIFOThetaInsert inserts th into the sorted theta grid g, keeping it sorted
 // and free of near-equal duplicates: when th is within absEps of an existing
 // candidate the grid is returned unchanged. A duplicate theta would not be
-// unsound — every member of the family is a valid residual — but in the
-// joint tight-rung enumeration it silently multiplies the combo budget by a
-// redundant slice of the lattice, so every grid insert routes through here.
+// unsound — every member of the family is a valid residual — but the
+// tight rung's search would score it twice, so every grid insert routes
+// through here.
 func FIFOThetaInsert(g []float64, th float64) []float64 {
 	i := sort.SearchFloat64s(g, th)
 	if i < len(g) && g[i]-th <= absEps(th) {

@@ -202,3 +202,35 @@ func TestFIFOResidualZeroCross(t *testing.T) {
 		t.Errorf("zero cross: got %v ok=%v, want beta back", res, ok)
 	}
 }
+
+func TestFIFOThetaInsert(t *testing.T) {
+	g := []float64{0, 1, 2}
+	if got := FIFOThetaInsert(g, 1); len(got) != 3 {
+		t.Errorf("exact duplicate inserted: %v", got)
+	}
+	if got := FIFOThetaInsert(g, 1+1e-12); len(got) != 3 {
+		t.Errorf("near-equal duplicate inserted: %v", got)
+	}
+	got := FIFOThetaInsert(g, 1.5)
+	want := []float64{0, 1, 1.5, 2}
+	if len(got) != 4 {
+		t.Fatalf("insert failed: %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("insert out of order: %v, want %v", got, want)
+		}
+	}
+	for j := 1; j < len(got); j++ {
+		if got[j] <= got[j-1] {
+			t.Fatalf("grid not strictly increasing: %v", got)
+		}
+	}
+	// Appending at the end and at the front both keep order.
+	if got := FIFOThetaInsert([]float64{1, 2}, 3); got[2] != 3 {
+		t.Errorf("tail insert: %v", got)
+	}
+	if got := FIFOThetaInsert([]float64{1, 2}, 0.5); got[0] != 0.5 {
+		t.Errorf("head insert: %v", got)
+	}
+}

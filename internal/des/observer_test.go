@@ -85,7 +85,7 @@ func benchLoop(b *testing.B, s *Simulator, n int) {
 // BenchmarkEventLoop measures the bare kernel: schedule + heap + dispatch,
 // no observer attached. The observed variant quantifies the per-event cost
 // of an attached observer; the delta between this and the pre-hook kernel
-// is just a nil check (see BENCH_obs.json in CI).
+// is just a nil check (see bench_des.txt in CI).
 func BenchmarkEventLoop(b *testing.B) {
 	var s Simulator
 	benchLoop(b, &s, 1000)

@@ -187,7 +187,7 @@ func benchPipeline() *Pipeline {
 // BenchmarkPipelineRun is the detached baseline: telemetry compiled in but
 // not attached, so every probe site is a nil check. Compare against
 // BenchmarkPipelineRunObserved for the attached cost; the CI bench job
-// uploads both as BENCH_obs.json.
+// uploads both in bench_sim.txt.
 func BenchmarkPipelineRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

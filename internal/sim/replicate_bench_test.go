@@ -24,7 +24,7 @@ func benchBuild(seed uint64) *Pipeline {
 
 // BenchmarkReplicateParallel measures the replication fan-out at fixed
 // worker counts; the workers=1 case is the sequential baseline, so the
-// speedup in BENCH_sim.json reads directly as ns/op(1) / ns/op(N).
+// speedup in CI's bench_replicate.txt reads directly as ns/op(1) / ns/op(N).
 func BenchmarkReplicateParallel(b *testing.B) {
 	const runs = 8
 	for _, workers := range []int{1, 2, 4} {
