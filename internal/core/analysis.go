@@ -239,10 +239,7 @@ func (a *Analysis) bounds() *Bounds {
 		Rung: a.Rung, Throughput: a.ThroughputLower,
 		Overloaded: a.Overloaded, BottleneckIndex: a.BottleneckIndex,
 		TightCombos: a.TightCombos,
-		FIFOTheta:   make([]float64, len(a.Nodes)),
-	}
-	for i := range a.Nodes {
-		b.FIFOTheta[i] = a.Nodes[i].FIFOTheta
+		FIFOTheta:   a.thetas(),
 	}
 	b.Delay, b.Backlog = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
 	if !a.Overloaded {
@@ -250,6 +247,15 @@ func (a *Analysis) bounds() *Bounds {
 		b.Delay, b.Backlog = dur(d), units.Bytes(curve.VDev(a.AlphaPrime, chain))
 	}
 	return b
+}
+
+// thetas is the analysis's θ-vector, indexed by node.
+func (a *Analysis) thetas() []float64 {
+	out := make([]float64, len(a.Nodes))
+	for i := range a.Nodes {
+		out[i] = a.Nodes[i].FIFOTheta
+	}
+	return out
 }
 
 // analyzeWith runs one pass of the node loop. A non-nil thetas slice (indexed
@@ -328,7 +334,6 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		// rate drops by the cross rate (validation guarantees it stays
 		// positive).
 		crossRate := n.CrossRate.Mul(1 / gain)
-		crossBurst := n.CrossBurst.Mul(1 / gain)
 		if crossRate > 0 {
 			na.Rate -= crossRate
 		}
@@ -342,31 +347,33 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		effLatency := n.Latency
 		var beta curve.Curve
 		if crossRate > 0 {
-			full := curve.RateLatency(float64(n.Rate.Mul(1/gain)), secs(n.Latency))
-			crossC := curve.Affine(float64(crossRate), float64(crossBurst))
 			var resid curve.Curve
 			var ok bool
 			switch {
 			case thetas != nil:
 				// Theta pinned by the tight search or BoundAt.
 				na.FIFOTheta = thetas[i]
-				resid, ok = curve.FIFOResidual(full, crossC, thetas[i])
+				resid, beta, ok = pinnedMember(n, gain, thetas[i])
 			case rung == RungFIFO:
 				// Greedy rung: best member against this node's propagated
 				// arrival. Candidates are dominance-safe (theta = 0, the
 				// blind residual, included), so the node — and by pointwise
 				// dominance the whole chain — never does worse than blind.
+				full, crossC := crossService(n, gain)
 				resid, na.FIFOTheta, ok = curve.FIFOResidualBest(alphaIn, full, crossC)
 			default:
+				full, crossC := crossService(n, gain)
 				resid, ok = curve.ResidualService(full, crossC)
 			}
 			if !ok {
 				return nil, fmt.Errorf("core: node %d (%s): cross traffic starves the node", i, n.Name)
 			}
-			beta = resid
+			if thetas == nil {
+				beta = packetized(resid, lmax)
+			}
 			effLatency = dur(resid.Latency())
 		} else {
-			beta = curve.RateLatency(float64(na.Rate), secs(n.Latency))
+			beta = packetized(curve.RateLatency(float64(na.Rate), secs(n.Latency)), lmax)
 		}
 
 		// Aggregation: the node collects JobIn before dispatching; if that
@@ -380,9 +387,6 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		}
 		na.CumulativeLatency = cumLatency + na.AggregationDelay + effLatency
 		cumLatency = na.CumulativeLatency
-		if lmax > 0 {
-			beta = curve.SubConstantPositive(beta, lmax)
-		}
 		na.Beta = beta
 		na.Overloaded = float64(arrRate) > float64(na.Rate)*(1+1e-12)
 
@@ -488,6 +492,36 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		a.OutputBound = convAG // overloaded: deconvolution diverges
 	}
 	return a, nil
+}
+
+// crossService returns cross node n's full service curve and its cross
+// traffic's envelope, both referred to the pipeline input through the
+// upstream gain product.
+func crossService(n Node, gain float64) (full, cross curve.Curve) {
+	full = curve.RateLatency(float64(n.Rate.Mul(1/gain)), secs(n.Latency))
+	cross = curve.Affine(float64(n.CrossRate.Mul(1/gain)), float64(n.CrossBurst.Mul(1/gain)))
+	return full, cross
+}
+
+// pinnedMember is cross node n's FIFO left-over member at theta, referred to
+// the pipeline input through the upstream gain product: resid is β_θ, whose
+// latency the latency recursion reads, and beta its packetized [β_θ − l_max]⁺,
+// the node's service curve in the chain. ok is false when the cross traffic
+// starves the node.
+func pinnedMember(n Node, gain, theta float64) (resid, beta curve.Curve, ok bool) {
+	full, cross := crossService(n, gain)
+	if resid, ok = curve.FIFOResidual(full, cross, theta); !ok {
+		return resid, resid, false
+	}
+	return resid, packetized(resid, float64(n.MaxPacket.Mul(1/gain))), true
+}
+
+// packetized is the packetizer's service transform [beta − lmax]⁺.
+func packetized(beta curve.Curve, lmax float64) curve.Curve {
+	if lmax > 0 {
+		return curve.SubConstantPositive(beta, lmax)
+	}
+	return beta
 }
 
 // closedFormMargin is how far, relatively, every hop must sit from saturation

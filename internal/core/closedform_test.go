@@ -154,11 +154,17 @@ func closedFormViolations(rng *rand.Rand, p Pipeline, census map[string]int) (ba
 	return bad, ok
 }
 
+// censusCeiling is the most engine panics TestClosedFormDominatesBound may
+// recover on its seed: the count the engine reaches today, all of them the
+// time-axis defect (ROADMAP). A change that heals more of the time axis
+// lowers it; none may raise it.
+const censusCeiling = 368
+
 // The screen never passes what the analysis would fail: wherever ClosedForm
 // answers, Bound at blind, fifo and tight succeeds, is not overloaded, and
 // promises no more delay or backlog and no less throughput. Panics inside the
-// curve engine are known at these magnitudes (ROADMAP, exact-arithmetic
-// item): they are counted and logged, and only a violation fails the test.
+// curve engine are known at these magnitudes (ROADMAP, time-axis item): they
+// are counted and logged, and fail the test only past censusCeiling.
 func TestClosedFormDominatesBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(closedFormSeed))
 	census := map[string]int{}
@@ -183,12 +189,17 @@ func TestClosedFormDominatesBound(t *testing.T) {
 		t.Errorf("the screen answered %d of %d pipelines: the generator is off target", answered, trials)
 	}
 	kinds := make([]string, 0, len(census))
+	panics := 0
 	for k, n := range census {
 		kinds = append(kinds, fmt.Sprintf("%6d  %s", n, k))
+		panics += n
 	}
 	sort.Strings(kinds)
-	t.Logf("seed %d: the screen answered %d of %d pipelines; engine panics recovered:\n%s",
-		closedFormSeed, answered, trials, strings.Join(kinds, "\n"))
+	t.Logf("seed %d: the screen answered %d of %d pipelines; %d engine panics recovered:\n%s",
+		closedFormSeed, answered, trials, panics, strings.Join(kinds, "\n"))
+	if panics > censusCeiling {
+		t.Errorf("%d engine panics recovered, above the ceiling of %d", panics, censusCeiling)
+	}
 }
 
 // FuzzClosedFormDominatesBound is the same property with the generator seed

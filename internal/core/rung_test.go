@@ -418,3 +418,59 @@ func TestTightDescentMatchesExhaustiveOnChains(t *testing.T) {
 		t.Errorf("blind analysis reported search effort: %v, %v", a, err)
 	}
 }
+
+// The member table scores a θ-vector bit for bit as the pinned chain pass
+// does: analyzeWith at that vector, then chainDelay. Checked on the seed-25
+// draws at the two seeds and at random grid vectors; draws whose passes panic
+// in the curve engine are skipped.
+func TestMemberTableScoreIsChainPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(closedFormSeed))
+	pick := rand.New(rand.NewSource(1)) // off the draws' stream
+	var checked int
+	for trial := 0; trial < 10000; trial++ {
+		p := randomScreenPipeline(rng)
+		p.Rung = RungTight
+		func() {
+			defer func() { _ = recover() }()
+			grids, hasCross, err := tightGrids(p)
+			if err != nil || !hasCross {
+				return
+			}
+			pg := p
+			pg.Rung = RungFIFO
+			greedy, err := analyzeWith(pg, nil, false)
+			if err != nil {
+				return
+			}
+			tab := newMemberTable(grids, greedy)
+			vecs := [][]float64{greedy.thetas()}
+			for k := 0; k < 3; k++ {
+				theta := make([]float64, len(grids))
+				for i, g := range grids {
+					if len(g) > 0 {
+						theta[i] = g[pick.Intn(len(g))]
+					}
+				}
+				vecs = append(vecs, theta)
+			}
+			for _, theta := range vecs {
+				a, err := analyzeWith(p, theta, false)
+				score, ok := tab.score(theta)
+				if (err == nil) != ok {
+					t.Fatalf("trial %d θ=%v: chain pass error %v, table ok %v", trial, theta, err, ok)
+				}
+				if err != nil {
+					continue
+				}
+				if _, d := a.chainDelay(); math.Float64bits(d) != math.Float64bits(score) {
+					t.Fatalf("trial %d θ=%v: table scores %v, chain pass %v", trial, theta, score, d)
+				}
+				checked++
+			}
+		}()
+	}
+	if checked < 10000 {
+		t.Errorf("only %d vectors checked: the generator is off target", checked)
+	}
+	t.Logf("%d vectors checked", checked)
+}

@@ -9,67 +9,83 @@ import (
 //	(f ⊗ g)(t) = inf_{0 <= s <= t} [ f(s) + g(t-s) ].
 //
 // Exact closed forms are used for the families that cover deterministic
-// network calculus practice:
+// network calculus practice, tried in this order:
 //
-//   - both curves concave with f(0) = g(0) = 0 (arrival curves, maximum
-//     service curves): f ⊗ g = min(f, g);
 //   - both curves convex (rate-latency service curves and their
 //     concatenations): computed by the slope-merge rule — segments of both
 //     curves are traversed in order of increasing slope;
-//   - concave ⊗ rate-latency: ShiftRight(min(f, line), T).
+//   - both curves a pure delay convolved with a concave curve that is zero
+//     at the origin, f = δ_Tf ⊗ cf and g = δ_Tg ⊗ cg (arrival curves,
+//     rate-latency curves, FIFO left-over members after the packetizer,
+//     any of them delayed): f ⊗ g = ShiftRight(min(cf, cg), Tf+Tg), since
+//     pure delays add and concave curves zero at 0 convolve to their
+//     minimum.
 //
 // Any other shape is handled exactly as well, by the general
-// piece-decomposition algorithm (ConvolveExact). ConvolveSampled remains
-// available for cross-validation.
+// piece-decomposition algorithm (ConvolveExact), which also answers when the
+// second closed form's shifted minimum has knees closer together than
+// absEps resolves at offset Tf+Tg. ConvolveSampled remains available for
+// cross-validation.
 func Convolve(f, g Curve) Curve {
 	return timedCurve(opConv, func() Curve { return convolveDispatch(f, g) })
 }
 
 func convolveDispatch(f, g Curve) Curve {
-	if f.IsConcave() && g.IsConcave() && f.AtZero() == 0 && g.AtZero() == 0 {
-		return Min(f, g)
-	}
 	if f.IsConvex() && g.IsConvex() {
 		return convolveConvex(f, g)
 	}
-	// Mixed closed form: concave ⊗ rate-latency. Since
-	// beta_{R,T} = delta_T ⊗ lambda_R and both factors commute,
-	// f ⊗ beta_{R,T} = ShiftRight(min(f, lambda_R), T) for concave f with
-	// f(0) = 0 (lambda_R is concave and zero at the origin).
-	if f.IsConcave() && f.AtZero() == 0 {
-		if r, t, ok := asRateLatency(g); ok {
-			return ShiftRight(Min(f, Line(r)), t)
-		}
-	}
-	if g.IsConcave() && g.AtZero() == 0 {
-		if r, t, ok := asRateLatency(f); ok {
-			return ShiftRight(Min(g, Line(r)), t)
-		}
+	if c, ok := convolveDelayedConcave(f, g); ok {
+		return c
 	}
 	// General shapes: the exact piece-decomposition algorithm.
 	return ConvolveExact(f, g)
 }
 
-// asRateLatency reports whether c is exactly a rate-latency curve
-// R·(t-T)⁺ and returns its parameters.
-func asRateLatency(c Curve) (rate, latency float64, ok bool) {
-	segs := c.Segments()
-	if c.AtZero() != 0 {
-		return 0, 0, false
+// convolveDelayedConcave is the closed form δ_Tf ⊗ cf ⊗ δ_Tg ⊗ cg =
+// ShiftRight(min(cf, cg), Tf+Tg). ok is false when an operand is not of that
+// form, or when the result does not validate.
+func convolveDelayedConcave(f, g Curve) (Curve, bool) {
+	tf, cf, ok := delayedConcave(f)
+	if !ok {
+		return Curve{}, false
 	}
-	switch len(segs) {
-	case 1:
-		s := segs[0]
-		if s.Y == 0 {
-			return s.Slope, 0, true
-		}
-	case 2:
-		a, b := segs[0], segs[1]
-		if a.Y == 0 && a.Slope == 0 && b.Y == 0 {
-			return b.Slope, b.X, true
+	tg, cg, ok := delayedConcave(g)
+	if !ok {
+		return Curve{}, false
+	}
+	segs := mergeSegs(cf, cg, binMin)
+	if t := tf + tg; t > 0 {
+		// The minimum is normalized at its own scale first, as ShiftRight
+		// would receive it, then shifted in place behind a zero segment.
+		m := Curve{segs: segs}
+		m.normalize()
+		segs = append(m.segs, Segment{})
+		copy(segs[1:], segs)
+		segs[0] = Segment{}
+		for i := 1; i < len(segs); i++ {
+			segs[i].X += t
 		}
 	}
-	return 0, 0, false
+	c, err := build(0, segs)
+	return c, err == nil
+}
+
+// delayedConcave writes c as δ_T ⊗ cc with cc concave and zero at the origin:
+// c is zero up to T, then concave, with a jump at T allowed. cc is returned
+// unvalidated, for mergeSegs only.
+func delayedConcave(c Curve) (T float64, cc Curve, ok bool) {
+	if c.y0 != 0 {
+		return 0, Curve{}, false
+	}
+	cc = c
+	if s := c.segs; len(s) > 1 && s[0].Y == 0 && s[0].Slope == 0 {
+		T = s[1].X
+		cc = Curve{segs: make([]Segment, len(s)-1)}
+		for i, seg := range s[1:] {
+			cc.segs[i] = Segment{seg.X - T, seg.Y, seg.Slope}
+		}
+	}
+	return T, cc, cc.IsConcave() && kernelSafe(cc)
 }
 
 const autoSamples = 2048

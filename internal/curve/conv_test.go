@@ -3,6 +3,7 @@ package curve
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -239,18 +240,138 @@ func TestConvolveConcaveRateLatencyClosedForm(t *testing.T) {
 	}
 }
 
-func TestAsRateLatencyDetection(t *testing.T) {
-	if _, _, ok := asRateLatency(RateLatency(4, 3)); !ok {
-		t.Error("rate-latency not detected")
+func TestDelayedConcaveDetection(t *testing.T) {
+	cases := []struct {
+		name string
+		c    Curve
+		T    float64
+		ok   bool
+	}{
+		{"rate-latency", RateLatency(4, 3), 3, true},
+		{"line", Line(5), 0, true},
+		{"leaky bucket", Affine(1, 2), 0, true},
+		{"delayed leaky bucket", ShiftRight(Affine(1, 2), 0.5), 0.5, true},
+		{"jump then two slopes", New(0, []Segment{{0, 0, 0}, {1, 3, 4}, {2, 7, 1}}), 1, true},
+		{"multi-slope convex", New(0, []Segment{{0, 0, 0}, {1, 0, 2}, {3, 4, 5}}), 0, false},
+		{"positive at the origin", New(1, []Segment{{0, 1, 1}}), 0, false},
+		{"staircase", Staircase(1, 1, 3), 0, false},
 	}
-	if r, tt, ok := asRateLatency(Line(5)); !ok || r != 5 || tt != 0 {
-		t.Error("line not detected as zero-latency rate-latency")
+	for _, tc := range cases {
+		T, cc, ok := delayedConcave(tc.c)
+		if ok != tc.ok || (ok && T != tc.T) {
+			t.Errorf("%s: T=%g ok=%v, want T=%g ok=%v", tc.name, T, ok, tc.T, tc.ok)
+			continue
+		}
+		if ok && (cc.AtZero() != 0 || cc.segs[0].X != 0) {
+			t.Errorf("%s: concave part %v does not start at the origin", tc.name, cc)
+		}
 	}
-	if _, _, ok := asRateLatency(Affine(1, 2)); ok {
-		t.Error("leaky bucket misdetected")
+}
+
+// convInf is the exact (f ⊗ g)(t) of piecewise-linear curves: f(s)+g(t−s)
+// is piecewise linear in s with kinks where s is a breakpoint of f or t−s
+// one of g, so its infimum is taken at 0, t or a kink, as a value or as the
+// limit from either side.
+func convInf(f, g Curve, t float64) float64 {
+	type split struct{ s, r float64 }
+	splits := []split{{0, t}, {t, 0}}
+	for _, x := range f.Breakpoints() {
+		if x <= t {
+			splits = append(splits, split{x, t - x})
+		}
 	}
-	multi := New(0, []Segment{{0, 0, 0}, {1, 0, 2}, {3, 4, 5}})
-	if _, _, ok := asRateLatency(multi); ok {
-		t.Error("multi-slope convex misdetected")
+	for _, x := range g.Breakpoints() {
+		if x <= t {
+			splits = append(splits, split{t - x, x})
+		}
+	}
+	best := math.Inf(1)
+	for _, sp := range splits {
+		s, r := sp.s, sp.r
+		if s < 0 || r < 0 {
+			continue
+		}
+		best = math.Min(best, f.Value(s)+g.Value(r))
+		if s > 0 {
+			best = math.Min(best, f.ValueLeft(s)+g.ValueRight(r))
+		}
+		if r > 0 {
+			best = math.Min(best, f.ValueRight(s)+g.ValueLeft(r))
+		}
+	}
+	return best
+}
+
+// A 0.26 µs latency convolved with a 292 s one: the true f ⊗ g is zero until
+// 292.52785816733 s, then 505.13 B + 559.9 B/s. ConvolveExact's candidate
+// dedupe at absEps(292 s) swallows the short latency and answers 1 515 B just
+// past the knee — a service curve above the true one, so an optimistic bound.
+// Both operands are delayed concave curves, so Convolve takes the closed form.
+func TestConvolveLargeOffsetShortLatency(t *testing.T) {
+	f := New(0, []Segment{{0, 0, 0}, {292.5278579099099, 505.12732421199394, 559.9110240690597}})
+	g := New(0, []Segment{{0, 0, 0}, {2.574144058441988e-7, 2077.828095343544, 2.9931502067254086e9}})
+	at := 292.52785833608544
+	want := convInf(f, g, at)
+	if got := Convolve(f, g).Value(at); got > want*(1+1e-9) {
+		t.Errorf("(f ⊗ g)(%v) = %v, above the exact %v", at, got, want)
+	}
+	approx(t, want, 505.12732421199394+559.9110240690597*(at-292.5278579099099-2.574144058441988e-7), 1e-9, "exact value")
+}
+
+// Property: on random pairs of delayed concave curves — 1-3 pieces each,
+// delays of 0 or 1 ns-10 s, rates from B/s to GB/s — Convolve never panics
+// and matches the exact infimum over split points, to within what the time
+// axis resolves at that offset.
+func TestConvolveDelayedConcaveMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	logU := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	operand := func() Curve {
+		var segs []Segment
+		T := 0.0
+		if rng.Intn(4) > 0 {
+			T = logU(1e-9, 10)
+			segs = append(segs, Segment{0, 0, 0})
+		}
+		x, y, rate := T, 0.0, logU(1, 1e9)
+		if rng.Intn(2) == 0 {
+			y = logU(1, 1e7) // a jump at T
+		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			segs = append(segs, Segment{x, y, rate})
+			d := logU(1e-6, 10)
+			x, y, rate = x+d, y+rate*d, rate*logU(1e-3, 1)
+		}
+		return New(0, segs)
+	}
+	const pairs = 2000
+	for k := 0; k < pairs; k++ {
+		f, g := operand(), operand()
+		got := Convolve(f, g)
+		xs := got.Breakpoints()
+		for _, a := range f.Breakpoints() {
+			for _, b := range g.Breakpoints() {
+				xs = append(xs, a+b)
+			}
+		}
+		sort.Float64s(xs)
+		last := xs[len(xs)-1]
+		xs = append(xs, 2*last+10)
+		slope := 0.0
+		for _, s := range append(f.Segments(), g.Segments()...) {
+			slope = math.Max(slope, s.Slope)
+		}
+		for i := 0; i+1 < len(xs); i++ {
+			u, v := xs[i], xs[i+1]
+			if v-u <= 4*absEps(u) {
+				continue // narrower than the time axis resolves here
+			}
+			for _, at := range []float64{u + (v-u)/3, u + 2*(v-u)/3} {
+				want := convInf(f, g, at)
+				tol := 1e-9*(1+want) + slope*4*absEps(at)
+				if d := got.Value(at) - want; math.Abs(d) > tol {
+					t.Fatalf("pair %d: (f ⊗ g)(%v) = %v, exact %v\nf = %v\ng = %v\ngot %v", k, at, got.Value(at), want, f, g, got)
+				}
+			}
+		}
 	}
 }

@@ -63,15 +63,26 @@ func New(y0 float64, segs []Segment) Curve {
 
 // newOwned is the internal no-copy constructor: it takes ownership of segs,
 // normalizes, validates, and computes the structural digest. Every Curve in
-// the package is built through here so the digest invariant holds globally.
+// the package is built through here or build so the digest invariant holds
+// globally.
 func newOwned(y0 float64, segs []Segment) Curve {
+	c, err := build(y0, segs)
+	if err != nil {
+		panic("curve: " + err.Error())
+	}
+	return c
+}
+
+// build is newOwned returning the validation error instead of panicking, for
+// kernels that have another way to answer when their result is malformed.
+func build(y0 float64, segs []Segment) (Curve, error) {
 	c := Curve{y0: y0, segs: segs}
 	c.normalize()
 	if err := c.validate(); err != nil {
-		panic("curve: " + err.Error())
+		return Curve{}, err
 	}
 	c.digest = digestCurve(c.y0, c.segs)
-	return c
+	return c, nil
 }
 
 // normalize clamps floating-point slope noise, merges adjacent collinear

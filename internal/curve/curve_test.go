@@ -149,6 +149,40 @@ func TestMinMax(t *testing.T) {
 	approx(t, x.UltimateSlope(), 3, 1e-9, "max ultimate slope")
 }
 
+// Two lines that cross 0.2 ps after the origin: the crossing is below
+// absEps(0), so it cannot be a breakpoint of its own. Past it the min is the
+// 9.6 kB/s line and the max the 2.4 GB/s one, for ever; taking the operand
+// that attains at 0 instead gave the min an ultimate slope of 2.4 GB/s.
+func TestMinMaxCollapsedCrossing(t *testing.T) {
+	slow := New(0, []Segment{{0, 23427.03012812148, 9593.345870854988}})
+	fast := New(0, []Segment{{0, 23427.02966239526, 2.3635545090502167e9}})
+	for _, ops := range [][2]Curve{{slow, fast}, {fast, slow}} {
+		m, x := Min(ops[0], ops[1]), Max(ops[0], ops[1])
+		approx(t, m.UltimateSlope(), slow.UltimateSlope(), 1e-9, "min ultimate slope")
+		approx(t, x.UltimateSlope(), fast.UltimateSlope(), 1e-9, "max ultimate slope")
+		for _, at := range []float64{1e-9, 1e-3, 1, 1e3} {
+			want := math.Min(slow.Value(at), fast.Value(at))
+			approx(t, m.Value(at), want, 1e-12*want, "min value")
+			want = math.Max(slow.Value(at), fast.Value(at))
+			approx(t, x.Value(at), want, 1e-12*want, "max value")
+		}
+	}
+}
+
+// The same collapse at a two-segment arrival: the 11.6 GB/s line is lower
+// only for the first 0.585 ns. Carrying its slope to the arrival's knee at
+// 13.6 ms left a downward jump there, and Min panicked.
+func TestMinCollapsedCrossingBeforeKnee(t *testing.T) {
+	f := New(0, []Segment{{0, 6.8096, 4906.98}, {0.0136, 6.8096 + 4906.98*0.0136, 3038.13}})
+	line := Line(1.1648e10)
+	m := Min(f, line)
+	for _, at := range []float64{1e-9, 1e-6, 0.0136, 0.5, 100} {
+		want := math.Min(f.Value(at), line.Value(at))
+		approx(t, m.Value(at), want, 1e-12*want, "min value")
+	}
+	approx(t, m.UltimateSlope(), 3038.13, 1e-9, "min ultimate slope")
+}
+
 func TestMinWithJumps(t *testing.T) {
 	a := Affine(1, 5)
 	z := Zero()

@@ -63,6 +63,19 @@ func kernelSafe(c Curve) bool {
 // incrementally at merged breakpoints and, for min/max, inserting the
 // crossing abscissa where the attaining operand switches inside an interval.
 func combineMerge(a, b Curve, op binOp) Curve {
+	return newOwned(op.apply(a.y0, b.y0), mergeSegs(a, b, op))
+}
+
+// mergeSegs is combineMerge's segment list before normalization.
+//
+// A min/max crossing tc with x < tc <= x+absEps(x) cannot be a breakpoint of
+// its own: normalize would take it for x. The interval then follows the
+// operand that attains past tc, from its value at x, so the result differs
+// from the true min/max only on (x, tc). Following the operand that attains
+// at x instead would carry its slope across the whole interval, which may be
+// unbounded: a GB/s line that is lower only for the first picosecond would
+// stand in for a B/s one forever.
+func mergeSegs(a, b Curve, op binOp) []Segment {
 	as, bs := a.segs, b.segs
 	segs := make([]Segment, 0, len(as)+len(bs)+4)
 	ia, ib := 0, 0
@@ -82,6 +95,7 @@ func combineMerge(a, b Curve, op binOp) Curve {
 		for {
 			y := op.apply(va, vb)
 			var slope float64
+			tied := false
 			switch op {
 			case binAdd:
 				slope = sa.Slope + sb.Slope
@@ -90,9 +104,9 @@ func combineMerge(a, b Curve, op binOp) Curve {
 			default:
 				// Min/max: the slope is the attaining operand's; on a tie the
 				// lower (for min) or higher (for max) slope wins going forward.
-				tol := absEps(math.Max(math.Abs(va), math.Abs(vb)))
+				tied = math.Abs(va-vb) <= absEps(math.Max(math.Abs(va), math.Abs(vb)))
 				switch {
-				case math.Abs(va-vb) <= tol:
+				case tied:
 					if op == binMin {
 						slope = math.Min(sa.Slope, sb.Slope)
 					} else {
@@ -105,17 +119,24 @@ func combineMerge(a, b Curve, op binOp) Curve {
 				}
 			}
 			if op.needsCrossings() && sa.Slope != sb.Slope {
-				// Crossing strictly inside the remaining interval: emit the
-				// current piece and restart from the crossing, where the
-				// attaining operand flips.
 				tc := x + (vb-va)/(sa.Slope-sb.Slope)
-				inside := tc > x+absEps(x) && (math.IsInf(nx, 1) || tc < nx-absEps(nx))
-				if inside {
+				if tc > x+absEps(x) && (math.IsInf(nx, 1) || tc < nx-absEps(nx)) {
+					// Crossing strictly inside the remaining interval: emit
+					// the current piece and restart from the crossing, where
+					// the attaining operand flips.
 					segs = append(segs, Segment{x, y, slope})
 					x = tc
 					va = sa.Y + sa.Slope*(x-sa.X)
 					vb = sb.Y + sb.Slope*(x-sb.X)
 					continue
+				}
+				if !tied && tc > x && tc <= x+absEps(x) && tc < nx {
+					// Collapsed crossing: the operand that attains past tc.
+					if (sa.Slope < sb.Slope) == (op == binMin) {
+						y, slope = va, sa.Slope
+					} else {
+						y, slope = vb, sb.Slope
+					}
 				}
 			}
 			segs = append(segs, Segment{x, y, slope})
@@ -132,7 +153,7 @@ func combineMerge(a, b Curve, op binOp) Curve {
 			ib++
 		}
 	}
-	return newOwned(op.apply(a.y0, b.y0), segs)
+	return segs
 }
 
 // combineSorted is the original sort-based implementation: merge all
