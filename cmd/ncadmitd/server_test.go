@@ -50,7 +50,7 @@ func metricsServer(t *testing.T) *httptest.Server {
 	reg := obs.NewRegistry()
 	c.EnableObsOpts(reg, admit.ObsOptions{PerNodeMetrics: true})
 	c.EnableFlightRecorder(256)
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	ts := httptest.NewServer(newServer(c, serverOptions{
 		metrics: reg,
 		replay:  admit.ReplayOptions{Total: 512 * units.KiB, Seed: 1},

@@ -185,7 +185,7 @@ func TestRecheckNoLooserThanFreshBound(t *testing.T) {
 // pass at its stored θ-vector can is certified, and the decision record, the
 // audit line and /metrics all say so.
 func TestCertifiedVictimsAreCounted(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
 	c := goldenPlatform(t, core.RungTight)
 	reg := obs.NewRegistry()

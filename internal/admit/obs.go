@@ -15,9 +15,8 @@ import (
 // (seconds): 1µs (cached rejections) up to ~1s (deep victim re-checks).
 var DecisionBuckets = obs.ExponentialBuckets(1e-6, 4, 11)
 
-// OpBuckets are the histogram bounds for individual curve operations and
-// pipeline analyses (seconds).
-var OpBuckets = obs.ExponentialBuckets(1e-7, 4, 12)
+// AnalysisBuckets are the histogram bounds for pipeline analyses (seconds).
+var AnalysisBuckets = obs.ExponentialBuckets(1e-7, 4, 12)
 
 // GroupSizeBuckets are the histogram bounds for combiner group sizes
 // (tickets decided per group commit).
@@ -96,11 +95,12 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 //     layers' hits/misses/entries (verdict cache, analysis memo); per-node
 //     reservation gauges only with opts.PerNodeMetrics (unbounded cardinality
 //     on large platforms);
-//   - process-wide per-operation timing: curve.SetOpTimer and
-//     core.SetAnalysisTimer feed nc_curve_op_seconds{op=...} and
-//     nc_analysis_seconds, whose histograms are resolved here, once, so a
-//     timed operation pays two clock reads and an Observe (global hooks —
-//     the daemon runs one controller; a second EnableObs call rebinds them).
+//   - process-wide operator counts and analysis timing: curve.SetOpCounter
+//     feeds the nc_curve_ops_total{op=...} counters, so a curve operator
+//     call pays one counter increment, and core.SetAnalysisTimer feeds the
+//     nc_analysis_seconds histogram, two clock reads and an Observe per
+//     chain pass; both are resolved here, once (global hooks — the daemon
+//     runs one controller; a second EnableObs call rebinds them).
 //
 // Call once, before serving traffic.
 func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
@@ -168,16 +168,16 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			func() float64 { h, mi, _ := m.snapshot().cacheLayer(layer); return obs.HitRate(h, mi) }, l)
 	}
 
-	// The timing families exist (at zero) from startup, and the timers hold
-	// their histograms: no registry lookup on the operator path.
-	var opSeconds [curve.NumOpKinds]*obs.Histogram
+	// The operator and analysis families exist (at zero) from startup, and
+	// the hooks hold their series: no registry lookup on the operator path.
+	var opCalls [curve.NumOpKinds]*obs.Counter
 	for _, op := range curve.OpKinds() {
-		opSeconds[op] = reg.Histogram("nc_curve_op_seconds", "curve operator cost, one observation per operator call",
-			OpBuckets, obs.Label{Key: "op", Value: op.String()})
+		opCalls[op] = reg.Counter("nc_curve_ops_total", "curve operator calls",
+			obs.Label{Key: "op", Value: op.String()})
 	}
 	analysisSeconds := reg.Histogram("nc_analysis_seconds",
-		"computed analysis cost, one observation per chain pass (an admission check) or full analysis (core.Memo hits are not timed)", OpBuckets)
-	curve.SetOpTimer(func(op curve.OpKind, seconds float64) { opSeconds[op].Observe(seconds) })
+		"computed analysis cost, one observation per chain pass (an admission check) or full analysis (core.Memo hits are not timed)", AnalysisBuckets)
+	curve.SetOpCounter(func(op curve.OpKind) { opCalls[op].Inc() })
 	core.SetAnalysisTimer(analysisSeconds.Observe)
 
 	reg.AddCollector(func(r *obs.Registry) { c.collect(r) })

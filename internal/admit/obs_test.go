@@ -25,7 +25,7 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 }
 
 func TestEnableObsMetrics(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObsOpts(reg, ObsOptions{PerNodeMetrics: true})
@@ -55,7 +55,8 @@ func TestEnableObsMetrics(t *testing.T) {
 		`nc_node_utilization{node="encrypt"}`,
 		"nc_admit_epoch",
 		"nc_admit_flows 0",
-		"nc_curve_op_seconds_bucket",
+		`nc_curve_ops_total{op="convolve"}`,
+		"# TYPE nc_curve_ops_total counter",
 		"nc_analysis_seconds_count",
 		// 3 admissions + 1 release, all far under the 100ms objective.
 		"nc_admit_slo_fast_total 4",
@@ -71,13 +72,13 @@ func TestEnableObsMetrics(t *testing.T) {
 	}
 }
 
-// opCount reads nc_curve_op_seconds_count{op} off a scrape of reg.
+// opCount reads nc_curve_ops_total{op} off a scrape of reg.
 func opCount(t *testing.T, reg *obs.Registry, op string) int {
 	t.Helper()
-	m := regexp.MustCompile(`(?m)^nc_curve_op_seconds_count\{op="` + op + `"\} (\d+)$`).
+	m := regexp.MustCompile(`(?m)^nc_curve_ops_total\{op="` + op + `"\} (\d+)$`).
 		FindStringSubmatch(scrape(t, reg))
 	if m == nil {
-		t.Fatalf("scrape has no nc_curve_op_seconds_count{op=%q}", op)
+		t.Fatalf("scrape has no nc_curve_ops_total{op=%q}", op)
 	}
 	n, err := strconv.Atoi(m[1])
 	if err != nil {
@@ -86,13 +87,13 @@ func opCount(t *testing.T, reg *obs.Registry, op string) int {
 	return n
 }
 
-// TestOpTimerCostContract: attached telemetry costs an operator call two
-// clock reads and an Observe on a histogram resolved at attach time — no
-// allocation — and counts every call, repeated operands included. The timer
-// is process-wide, so of two controllers on two registries the one attached
+// TestOpCounterCostContract: attached telemetry costs an operator call one
+// increment of a counter resolved at attach time — no allocation — and
+// counts every call, repeated operands included. The counter is
+// process-wide, so of two controllers on two registries the one attached
 // last receives everything.
-func TestOpTimerCostContract(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+func TestOpCounterCostContract(t *testing.T) {
+	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
 	beta1, beta2 := curve.RateLatency(100, 0.5), curve.RateLatency(80, 0.2)
 	alpha := curve.Affine(10, 5)
@@ -134,7 +135,7 @@ func TestOpTimerCostContract(t *testing.T) {
 // carries the platform epoch but no per-node series, and no per-node epoch
 // summary.
 func TestObsPerNodeDefaultOff(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObs(reg)

@@ -243,7 +243,7 @@ func TestRungVictimCheckedAtOwnRung(t *testing.T) {
 // blind one — and nc_rung_combos_total must move by exactly what the records
 // report.
 func TestRungSearchEffortOnDecisionRecord(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
 	c := sharedNodePlatform(t)
 	reg := obs.NewRegistry()

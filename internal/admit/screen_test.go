@@ -113,7 +113,7 @@ func TestAdmitThroughOneNanosecondNode(t *testing.T) {
 // bound is analysed, and the decision record, the audit line and /metrics all
 // say which happened.
 func TestScreenedVictimsAreCounted(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
 	c := goldenPlatform(t, core.RungBlind)
 	reg := obs.NewRegistry()

@@ -21,7 +21,7 @@ import (
 // role itself: a panic in its analysis (from the analysis timer, the one hook
 // there is) reaches the caller, and the Admit queued behind it is answered.
 func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
-	defer curve.SetOpTimer(nil)
+	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()

@@ -25,7 +25,9 @@ import (
 //	         descent over the same dominance-safe per-node grids (see
 //	         analyzeTight), seeded from the greedy fifo vector, minimizing
 //	         the end-to-end delay bound of the concatenated chain curve.
-//	         Each θ-vector it scores costs N−1 convolutions and one HDev.
+//	         Each θ-vector it scores costs one HDev and the convolutions
+//	         onto nodes i…N−1, where i is the first node at which it
+//	         differs from the last vector scored: N−1 at most.
 type Rung uint8
 
 const (
@@ -119,10 +121,11 @@ func tightGrids(p Pipeline) (grids [][]float64, hasCross bool, err error) {
 // improvements only. It stops once every cross node has been visited without
 // a move since the last one, which ends where a full sweep without a move
 // would, with fewer passes. Each seed costs one chain pass; every other
-// vector is scored from a memberTable, at N−1 convolutions and one HDev. A
-// vector where a member starves is skipped; the search fails only when
-// neither seed could be scored. The result is one analyzeWith pass at the
-// winner, so it equals BoundAt there.
+// vector is scored from a memberTable, at one HDev and the convolutions onto
+// the nodes from the first one where it differs from the last vector scored
+// (N−1 at most). A vector where a member starves is skipped; the search
+// fails only when neither seed could be scored. The result is one
+// analyzeWith pass at the winner, so it equals BoundAt there.
 func analyzeTight(p Pipeline, report bool) (*Analysis, error) {
 	grids, hasCross, err := tightGrids(p)
 	if err != nil {
@@ -204,6 +207,10 @@ func analyzeTight(p Pipeline, report bool) (*Analysis, error) {
 // built once per node and θ value: once for a node without cross traffic,
 // once per θ the search visits for a cross node. Gain, aggregation delay and
 // arrival do not depend on θ, so one chain pass supplies them all.
+//
+// It also keeps the left fold of the last vector it scored: the descent
+// varies one node at a time, so the next vector shares the fold's prefix up
+// to that node and resumes from there.
 type memberTable struct {
 	base *Analysis
 	// fixed[i] is node i's curve when it has no cross traffic; byTheta[i]
@@ -211,6 +218,11 @@ type memberTable struct {
 	// is entered for every cross node.
 	fixed   []curve.Curve
 	byTheta [][]thetaMember
+	// prefix[i] folds the members of last[0..i]; the first valid entries
+	// are current.
+	last   []float64
+	prefix []curve.Curve
+	valid  int
 }
 
 type thetaMember struct {
@@ -223,7 +235,12 @@ type thetaMember struct {
 // be nil, and their curves are entered as they are) over the given grids. It
 // returns nil when both seeds are.
 func newMemberTable(grids [][]float64, seeds ...*Analysis) *memberTable {
-	t := &memberTable{fixed: make([]curve.Curve, len(grids)), byTheta: make([][]thetaMember, len(grids))}
+	t := &memberTable{
+		fixed:   make([]curve.Curve, len(grids)),
+		byTheta: make([][]thetaMember, len(grids)),
+		last:    make([]float64, len(grids)),
+		prefix:  make([]curve.Curve, len(grids)),
+	}
 	for _, a := range seeds {
 		if a == nil {
 			continue
@@ -280,20 +297,28 @@ func (t *memberTable) member(i int, theta float64) (curve.Curve, bool) {
 }
 
 // score is chainDelay for the pinned chain pass at theta, from the table:
-// bit for bit the same value, without the pass. ok is false when a member
-// starves.
+// bit for bit the same value, without the pass. It folds from the longest
+// prefix theta shares with the last vector scored, in the pass's order, so
+// the fold is the same. ok is false when a member starves; the prefixes from
+// that node on are then invalid.
 func (t *memberTable) score(theta []float64) (seconds float64, ok bool) {
-	var chain curve.Curve
-	for i, th := range theta {
-		c, ok := t.member(i, th)
+	i := 0
+	for i < t.valid && theta[i] == t.last[i] {
+		i++
+	}
+	for ; i < len(theta); i++ {
+		c, ok := t.member(i, theta[i])
 		if !ok {
+			t.valid = i
 			return 0, false
 		}
+		t.last[i] = theta[i]
 		if i == 0 {
-			chain = c
+			t.prefix[0] = c
 		} else {
-			chain = curve.Convolve(chain, c)
+			t.prefix[i] = curve.Convolve(t.prefix[i-1], c)
 		}
 	}
-	return curve.HDev(t.base.AlphaPrime, chain), true
+	t.valid = len(theta)
+	return curve.HDev(t.base.AlphaPrime, t.prefix[len(theta)-1]), true
 }

@@ -27,7 +27,8 @@ import (
 // absEps resolves at offset Tf+Tg. ConvolveSampled remains available for
 // cross-validation.
 func Convolve(f, g Curve) Curve {
-	return timedCurve(opConv, func() Curve { return convolveDispatch(f, g) })
+	countOp(opConv)
+	return convolveDispatch(f, g)
 }
 
 func convolveDispatch(f, g Curve) Curve {
@@ -38,6 +39,7 @@ func convolveDispatch(f, g Curve) Curve {
 		return c
 	}
 	// General shapes: the exact piece-decomposition algorithm.
+	countOp(opConvExact)
 	return ConvolveExact(f, g)
 }
 

@@ -375,3 +375,19 @@ func TestConvolveDelayedConcaveMatchesExact(t *testing.T) {
 		}
 	}
 }
+
+// Convolve counts every call as convolve, and the calls its closed forms
+// hand to ConvolveExact also as convolve_exact.
+func TestConvolveExactFallbackCounted(t *testing.T) {
+	var counts [NumOpKinds]int
+	defer SetOpCounter(SetOpCounter(func(op OpKind) { counts[op]++ }))
+	Convolve(RateLatency(100, 1), RateLatency(50, 2)) // both convex
+	Convolve(Affine(10, 5), RateLatency(50, 2))       // delayed concave
+	Convolve(Staircase(10, 1, 3), RateLatency(50, 2)) // neither
+	if counts[opConv] != 3 || counts[opConvExact] != 1 {
+		t.Errorf("convolve %d, convolve_exact %d; want 3 and 1", counts[opConv], counts[opConvExact])
+	}
+	if got := opConvExact.String(); got != "convolve_exact" {
+		t.Errorf("label %q", got)
+	}
+}

@@ -29,7 +29,8 @@ import (
 //
 // The result is the pointwise maximum of all candidates.
 func Deconvolve(f, g Curve) (res Curve, ok bool) {
-	return timedCurveOK(opDeconv, func() (Curve, bool) { return deconvolve(f, g) })
+	countOp(opDeconv)
+	return deconvolve(f, g)
 }
 
 func deconvolve(f, g Curve) (res Curve, ok bool) {
@@ -66,7 +67,7 @@ func deconvolve(f, g Curve) (res Curve, ok bool) {
 	}
 
 	// Fold with the raw kernel rather than Max: the intermediates belong to
-	// this Deconvolve call, not operator calls of their own to be timed.
+	// this Deconvolve call, not operator calls of their own to be counted.
 	res = candidates[0]
 	for _, c := range candidates[1:] {
 		res = combine(res, c, binMax)

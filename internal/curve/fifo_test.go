@@ -234,3 +234,126 @@ func TestFIFOThetaInsert(t *testing.T) {
 		t.Errorf("head insert: %v", got)
 	}
 }
+
+// sameBits reports whether two curves have bit-identical representations:
+// value at zero, every segment coordinate, and the digest.
+func sameBits(a, b Curve) bool {
+	if math.Float64bits(a.y0) != math.Float64bits(b.y0) || len(a.segs) != len(b.segs) || a.digest != b.digest {
+		return false
+	}
+	for i, s := range a.segs {
+		u := b.segs[i]
+		if math.Float64bits(s.X) != math.Float64bits(u.X) || math.Float64bits(s.Y) != math.Float64bits(u.Y) ||
+			math.Float64bits(s.Slope) != math.Float64bits(u.Slope) {
+			return false
+		}
+	}
+	return true
+}
+
+// FIFOResidual's rate-latency ⊖ affine closed form returns, bit for bit, what
+// the generic kernel builds from the shifted cross, over rates from 1 B/s to
+// 1 GB/s and thetas on the candidate grid, at and within absEps of the
+// latency, and past thetaMax. Other shapes keep the generic kernel, which
+// alone calls ShiftRight.
+func TestFIFOResidualClosedFormBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	logUniform := func(lo, hi float64) float64 {
+		return lo * math.Pow(hi/lo, rng.Float64())
+	}
+	var checked, withT, zeroB int
+	for trial := 0; trial < 20000; trial++ {
+		R := logUniform(1, 1e9)
+		T := 0.0
+		if rng.Intn(4) > 0 {
+			T = logUniform(1e-9, 1)
+		}
+		r := R * (0.001 + 0.998*rng.Float64())
+		b := 0.0
+		if rng.Intn(4) > 0 {
+			b = logUniform(1, 1e8)
+		}
+		beta, cross := RateLatency(R, T), Affine(r, b)
+		if _, _, ok := rateLatencyShape(beta); !ok {
+			t.Fatalf("RateLatency(%g, %g) does not have the rate-latency shape: %v", R, T, beta)
+		}
+		tmax, ok := FIFOThetaMax(beta, cross)
+		if !ok {
+			t.Fatalf("R=%g r=%g: starves", R, r)
+		}
+		// θ on the grid, at the latency, on both sides of it within absEps,
+		// on both sides of the edge absEps(T) below it where the generic
+		// breakpoint merge starts to keep T apart from θ, and past θmax.
+		lat := beta.Latency()
+		edge := lat - absEps(lat)
+		thetas := append(FIFOThetaCandidates(beta, cross),
+			lat, lat*(1+1e-12), lat+0.5*absEps(lat), lat-0.5*absEps(lat),
+			math.Nextafter(lat, 0), math.Nextafter(lat, math.Inf(1)),
+			edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)),
+			tmax*(1+3*rng.Float64()), 2*tmax+1, rng.Float64()*tmax)
+		for _, th := range thetas {
+			if th <= absEps(th) {
+				continue
+			}
+			got, ok := FIFOResidual(beta, cross, th)
+			if !ok {
+				t.Fatalf("R=%g T=%g r=%g b=%g θ=%g: closed form reports starvation", R, T, r, b, th)
+			}
+			want := fifoResidual(beta, ShiftRight(cross, th), th)
+			if !sameBits(got, want) {
+				t.Fatalf("R=%g T=%g r=%g b=%g θ=%g:\nclosed form %v\ngeneric     %v", R, T, r, b, th, got, want)
+			}
+			checked++
+			if T > 0 {
+				withT++
+			}
+			if b == 0 {
+				zeroB++
+			}
+		}
+	}
+	if withT == 0 || zeroB == 0 || checked < 100000 {
+		t.Errorf("coverage: %d checked, %d with latency, %d with zero burst", checked, withT, zeroB)
+	}
+	t.Logf("%d members checked", checked)
+
+	// Starvation and a zero cross answer as the generic path does.
+	if _, ok := FIFOResidual(RateLatency(100, 1), Affine(100, 5), 0.5); ok {
+		t.Error("a cross at the full rate does not starve the node")
+	}
+	beta := RateLatency(100, 1)
+	if got, ok := FIFOResidual(beta, Affine(1e-7, 1e-7), 0.5); !ok || !sameBits(got, beta) {
+		t.Errorf("a cross Equal to zero leaves %v, want beta %v", got, beta)
+	}
+
+	// Only the generic kernel shifts the cross.
+	var shifts int
+	defer SetOpCounter(SetOpCounter(func(op OpKind) {
+		if op == opShiftRight {
+			shifts++
+		}
+	}))
+	convex := New(0, []Segment{{0, 0, 0}, {1, 0, 10}, {2, 10, 40}})
+	twoBucket := Envelope([]Bucket{{Rate: 5, Burst: 20}, {Rate: 2, Burst: 50}})
+	for _, c := range []struct {
+		name        string
+		beta, cross Curve
+		generic     bool
+	}{
+		{"rate-latency ⊖ affine", RateLatency(100, 1), Affine(30, 40), false},
+		{"rate-latency ⊖ two buckets", RateLatency(100, 1), twoBucket, true},
+		{"convex ⊖ affine", convex, Affine(5, 20), true},
+	} {
+		shifts = 0
+		got, ok := FIFOResidual(c.beta, c.cross, 0.75)
+		if !ok {
+			t.Fatalf("%s: starves", c.name)
+		}
+		if c.generic != (shifts == 1) {
+			t.Errorf("%s: %d ShiftRight calls, generic kernel expected %v", c.name, shifts, c.generic)
+		}
+		if want := fifoResidual(c.beta, ShiftRight(c.cross, 0.75), 0.75); !sameBits(got, want) {
+			t.Errorf("%s: %v, generic kernel %v", c.name, got, want)
+		}
+	}
+}

@@ -16,7 +16,8 @@ func ConcaveHull(c Curve) Curve {
 	if c.IsConcave() {
 		return c
 	}
-	return timedCurve(opConcaveHull, func() Curve { return concaveHull(c) })
+	countOp(opConcaveHull)
+	return concaveHull(c)
 }
 
 func concaveHull(c Curve) Curve {

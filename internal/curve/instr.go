@@ -1,24 +1,24 @@
 package curve
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
-// Per-operation timing instrumentation.
+// Per-operation call counting.
 //
-// Every exported operator calls its kernel through one of the timed*
-// functions below, so this file is the one place that knows every operator
-// entry point. When an OpTimer is attached, each operator call reports its
-// wall-clock cost under the operator's kind, matching Nancy's per-operation
-// cost accounting (arXiv:2205.11449). A kernel that folds intermediates with
-// the raw combine (Deconvolve's candidate maximum) counts them in its own
-// time, not as operator calls of their own.
+// Every exported operator reports its call through countOp below, so the
+// OpKind list is the one place that knows every operator entry point. When an
+// OpCounter is attached, each operator call is reported under the operator's
+// kind: calls per operator, Nancy's per-operation accounting (arXiv:2205.11449)
+// as a count. A count repeats exactly from run to run, which a wall time does
+// not; the cost of one call is measured where it can be measured alone, by
+// the benchmarks. A kernel that folds intermediates with the raw combine
+// (Deconvolve's candidate maximum) does not report them as operator calls of
+// their own. Convolve's fallback to ConvolveExact is reported twice, as a
+// convolve call and as a convolve_exact call, so the exact kernel's share of
+// the convolutions shows.
 //
-// Detached (the default) the hot path pays a single atomic pointer load per
-// operator call.
+// Detached (the default) an operator call pays a single atomic pointer load.
 
-// OpKind names one timed operator.
+// OpKind names one counted operator.
 type OpKind uint8
 
 const (
@@ -35,11 +35,12 @@ const (
 	opSubConst
 	opConcaveHull
 	opFIFOResidual
+	opConvExact
 	opKindEnd
 )
 
 // NumOpKinds bounds the OpKind values: every kind k satisfies
-// 0 < k < NumOpKinds, so a timer can keep its per-kind state in an array.
+// 0 < k < NumOpKinds, so a counter can keep its per-kind state in an array.
 const NumOpKinds = int(opKindEnd)
 
 var opNames = [NumOpKinds]string{
@@ -56,6 +57,7 @@ var opNames = [NumOpKinds]string{
 	opSubConst:     "sub_const",
 	opConcaveHull:  "concave_hull",
 	opFIFOResidual: "fifo_residual",
+	opConvExact:    "convolve_exact",
 }
 
 // String returns the operator's metric label value.
@@ -66,8 +68,8 @@ func (op OpKind) String() string {
 	return "unknown"
 }
 
-// OpKinds returns every operator kind a timer can report, so a metric
-// registry can resolve the whole timing family once, up front.
+// OpKinds returns every operator kind a counter can report, so a metric
+// registry can resolve the whole family once, up front.
 func OpKinds() []OpKind {
 	out := make([]OpKind, 0, NumOpKinds-1)
 	for op := opMin; op < opKindEnd; op++ {
@@ -76,19 +78,19 @@ func OpKinds() []OpKind {
 	return out
 }
 
-// OpTimer receives the wall-clock duration of one curve operator call.
-type OpTimer func(op OpKind, seconds float64)
+// OpCounter receives one curve operator call.
+type OpCounter func(op OpKind)
 
-var opTimer atomic.Pointer[OpTimer]
+var opCounter atomic.Pointer[OpCounter]
 
-// SetOpTimer attaches fn as the process-wide operation timer; nil detaches.
-// The previous timer is returned so callers can restore it.
-func SetOpTimer(fn OpTimer) (prev OpTimer) {
-	var old *OpTimer
+// SetOpCounter attaches fn as the process-wide operation counter; nil
+// detaches. The previous counter is returned so callers can restore it.
+func SetOpCounter(fn OpCounter) (prev OpCounter) {
+	var old *OpCounter
 	if fn == nil {
-		old = opTimer.Swap(nil)
+		old = opCounter.Swap(nil)
 	} else {
-		old = opTimer.Swap(&fn)
+		old = opCounter.Swap(&fn)
 	}
 	if old == nil {
 		return nil
@@ -96,38 +98,9 @@ func SetOpTimer(fn OpTimer) (prev OpTimer) {
 	return *old
 }
 
-// timedCurve runs compute, reporting its duration when a timer is attached.
-func timedCurve(op OpKind, compute func() Curve) Curve {
-	t := opTimer.Load()
-	if t == nil {
-		return compute()
+// countOp reports one call of op when a counter is attached.
+func countOp(op OpKind) {
+	if c := opCounter.Load(); c != nil {
+		(*c)(op)
 	}
-	start := time.Now()
-	c := compute()
-	(*t)(op, time.Since(start).Seconds())
-	return c
-}
-
-// timedCurveOK is timedCurve for (Curve, bool)-valued operations.
-func timedCurveOK(op OpKind, compute func() (Curve, bool)) (Curve, bool) {
-	t := opTimer.Load()
-	if t == nil {
-		return compute()
-	}
-	start := time.Now()
-	c, ok := compute()
-	(*t)(op, time.Since(start).Seconds())
-	return c, ok
-}
-
-// timedScalar is timedCurve for float64-valued operations (HDev, VDev).
-func timedScalar(op OpKind, compute func() float64) float64 {
-	t := opTimer.Load()
-	if t == nil {
-		return compute()
-	}
-	start := time.Now()
-	s := compute()
-	(*t)(op, time.Since(start).Seconds())
-	return s
 }

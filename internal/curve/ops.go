@@ -236,17 +236,20 @@ func insertCrossings(xs []float64, a, b Curve) []float64 {
 // Min returns the pointwise minimum of a and b. For concave curves that are
 // 0 at the origin this equals their min-plus convolution.
 func Min(a, b Curve) Curve {
-	return timedCurve(opMin, func() Curve { return combine(a, b, binMin) })
+	countOp(opMin)
+	return combine(a, b, binMin)
 }
 
 // Max returns the pointwise maximum of a and b.
 func Max(a, b Curve) Curve {
-	return timedCurve(opMax, func() Curve { return combine(a, b, binMax) })
+	countOp(opMax)
+	return combine(a, b, binMax)
 }
 
 // Add returns the pointwise sum a + b.
 func Add(a, b Curve) Curve {
-	return timedCurve(opAdd, func() Curve { return combine(a, b, binAdd) })
+	countOp(opAdd)
+	return combine(a, b, binAdd)
 }
 
 // Sub returns the pointwise difference a - b. The result must still be
@@ -298,14 +301,13 @@ func ShiftRight(a Curve, T float64) Curve {
 	if T == 0 {
 		return a
 	}
-	return timedCurve(opShiftRight, func() Curve {
-		segs := make([]Segment, 0, len(a.segs)+1)
-		segs = append(segs, Segment{0, 0, 0})
-		for _, s := range a.segs {
-			segs = append(segs, Segment{s.X + T, s.Y, s.Slope})
-		}
-		return newOwned(0, segs)
-	})
+	countOp(opShiftRight)
+	segs := make([]Segment, 0, len(a.segs)+1)
+	segs = append(segs, Segment{0, 0, 0})
+	for _, s := range a.segs {
+		segs = append(segs, Segment{s.X + T, s.Y, s.Slope})
+	}
+	return newOwned(0, segs)
 }
 
 // ShiftLeft advances the curve by T >= 0: g(t) = a(t+T). The value at the
@@ -343,13 +345,12 @@ func AddBurst(a Curve, c float64) Curve {
 	if c < 0 {
 		panic("curve: AddBurst with negative c")
 	}
-	return timedCurve(opAddBurst, func() Curve {
-		segs := a.Segments()
-		for i := range segs {
-			segs[i].Y += c
-		}
-		return newOwned(a.AtZero(), segs)
-	})
+	countOp(opAddBurst)
+	segs := a.Segments()
+	for i := range segs {
+		segs[i].Y += c
+	}
+	return newOwned(a.AtZero(), segs)
 }
 
 // SubConstantPositive returns [a - c]⁺ for c >= 0 — the packetizer service
@@ -361,28 +362,27 @@ func SubConstantPositive(a Curve, c float64) Curve {
 	if c == 0 {
 		return a
 	}
-	return timedCurve(opSubConst, func() Curve {
-		tc := a.InverseLower(c)
-		if math.IsInf(tc, 1) {
-			return Zero() // a never reaches c
+	countOp(opSubConst)
+	tc := a.InverseLower(c)
+	if math.IsInf(tc, 1) {
+		return Zero() // a never reaches c
+	}
+	if tc == 0 {
+		// Positive from the origin (a(0+) >= c); every later value is >= c
+		// by monotonicity.
+		segs := a.Segments()
+		for i := range segs {
+			segs[i].Y = math.Max(0, segs[i].Y-c)
 		}
-		if tc == 0 {
-			// Positive from the origin (a(0+) >= c); every later value is >= c
-			// by monotonicity.
-			segs := a.Segments()
-			for i := range segs {
-				segs[i].Y = math.Max(0, segs[i].Y-c)
-			}
-			return newOwned(math.Max(0, a.AtZero()-c), segs)
+		return newOwned(math.Max(0, a.AtZero()-c), segs)
+	}
+	segs := []Segment{{0, 0, 0}}
+	at := a.segAt(tc)
+	segs = append(segs, Segment{tc, math.Max(0, a.Value(tc)-c), at.Slope})
+	for _, s := range a.segs {
+		if s.X > tc {
+			segs = append(segs, Segment{s.X, s.Y - c, s.Slope})
 		}
-		segs := []Segment{{0, 0, 0}}
-		at := a.segAt(tc)
-		segs = append(segs, Segment{tc, math.Max(0, a.Value(tc)-c), at.Slope})
-		for _, s := range a.segs {
-			if s.X > tc {
-				segs = append(segs, Segment{s.X, s.Y - c, s.Slope})
-			}
-		}
-		return newOwned(0, segs)
-	})
+	}
+	return newOwned(0, segs)
 }

@@ -20,7 +20,8 @@ import "math"
 // lower-bounds the residual. Rejecting such crosses outright used to
 // report spurious starvation for perfectly admissible flows.
 func ResidualService(beta, cross Curve) (res Curve, ok bool) {
-	return timedCurveOK(opResidual, func() (Curve, bool) { return residualService(beta, cross) })
+	countOp(opResidual)
+	return residualService(beta, cross)
 }
 
 func residualService(beta, cross Curve) (res Curve, ok bool) {
