@@ -23,14 +23,14 @@
 //     of the per-node report — on its path with the co-resident contributions
 //     as cross traffic, and every co-resident flow sharing a node is
 //     re-checked with the candidate's contributions added. Only if all SLOs
-//     hold is the candidate committed. A co-resident class that the paper's
-//     closed form (core.ClosedForm, a few scalars per hop, never better than
-//     core.Bound) already shows to be clear of its SLO skips that re-check.
-//     A tight-rung class keeps the θ-vector of the check that admitted its
+//     hold is the candidate committed. A co-resident class that the blind
+//     chain bound (core.ChainBound, scalars, never better than core.Bound at
+//     any rung) already shows to be clear of its SLO skips that re-check. A
+//     tight-rung class keeps the θ-vector of the check that admitted its
 //     newest members, and its victim checks, Recheck and revalidation first
-//     evaluate that vector (core.BoundAt, sound under any cross traffic)
-//     before they re-run the search (classBound). Reservations alone
-//     come from a full core.Analyze, of the flow on the pristine platform.
+//     evaluate that vector (core.BoundAt, sound under any cross traffic, the
+//     same scalars) before they re-run the search (classBound). Reservations
+//     alone come from a full core.Analyze, of the flow on the pristine platform.
 //
 // # Scaling: flow classes
 //
@@ -765,8 +765,8 @@ func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
 // classBound bounds one member of admitted class cs (nil: a flow of no
 // class) on p, the pipeline sharedPipeline built for it. Without a stored
 // θ-vector it is core.Bound. With one (a tight class) it first evaluates
-// core.BoundAt at that vector — sound under any cross traffic, one chain pass
-// and no search. A victim check (report false) stops there when that bound
+// core.BoundAt at that vector — sound under any cross traffic, one chain
+// bound in scalars, no search and no curve. A victim check (report false) stops there when that bound
 // meets the class's SLO, and certified says so. Otherwise the fresh search
 // runs too, and classBound returns whichever of the two Bounds meets the SLO —
 // the smaller delay when both do, the fresh one when neither does — so a

@@ -16,7 +16,7 @@ package admit
 // only explicitly verified states are ever committed. (Greediness does: the
 // bisection finds the largest prefix that fits only where fitting is monotone
 // in the prefix. The blind rung's bounds are isotone in cross traffic — core's
-// TestClosedFormDominatesBound pins it — but the fifo and tight rungs choose
+// TestScreenDominatesBound pins it — but the fifo and tight rungs choose
 // their θ per state and promise no such thing, so there the committed prefix
 // may be smaller than what sequential admission would have reached.) Relative
 // order within the batch is preserved, so on a quiescent registry the sequence

@@ -181,9 +181,10 @@ func TestRecheckNoLooserThanFreshBound(t *testing.T) {
 	t.Logf("%d rechecks compared, %d tighter than the fresh search", compared, tighter)
 }
 
-// A tight victim whose SLO the closed-form screen cannot clear but a chain
-// pass at its stored θ-vector can is certified, and the decision record, the
-// audit line and /metrics all say so.
+// A tight victim whose SLO the blind screen cannot clear but a chain bound at
+// its stored θ-vector can is certified, and the decision record, the audit
+// line and /metrics all say so. Neither the screen nor the certificate calls
+// a curve operator.
 func TestCertifiedVictimsAreCounted(t *testing.T) {
 	defer curve.SetOpCounter(nil)
 	defer core.SetAnalysisTimer(nil)
@@ -236,6 +237,22 @@ func TestCertifiedVictimsAreCounted(t *testing.T) {
 		t.Errorf("exposition lint: %v", errs)
 	}
 	recheckAll(t, c, "end")
+
+	ops := 0
+	curve.SetOpCounter(func(curve.OpKind) { ops++ })
+	for _, want := range []struct {
+		id                  string
+		screened, certified bool
+	}{{"bursty", true, false}, {"victim", false, true}} {
+		ops = 0
+		screened, certified, err := c.VictimCheck(want.id)
+		if err != nil || screened != want.screened || certified != want.certified {
+			t.Errorf("%s: screened %v certified %v (%v), want %v %v", want.id, screened, certified, err, want.screened, want.certified)
+		}
+		if ops != 0 {
+			t.Errorf("%s: the victim check made %d curve operator calls, want 0", want.id, ops)
+		}
+	}
 }
 
 // Stored θ-vectors are written by commits and read by Recheck and

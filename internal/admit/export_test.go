@@ -56,3 +56,22 @@ func (c *Controller) FreshBound(id string) (b *core.Bounds, meets bool, err erro
 	}
 	return b, sloViolation(cs.slo, p, b) == nil, nil
 }
+
+// VictimCheck runs on admitted flow id's class what a decision adding nothing
+// runs on a victim: the screen, and when that does not clear the class,
+// classBound as a victim check. It reports which of the two cleared it.
+func (c *Controller) VictimCheck(id string) (screened, certified bool, err error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cs, ok := c.flows[id]
+	if !ok {
+		return false, false, fmt.Errorf("flow %q not admitted", id)
+	}
+	d := &decision{}
+	if d.screened(c, cs) {
+		return true, false, nil
+	}
+	p := c.sharedPipeline(cs.arrival, cs.path, cs.key.rung, cs.key, d)
+	_, certified, err = c.classBound(cs, p, false)
+	return false, certified, err
+}

@@ -82,16 +82,18 @@ func (d *decision) crossAt(sh *shard) *nodeCross {
 	return nc
 }
 
-// screenSlack is the relative margin by which core.ClosedForm must clear every
-// dimension of a victim's SLO for the victim to skip its analysis.
+// screenSlack is the relative margin by which the screen's core.ChainBound
+// must clear every dimension of a victim's SLO for the victim to skip its
+// analysis.
 const screenSlack = 1e-6
 
 // screened reports that admitted class cs provably keeps its SLO at d's final
-// state, by arithmetic alone: core.ClosedForm over the class's path, every
-// node carrying its whole aggregate (one member more than the without(self)
-// an analysis subtracts — more cross traffic only worsens the closed form),
-// bounds what core.Bound would return at any rung. False means "analyse it",
-// never "it fails". The registry lock must be held in either mode.
+// state, by arithmetic alone: core.ChainBound at blind over the class's path,
+// every node carrying its whole aggregate (one member more than the
+// without(self) an analysis subtracts — more cross traffic only worsens the
+// blind chain, which every rung's dominates), bounds what core.Bound would
+// return at any rung. False means "analyse it", never "it fails". The
+// registry lock must be held in either mode.
 func (d *decision) screened(c *Controller, cs *classState) bool {
 	var onStack [8]core.Node // longer paths spill to the heap
 	hops := onStack[:0]
@@ -102,7 +104,7 @@ func (d *decision) screened(c *Controller, cs *classState) bool {
 		n.CrossBurst += agg.Burst
 		hops = append(hops, n)
 	}
-	delay, backlog, throughput, ok := core.ClosedForm(cs.arrival, hops)
+	delay, backlog, throughput, ok := core.ChainBound(cs.arrival, hops, nil)
 	const worse = 1 + screenSlack
 	return ok &&
 		(cs.slo.MaxDelay <= 0 || delay*worse <= cs.slo.MaxDelay.Seconds()) &&

@@ -163,8 +163,8 @@ type Bounds struct {
 	// Rung is the resolved rung the bounds were computed at.
 	Rung Rung
 	// Delay and Backlog are the horizontal and vertical deviation between
-	// AlphaPrime and the concatenated chain curve; the maximum Duration and
-	// +Inf when Overloaded.
+	// AlphaPrime and the concatenated chain curve, as ChainBound computes
+	// them; the maximum Duration and +Inf when Overloaded.
 	Delay   time.Duration
 	Backlog units.Bytes
 	// Throughput, Overloaded, BottleneckIndex and TightCombos are
@@ -178,21 +178,22 @@ type Bounds struct {
 }
 
 // Bound is the chain-only sibling of AnalyzeMemo (m may be nil): it computes
-// what Bounds carries and nothing of the per-node report — no propagated
-// arrival beyond what the greedy FIFO rung reads, no per-node deviations, no
-// folded closed form, no output bound. The values equal those derived from
-// the full Analysis of the same pipeline bit for bit.
+// what Bounds carries and nothing of the per-node report, taking the delay and
+// backlog from ChainBound at the rung's θ-vector (none at blind, the greedy
+// pass's at fifo, the search's winner at tight), so Bound and BoundAt agree
+// bit for bit at one vector, and Analyze reports the same vector, throughput,
+// overload and bottleneck.
 func Bound(p Pipeline, m *Memo) (*Bounds, error) {
 	_, b, err := m.lookup(p, false)
 	return b, err
 }
 
 // BoundAt is Bound evaluated at a given θ-vector (indexed by node; entries
-// at nodes without cross traffic are ignored): one chain pass with the FIFO
-// left-over member at every cross node pinned to theta, no search and no
-// memo. Every member of the family is a valid service curve for any θ ≥ 0,
-// so the result is sound whatever cross traffic p carries — a vector taken
-// from an earlier Bounds.FIFOTheta stays a certificate after the cross
+// at nodes without cross traffic are ignored): ChainBound with the FIFO
+// left-over member at every cross node pinned to theta, no search, no memo
+// and no curve. Every member of the family is a valid service curve for any
+// θ ≥ 0, so the result is sound whatever cross traffic p carries — a vector
+// taken from an earlier Bounds.FIFOTheta stays a certificate after the cross
 // traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p) but for the
 // search counter TightCombos, which is zero here.
 func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
@@ -203,10 +204,10 @@ func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
 	return b, err
 }
 
-// run computes one half of a Memo entry: the Bounds after a chain pass, or
-// with report set the full Analysis; a non-nil theta pins the θ-vector
-// (BoundAt) instead of following the rung. An attached AnalysisTimer is told
-// how long it took; detached, that costs one atomic pointer load.
+// run computes one half of a Memo entry: the Bounds, or with report set the
+// full Analysis; a non-nil theta pins the θ-vector (BoundAt) instead of
+// following the rung. An attached AnalysisTimer is told how long it took;
+// detached, that costs one atomic pointer load.
 func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err error) {
 	if t := analysisTimer.Load(); t != nil {
 		defer func(start time.Time) { (*t)(time.Since(start).Seconds()) }(time.Now())
@@ -214,39 +215,29 @@ func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err 
 	if err = p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if theta == nil && p.Rung.Resolved() == RungTight {
-		a, err = analyzeTight(p, report)
-	} else {
-		a, err = analyzeWith(p, theta, report)
+	combos := 0
+	if theta == nil {
+		switch p.Rung.Resolved() {
+		case RungFIFO:
+			// The greedy rung reads propagated arrivals: one engine pass.
+			if a, err = analyzeWith(p, nil, report); err != nil || report {
+				return a, nil, err
+			}
+			theta = a.thetas()
+		case RungTight:
+			if theta, combos, err = analyzeTight(p); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	if err == nil && !report {
-		a, b = nil, a.bounds()
+	if !report {
+		b, err = chainBounds(p, theta, combos)
+		return nil, b, err
 	}
-	return a, b, err
-}
-
-// chainDelay is the one place the promised delay is taken: the horizontal
-// deviation, in seconds, between AlphaPrime and the concatenated chain
-// curve, which it also returns.
-func (a *Analysis) chainDelay() (chain curve.Curve, seconds float64) {
-	chain = a.ConcatenatedBeta()
-	return chain, curve.HDev(a.AlphaPrime, chain)
-}
-
-// bounds derives the Bounds of a completed chain pass.
-func (a *Analysis) bounds() *Bounds {
-	b := &Bounds{
-		Rung: a.Rung, Throughput: a.ThroughputLower,
-		Overloaded: a.Overloaded, BottleneckIndex: a.BottleneckIndex,
-		TightCombos: a.TightCombos,
-		FIFOTheta:   a.thetas(),
+	if a, err = analyzeWith(p, theta, true); err == nil {
+		a.TightCombos = combos
 	}
-	b.Delay, b.Backlog = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
-	if !a.Overloaded {
-		chain, d := a.chainDelay()
-		b.Delay, b.Backlog = dur(d), units.Bytes(curve.VDev(a.AlphaPrime, chain))
-	}
-	return b
+	return a, nil, err
 }
 
 // thetas is the analysis's θ-vector, indexed by node.
@@ -258,84 +249,43 @@ func (a *Analysis) thetas() []float64 {
 	return out
 }
 
-// analyzeWith runs one pass of the node loop. A non-nil thetas slice (indexed
-// by node) pins the FIFO left-over theta at every cross-traffic node — the
-// tight rung's search and BoundAt drive this; entries at nodes without
-// cross traffic are ignored. With thetas nil the residual at a cross node
-// follows the pipeline's rung: the blind residual, or the per-node greedy
-// FIFO member for RungFIFO.
-//
-// The chain pass — all that runs with report unset — builds what Bounds and
-// the tight search read: per node the gain normalisation, Beta, the
-// aggregation delay, cumulative latency, overload and θ, and of the chain
-// Alpha, AlphaPrime, ThroughputLower, Overloaded and BottleneckIndex; the
-// arrival is propagated (and Gamma built) only on the greedy rung, whose θ
-// choices read it. The report pass fills in every other field of Analysis and
-// NodeAnalysis.
+// analyzeWith runs the node loop over curves. A non-nil thetas slice (indexed
+// by node) pins the FIFO left-over θ at every cross node (entries elsewhere
+// are ignored); with thetas nil a cross node takes the blind residual, or at
+// RungFIFO the greedy member against its propagated arrival. The chain pass,
+// report unset, builds per node the normalisation, Beta and θ, and of the
+// chain Alpha, AlphaPrime, ThroughputLower, Overloaded and BottleneckIndex:
+// what the greedy rung's θ choices read (the arrival is propagated only
+// there), and the curve-engine oracle ChainBound is tested against. The
+// report pass fills in every other field of Analysis and NodeAnalysis.
 func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	rung := p.Rung.Resolved()
 	a := &Analysis{Pipeline: p, Rung: rung, Nodes: make([]NodeAnalysis, 0, len(p.Nodes))}
 
 	// Arrival curves (input-referred by definition). Extra buckets tighten
 	// the envelope to a concave piecewise-linear minimum.
-	alpha := p.Arrival.Envelope()
-	alphaPrime := alpha
+	a.Alpha = p.Arrival.Envelope()
+	alphaPrime := a.Alpha
 	if p.Arrival.MaxPacket > 0 {
-		alphaPrime = curve.AddBurst(alpha, float64(p.Arrival.MaxPacket))
+		alphaPrime = curve.AddBurst(a.Alpha, float64(p.Arrival.MaxPacket))
 	}
-	a.Alpha, a.AlphaPrime = alpha, alphaPrime
-	// The effective long-run arrival rate is the envelope's ultimate slope
-	// (the smallest bucket rate).
-	arrivalRate := units.Rate(alpha.UltimateSlope())
+	a.AlphaPrime = alphaPrime
 
-	// Per-node normalization and curve construction.
-	gain := 1.0     // product of gains of upstream nodes (lower-bound curves)
-	gainBest := 1.0 // product of best-case gains (maximum service curves)
-	arrRate := arrivalRate
+	w := newWalk(p.Arrival)
 	cumLatency := time.Duration(0)
 	alphaIn := alphaPrime
-	minRate := units.Rate(math.Inf(1))
-	minMaxRate := units.Rate(math.Inf(1))
-	a.BottleneckIndex = 0
-
-	// grain is the delivery granularity of the upstream element in the local
-	// bytes of the current node's input: the source packet size for the first
-	// node; for later nodes whatever the upstream stage releases at once —
-	// its emitted job, or its output packetizer block when that is larger.
-	// A node aggregates whenever its JobIn exceeds this grain. The previous
-	// condition compared JobIn against the arrival-envelope burst instead,
-	// but the burst is an upper bound on what the flow MAY deliver at once,
-	// not a guarantee: a compliant flow trickling packets at its sustained
-	// rate fills the job buffer in b_n / R_alpha,n-1, and a bound that
-	// skipped the charge was measurably violated by simulation (the
-	// experiments/crossval sub-packet slack filed in PR 3 was the backlog
-	// shadow of this, with delay overshoots up to 30% on other seeds).
-	// An unpacketized arrival (MaxPacket = 0) declares no delivery grain;
-	// the model follows the paper and charges no head-node aggregation for
-	// it (no simulatable source is grain-free — sim sources require a
-	// packet size — so the soundness cross-validation is unaffected).
-	grain := math.Inf(1)
-	if p.Arrival.MaxPacket > 0 {
-		grain = float64(p.Arrival.MaxPacket)
-	}
 
 	// Who reads the propagated arrival: the report, and the greedy rung's θ
 	// choice at the next cross node.
 	propagates := report || (thetas == nil && rung == RungFIFO)
 
 	for i, n := range p.Nodes {
-		na := NodeAnalysis{Node: n, GainBefore: gain}
-		na.Rate = n.Rate.Mul(1 / gain)
-		na.MaxRate = n.maxRateOrRate().Mul(1 / gainBest)
-		na.JobIn = n.JobIn.Mul(1 / gain)
-		na.ArrivalRate = arrRate
-		// Cross traffic under blind multiplexing: the flow of interest only
-		// receives the residual service, so the node's effective sustained
-		// rate drops by the cross rate (validation guarantees it stays
-		// positive).
-		crossRate := n.CrossRate.Mul(1 / gain)
-		if crossRate > 0 {
-			na.Rate -= crossRate
+		var h hop
+		w.next(&p.Nodes[i], &h)
+		na := NodeAnalysis{
+			Node: n, GainBefore: h.gain, Rate: h.rate, MaxRate: h.maxRate, JobIn: h.jobIn,
+			ArrivalRate: h.arrRate, Aggregates: h.aggregates, AggregationDelay: h.agg,
+			Overloaded: h.overloaded,
 		}
 
 		// Packetized service curves (input-referred). With cross traffic the
@@ -343,52 +293,39 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		// latency (b_c + R·T)/(R - r_c) — not the raw T — is what the node
 		// contributes to the end-to-end latency recursion: the folded chain
 		// curve must stay below the concatenation of the residual curves.
-		lmax := float64(n.MaxPacket.Mul(1 / gain))
 		effLatency := n.Latency
-		var beta curve.Curve
-		if crossRate > 0 {
-			var resid curve.Curve
+		var resid curve.Curve
+		if h.cross > 0 {
+			full, crossC := h.service()
 			var ok bool
 			switch {
 			case thetas != nil:
-				// Theta pinned by the tight search or BoundAt.
+				// Theta pinned: the tight rung's winner in the report pass.
 				na.FIFOTheta = thetas[i]
-				resid, beta, ok = pinnedMember(n, gain, thetas[i])
+				resid, ok = curve.FIFOResidual(full, crossC, thetas[i])
 			case rung == RungFIFO:
 				// Greedy rung: best member against this node's propagated
 				// arrival. Candidates are dominance-safe (theta = 0, the
 				// blind residual, included), so the node — and by pointwise
 				// dominance the whole chain — never does worse than blind.
-				full, crossC := crossService(n, gain)
 				resid, na.FIFOTheta, ok = curve.FIFOResidualBest(alphaIn, full, crossC)
 			default:
-				full, crossC := crossService(n, gain)
 				resid, ok = curve.ResidualService(full, crossC)
 			}
 			if !ok {
-				return nil, fmt.Errorf("core: node %d (%s): cross traffic starves the node", i, n.Name)
-			}
-			if thetas == nil {
-				beta = packetized(resid, lmax)
+				return nil, starvation(p, i)
 			}
 			effLatency = dur(resid.Latency())
 		} else {
-			beta = packetized(curve.RateLatency(float64(na.Rate), secs(n.Latency)), lmax)
+			resid = curve.RateLatency(h.full, secs(n.Latency))
 		}
-
-		// Aggregation: the node collects JobIn before dispatching; if that
-		// exceeds the grain the upstream element delivers (the paper's
-		// b_n > b_{n-1} with b_0 the source packet), collecting a job costs
-		// b_n / R_alpha,n-1. The comparison is in this node's local bytes on
-		// both sides.
-		if float64(n.JobIn) > grain*(1+1e-12) {
-			na.Aggregates = true
-			na.AggregationDelay = na.JobIn.Time(arrRate)
+		beta := resid
+		if h.lmax > 0 {
+			beta = curve.SubConstantPositive(resid, h.lmax) // the packetizer's [β − l_max]⁺
 		}
 		na.CumulativeLatency = cumLatency + na.AggregationDelay + effLatency
 		cumLatency = na.CumulativeLatency
 		na.Beta = beta
-		na.Overloaded = float64(arrRate) > float64(na.Rate)*(1+1e-12)
 
 		// Per-node bounds against the propagated arrival bound. The
 		// aggregation buffer itself holds up to one job.
@@ -420,58 +357,34 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 				}
 			} else {
 				// The node drains at its own rate; downstream sees at most that.
-				alphaIn = curve.Affine(float64(na.Rate), math.Max(float64(na.JobIn), float64(n.MaxPacket.Mul(1/gain))))
+				alphaIn = curve.Affine(float64(na.Rate), math.Max(float64(na.JobIn), h.lmax))
 			}
 		}
-
-		if na.Rate < minRate {
-			minRate = na.Rate
-			a.BottleneckIndex = i
-		}
-		if na.MaxRate < minMaxRate {
-			minMaxRate = na.MaxRate
-		}
-		if float64(na.Rate) < float64(arrRate) {
-			arrRate = na.Rate
-		}
-		gain *= n.Gain()
-		gainBest *= n.bestGainOrGain()
-		// The next node receives blocks of whatever this node releases at
-		// once: its emitted job, or its packetizer block when larger
-		// (MaxPacket is in local input units; ×Gain converts to the emitted
-		// stream's units, matching the next node's JobIn).
-		grain = math.Max(float64(n.JobOut), float64(n.MaxPacket)*n.Gain())
 		a.Nodes = append(a.Nodes, na)
 	}
-
+	a.BottleneckIndex = w.bottleneck
 	a.TotalLatency = cumLatency
-	a.Overloaded = float64(arrivalRate) > float64(minRate)*(1+1e-12)
+	a.Overloaded = w.overloaded()
 	// Throughput bounds (paper Tables 1 and 3). Both are capped by the
 	// offered load: a stable pipeline cannot deliver more than arrives.
-	a.ThroughputLower = minRate
-	if arrivalRate < a.ThroughputLower {
-		a.ThroughputLower = arrivalRate
-	}
+	a.ThroughputLower = w.throughput()
 	if !report {
 		return a, nil
 	}
-	a.ThroughputUpper = arrivalRate
-	if minMaxRate < a.ThroughputUpper {
-		a.ThroughputUpper = minMaxRate
-	}
+	a.ThroughputUpper = min(w.arrival, w.minMaxRate)
 
 	// End-to-end service curves: the paper folds the whole chain into a
 	// single rate-latency node with the bottleneck rate and the cumulative
 	// (aggregation-aware) latency. This equals the min-plus concatenation
 	// of the per-node curves with the aggregation delays inserted as pure
 	// delay elements.
-	a.Beta = curve.RateLatency(float64(minRate), secs(cumLatency))
-	a.Gamma = curve.RateLatency(float64(minMaxRate), 0)
+	a.Beta = curve.RateLatency(float64(w.minRate), secs(cumLatency))
+	a.Gamma = curve.RateLatency(float64(w.minMaxRate), 0)
 
 	// Closed-form per-job estimates (valid in all three regimes; the
 	// paper's §3 hypothesis for the overloaded case).
-	a.DelayEstimate = dur(secs(cumLatency) + a.AlphaPrime.Burst()/float64(minRate))
-	a.BacklogEstimate = units.Bytes(a.AlphaPrime.Burst() + float64(arrivalRate)*secs(cumLatency))
+	a.DelayEstimate = dur(secs(cumLatency) + a.AlphaPrime.Burst()/float64(w.minRate))
+	a.BacklogEstimate = units.Bytes(a.AlphaPrime.Burst() + float64(w.arrival)*secs(cumLatency))
 
 	// End-to-end bounds.
 	if a.Overloaded {
@@ -494,108 +407,10 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	return a, nil
 }
 
-// crossService returns cross node n's full service curve and its cross
-// traffic's envelope, both referred to the pipeline input through the
-// upstream gain product.
-func crossService(n Node, gain float64) (full, cross curve.Curve) {
-	full = curve.RateLatency(float64(n.Rate.Mul(1/gain)), secs(n.Latency))
-	cross = curve.Affine(float64(n.CrossRate.Mul(1/gain)), float64(n.CrossBurst.Mul(1/gain)))
-	return full, cross
-}
-
-// pinnedMember is cross node n's FIFO left-over member at theta, referred to
-// the pipeline input through the upstream gain product: resid is β_θ, whose
-// latency the latency recursion reads, and beta its packetized [β_θ − l_max]⁺,
-// the node's service curve in the chain. ok is false when the cross traffic
-// starves the node.
-func pinnedMember(n Node, gain, theta float64) (resid, beta curve.Curve, ok bool) {
-	full, cross := crossService(n, gain)
-	if resid, ok = curve.FIFOResidual(full, cross, theta); !ok {
-		return resid, resid, false
-	}
-	return resid, packetized(resid, float64(n.MaxPacket.Mul(1/gain))), true
-}
-
-// packetized is the packetizer's service transform [beta − lmax]⁺.
-func packetized(beta curve.Curve, lmax float64) curve.Curve {
-	if lmax > 0 {
-		return curve.SubConstantPositive(beta, lmax)
-	}
-	return beta
-}
-
-// closedFormMargin is how far, relatively, every hop must sit from saturation
-// for ClosedForm to answer: the arrival rate below the hop's residual rate,
-// and the residual rate above zero as a share of the node's own. Nearer than
-// this the curve engine's tolerances decide on which side of overload a
-// pipeline falls.
-const closedFormMargin = 1e-6
-
-// ClosedForm is analyzeWith's chain pass in scalars: the paper's closed form
-// d = T_tot + b'/R_β, x = b' + R_α·T_tot for a leaky-bucket flow over
-// rate-latency hops, with this model's per-hop terms. Hop i, input-referred
-// by the upstream gain product g, has the blind residual rate
-// Rᵢ = (Rate − CrossRate)/g and the latency
-//
-//	Tᵢ = (CrossBurst/g + (Rate/g)·Latency)/Rᵢ   (Latency itself without cross traffic)
-//	   + (MaxPacket/g)/Rᵢ                        (the packetizer's [β − l_max]⁺)
-//	   + (JobIn/g)/r when JobIn exceeds the upstream grain, as in analyzeWith,
-//
-// and the chain is RateLatency(min Rᵢ, ΣTᵢ) — exactly the blind rung's
-// concatenated chain curve, which every fifo and tight chain dominates
-// pointwise (the invariant behind curve.FIFOThetaMax). (r, b) is the arrival
-// bucket of smallest rate: any bucket majorises the envelope, this one also
-// has its ultimate slope; b' = b + MaxPacket. So, in seconds, bytes and
-// bytes per second,
-//
-//	delay = ΣTᵢ + b'/min Rᵢ   backlog = b' + r·ΣTᵢ   throughput = min(r, min Rᵢ)
-//
-// are no better than what Bound returns for the same pipeline at any rung.
-// ok is false — and the other results meaningless — unless at every hop
-// r < Rᵢ(1 − ε) and Rᵢ > ε·Rate/g: overload, starvation and near-saturation
-// are the analysis's to judge. (Where it answers, analyzeWith's clipped
-// arrival rate min(r, R₁…Rᵢ₋₁) is r itself.) arr and nodes must be valid but
-// for that. It allocates nothing: the admission controller clears with it
-// every victim that is nowhere near its SLO.
-func ClosedForm(arr Arrival, nodes []Node) (delay float64, backlog units.Bytes, throughput units.Rate, ok bool) {
-	if len(nodes) == 0 {
-		return 0, 0, 0, false
-	}
-	r, b := float64(arr.Rate), float64(arr.Burst)
-	for _, e := range arr.Extra {
-		if er, eb := float64(e.Rate), float64(e.Burst); er < r || (er == r && eb < b) {
-			r, b = er, eb
-		}
-	}
-	b += float64(arr.MaxPacket)
-	grain := math.Inf(1)
-	if arr.MaxPacket > 0 {
-		grain = float64(arr.MaxPacket)
-	}
-	gain, minR, sumT := 1.0, math.Inf(1), 0.0
-	for _, n := range nodes {
-		full := float64(n.Rate) / gain
-		R := full - float64(n.CrossRate)/gain
-		if R <= closedFormMargin*full || r >= R*(1-closedFormMargin) {
-			return 0, 0, 0, false
-		}
-		T := secs(n.Latency)
-		if T > 0 {
-			T = math.Max(T, curve.MinLatency) // as curve.RateLatency builds it
-		}
-		if n.CrossRate > 0 {
-			T = (float64(n.CrossBurst)/gain + full*T) / R
-		}
-		T += float64(n.MaxPacket) / gain / R
-		if float64(n.JobIn) > grain*(1+1e-12) {
-			T += float64(n.JobIn) / gain / r
-		}
-		sumT += T
-		minR = math.Min(minR, R)
-		gain *= n.Gain()
-		grain = math.Max(float64(n.JobOut), float64(n.MaxPacket)*n.Gain())
-	}
-	return sumT + b/minR, units.Bytes(b + r*sumT), units.Rate(math.Min(r, minR)), true
+// service returns cross hop h's full service curve and its cross traffic's
+// envelope, both input-referred.
+func (h *hop) service() (full, cross curve.Curve) {
+	return curve.RateLatency(h.full, h.latency), curve.Affine(h.cross, h.burst)
 }
 
 // ConcatenatedBeta returns the min-plus concatenation of the per-node

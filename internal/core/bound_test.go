@@ -72,21 +72,24 @@ func randomBoundPipeline(rng *rand.Rand) Pipeline {
 }
 
 // checkBounds holds b against what the full analysis a of the same pipeline
-// promises, bit for bit. The expectation is spelled out here, not taken from
-// Analysis.bounds, so it stays an independent statement of the promise.
+// promises: the delay and backlog of the curve engine's chain within the
+// chain evaluator's tolerance (1 ns + 1e-9 relative, on top of Bounds.Delay's
+// truncation to whole nanoseconds, and 1e-9 relative), everything else bit
+// for bit. The expectation is spelled out here, so it stays an independent
+// statement of the promise.
 func checkBounds(t *testing.T, label string, b *Bounds, a *Analysis) {
 	t.Helper()
-	wantDelay, wantBacklog := time.Duration(math.MaxInt64), math.Inf(1)
-	if !a.Overloaded {
+	if a.Overloaded {
+		if b.Delay != time.Duration(math.MaxInt64) || !math.IsInf(float64(b.Backlog), 1) {
+			t.Errorf("%s: overloaded, yet delay %v backlog %v", label, b.Delay, float64(b.Backlog))
+		}
+	} else {
 		chain := a.ConcatenatedBeta()
-		wantDelay = dur(curve.HDev(a.AlphaPrime, chain))
-		wantBacklog = curve.VDev(a.AlphaPrime, chain)
-	}
-	if b.Delay != wantDelay {
-		t.Errorf("%s: delay %v, full analysis %v", label, b.Delay, wantDelay)
-	}
-	if math.Float64bits(float64(b.Backlog)) != math.Float64bits(wantBacklog) {
-		t.Errorf("%s: backlog %v, full analysis %v", label, float64(b.Backlog), wantBacklog)
+		wantDelay, wantBacklog := curve.HDev(a.AlphaPrime, chain), curve.VDev(a.AlphaPrime, chain)
+		if !withinChainTol(b.Delay.Seconds(), wantDelay, float64(b.Backlog), wantBacklog) &&
+			!withinChainTol((b.Delay+time.Nanosecond).Seconds(), wantDelay, float64(b.Backlog), wantBacklog) {
+			t.Errorf("%s: delay %v backlog %v, full analysis %v s / %v", label, b.Delay, float64(b.Backlog), wantDelay, wantBacklog)
+		}
 	}
 	if math.Float64bits(float64(b.Throughput)) != math.Float64bits(float64(a.ThroughputLower)) {
 		t.Errorf("%s: throughput %v, full analysis %v", label, b.Throughput, a.ThroughputLower)
@@ -286,9 +289,9 @@ func TestBoundDelaySaturates(t *testing.T) {
 // Bounds field for field (the search counter aside, which BoundAt leaves at
 // zero): the certificate a class stores is the bound it was admitted with.
 // Draws where Bound errors or panics are skipped; the panic census of
-// TestClosedFormDominatesBound owns those.
+// TestScreenDominatesBound owns those.
 func TestBoundAtCommittedVectorIsBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(closedFormSeed))
+	rng := rand.New(rand.NewSource(screenSeed))
 	const trials = 5000
 	var compared int
 	for trial := 0; trial < trials; trial++ {

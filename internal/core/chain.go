@@ -1,0 +1,312 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"streamcalc/internal/curve"
+	"streamcalc/internal/units"
+)
+
+// hop is one node of a chain referred to the pipeline input through the
+// upstream gain product: what analyzeWith and the chain evaluator both read
+// of it. Its service curve in the chain of ConcatenatedBeta is δ_D ⊗ (J + S·t),
+// a delay D, then a jump J and one slope S = rate.
+type hop struct {
+	gain    float64    // GainBefore
+	full    float64    // the node's rate, Rf
+	rate    units.Rate // the sustained rate left to the flow: Rf, less the cross rate
+	maxRate units.Rate
+	jobIn   units.Bytes
+	// The cross traffic's rate r and burst b, the packet, and the latency T in
+	// seconds, raised to curve.MinLatency as curve.RateLatency raises it.
+	cross, burst, lmax, latency float64
+	arrRate                     units.Rate    // the flow's long-run rate arriving here
+	agg                         time.Duration // the aggregation delay
+	// d is D without cross traffic and the aggregation delay with it; theta0
+	// is θ₀, past which the FIFO member jumps instead of delaying further.
+	d, theta0                       float64
+	aggregates, overloaded, starved bool
+}
+
+// walk is the one normalisation loop over a chain: next refers node after
+// node to the pipeline input and folds it into the chain's running minima.
+type walk struct {
+	gain, gainBest float64 // products of the upstream gains (lower bound, best case)
+	// grain is the delivery granularity of the upstream element in the local
+	// bytes of the current node's input: the source packet for the first node
+	// (none for a fluid arrival, which the paper charges no head-node
+	// aggregation), then whatever the upstream stage releases at once — its
+	// emitted job, or its packetizer block when larger. A node aggregates when
+	// its JobIn exceeds it. Not the arrival burst: that bounds what the flow
+	// may deliver at once, and a flow trickling packets at its sustained rate
+	// fills the job buffer in b_n / R_alpha,n-1, which simulation confirms.
+	grain float64
+	// arrival is the envelope's ultimate slope, the smallest bucket rate;
+	// arrRate the same clipped by the upstream bottlenecks.
+	arrival, arrRate    units.Rate
+	minRate, minMaxRate units.Rate
+	bottleneck, i       int
+}
+
+func newWalk(arr Arrival) walk {
+	w := walk{gain: 1, gainBest: 1, grain: math.Inf(1), arrival: arr.Rate,
+		minRate: units.Rate(math.Inf(1)), minMaxRate: units.Rate(math.Inf(1))}
+	for _, b := range arr.Extra {
+		w.arrival = min(w.arrival, b.Rate)
+	}
+	w.arrRate = w.arrival
+	if arr.MaxPacket > 0 {
+		w.grain = float64(arr.MaxPacket)
+	}
+	return w
+}
+
+// next normalises node n, the next one down the chain, into h, a zero hop.
+func (w *walk) next(n *Node, h *hop) {
+	g := w.gain
+	h.gain, h.rate, h.maxRate = g, n.Rate.Mul(1/g), n.maxRateOrRate().Mul(1/w.gainBest)
+	h.jobIn, h.arrRate, h.latency = n.JobIn.Mul(1/g), w.arrRate, secs(n.Latency)
+	h.lmax = float64(n.MaxPacket.Mul(1 / g))
+	h.full = float64(h.rate)
+	if h.latency > 0 {
+		h.latency = max(h.latency, curve.MinLatency)
+	}
+	// Cross traffic under blind multiplexing: the flow of interest only
+	// receives the residual service, so the node's effective sustained rate
+	// drops by the cross rate.
+	if cr := n.CrossRate.Mul(1 / g); cr > 0 {
+		h.rate -= cr
+		h.cross, h.burst = float64(cr), float64(n.CrossBurst.Mul(1/g))
+		h.starved = h.full <= h.cross+1e-9*(1+h.cross)
+	}
+	// Aggregation: the node collects JobIn before dispatching; if that
+	// exceeds the grain the upstream element delivers (the paper's
+	// b_n > b_{n-1} with b_0 the source packet), collecting a job costs
+	// b_n / R_alpha,n-1. The comparison is in this node's local bytes on
+	// both sides.
+	if h.aggregates = float64(n.JobIn) > w.grain*(1+1e-12); h.aggregates {
+		h.agg = h.jobIn.Time(w.arrRate)
+	}
+	h.overloaded = float64(w.arrRate) > float64(h.rate)*(1+1e-12)
+	h.d = secs(h.agg)
+	if h.cross > 0 {
+		h.theta0 = h.latency + (h.burst+h.lmax)/h.full
+	} else {
+		h.d += h.latency + h.lmax/h.full
+	}
+
+	if h.rate < w.minRate {
+		w.minRate, w.bottleneck = h.rate, w.i
+	}
+	w.minMaxRate = min(w.minMaxRate, h.maxRate)
+	if float64(h.rate) < float64(w.arrRate) {
+		w.arrRate = h.rate
+	}
+	w.gain *= n.Gain()
+	w.gainBest *= n.bestGainOrGain()
+	// The next node receives blocks of whatever this node releases at once:
+	// its emitted job, or its packetizer block when larger (MaxPacket is in
+	// local input units; ×Gain converts to the emitted stream's units,
+	// matching the next node's JobIn).
+	w.grain = max(float64(n.JobOut), float64(n.MaxPacket)*n.Gain())
+	w.i++
+}
+
+// overloaded reports that the arrival exceeds the chain's sustained rate.
+func (w *walk) overloaded() bool { return float64(w.arrival) > float64(w.minRate)*(1+1e-12) }
+
+// throughput is the guaranteed sustained throughput: the bottleneck rate,
+// capped by the offered load.
+func (w *walk) throughput() units.Rate { return min(w.minRate, w.arrival) }
+
+// knot is a breakpoint of the packetized arrival α′: a = α′(t), the right
+// limit at t = 0.
+type knot struct{ t, a float64 }
+
+// envelopeAt is minᵢ(rᵢ·t + bᵢ) over the arrival's buckets: α′(t) less the
+// packet, for t > 0.
+func (arr *Arrival) envelopeAt(t float64) float64 {
+	v := float64(arr.Rate)*t + float64(arr.Burst)
+	for _, b := range arr.Extra {
+		v = min(v, float64(b.Rate)*t+float64(b.Burst))
+	}
+	return v
+}
+
+// appendKnots appends α′'s knots to dst, in no order: 0, and every crossing
+// of two buckets where one of them attains the envelope.
+func appendKnots(dst []knot, arr Arrival) []knot {
+	l := float64(arr.MaxPacket)
+	dst = append(dst, knot{0, arr.envelopeAt(0) + l})
+	line := func(i int) (r, b float64) {
+		if i == 0 {
+			return float64(arr.Rate), float64(arr.Burst)
+		}
+		return float64(arr.Extra[i-1].Rate), float64(arr.Extra[i-1].Burst)
+	}
+	for i := 0; i <= len(arr.Extra); i++ {
+		for j := i + 1; j <= len(arr.Extra); j++ {
+			ri, bi := line(i)
+			rj, bj := line(j)
+			if t := (bj - bi) / (ri - rj); ri != rj && t > 0 {
+				if v := arr.envelopeAt(t); v == ri*t+bi || v == rj*t+bj {
+					dst = append(dst, knot{t, v + l})
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// appendHops appends the chain's hops to dst, walking it with w.
+func appendHops(dst []hop, w *walk, nodes []Node) []hop {
+	for i := range nodes {
+		dst = append(dst, hop{})
+		w.next(&nodes[i], &dst[len(dst)-1])
+	}
+	return dst
+}
+
+// member is node h's service curve at theta: δ_d ⊗ (j + s·t), the packetized
+// FIFO left-over member [β_θ − l]⁺ (the blind residual at θ = 0) delayed by
+// the aggregation delay, or the packetized full service without cross
+// traffic. ok is false when the cross traffic starves the node.
+func (h *hop) member(theta float64) (d, j, s float64, ok bool) {
+	if h.cross == 0 {
+		return h.d, 0, h.full, true
+	}
+	if h.starved {
+		return 0, 0, 0, false
+	}
+	s = float64(h.rate)
+	if theta <= h.theta0 {
+		return (h.burst+h.lmax+h.full*h.latency-h.cross*theta)/s + h.d, 0, s, true
+	}
+	return theta + h.d, h.full*(theta-h.latency) - h.burst - h.lmax, s, true
+}
+
+// chainAt evaluates the chain of hops against arr, whose knots are given, at
+// theta (nil: the blind residual at every cross node), in seconds and bytes;
+// overloaded is the walk's verdict, and starved the first node the cross
+// traffic starves, or -1. With backlog unset only the delay is computed.
+func chainAt(hops []hop, arr *Arrival, knots []knot, overloaded bool, theta []float64, backlog bool) (delay, bl float64, starved int) {
+	var onStack [8][2]float64 // (J, S) per node; longer chains spill to the heap
+	js := onStack[:0]
+	sumD := 0.0
+	for i := range hops {
+		th := 0.0
+		if theta != nil {
+			th = theta[i]
+		}
+		d, j, s, ok := hops[i].member(th)
+		if !ok {
+			return 0, 0, i
+		}
+		sumD += d
+		js = append(js, [2]float64{j, s})
+	}
+	if overloaded {
+		return math.Inf(1), math.Inf(1), -1
+	}
+	// The chain is δ_ΣD ⊗ minₖ(Jₖ + Sₖ·t). Against the concave α′ each
+	// (α′(t) − Jₖ)/Sₖ − t is concave, so the delay's sup sits on a knot.
+	worst := 0.0
+	for _, k := range knots {
+		for _, m := range js {
+			worst = max(worst, (k.a-m[0])/m[1]-k.t)
+		}
+	}
+	if !backlog {
+		return sumD + worst, 0, -1
+	}
+	// α′ − β is α′ up to ΣD and convex between α′'s knots from it on, so its
+	// sup sits at ΣD (either side) or on a knot from it on.
+	if sumD > 0 {
+		bl = arr.envelopeAt(sumD) + float64(arr.MaxPacket)
+	}
+	for _, k := range knots {
+		if k.t >= sumD {
+			beta := math.Inf(1)
+			for _, m := range js {
+				beta = min(beta, m[0]+m[1]*(k.t-sumD))
+			}
+			bl = max(bl, k.a-beta)
+		}
+	}
+	return sumD + worst, bl, -1
+}
+
+// ChainBound is the chain bound of Bound in scalars: the delay (seconds) and
+// backlog between the packetized arrival α′ and the concatenation of the
+// nodes' packetized service curves, each delayed by its aggregation delay, at
+// the FIFO left-over member θ[i] at every cross node i (nil theta: the blind
+// residual; entries at nodes without cross traffic are ignored), and the
+// guaranteed throughput. Every node's curve there is δ_D ⊗ (J + S·t), input-
+// referred through the upstream gain product g, with Rf = Rate/g, the latency
+// T raised to curve.MinLatency, l = MaxPacket/g and agg the aggregation delay:
+//
+//	no cross traffic:        D = T + l/Rf + agg, J = 0, S = Rf
+//	cross (r, b) at θ ≤ θ₀:  D = (b + l + Rf·T − r·θ)/S + agg, J = 0, S = Rf − r
+//	cross (r, b) at θ > θ₀:  D = θ + agg, J = Rf(θ − T) − b − l, S = Rf − r
+//
+// with θ₀ = T + (b + l)/Rf. The chain is δ_ΣD ⊗ minₖ(Jₖ + Sₖ·t), so over the
+// knots tⱼ of α′ (right limits)
+//
+//	delay = ΣD + max(0, maxₖ maxⱼ ((α′(tⱼ) − Jₖ)/Sₖ − tⱼ))
+//
+// and the backlog is the largest α′ − β at ΣD and at the knots past it. It
+// costs O(N·J) scalars for N nodes and J buckets, builds no curve, and
+// allocates nothing for up to 8 of each. Overload, starvation and the
+// throughput are judged as Bound judges them; ok is false when the arrival
+// overloads the chain or cross traffic starves a node. arr and nodes must be
+// valid but for that, and theta, when given, as long as nodes.
+func ChainBound(arr Arrival, nodes []Node, theta []float64) (delay float64, backlog units.Bytes, throughput units.Rate, ok bool) {
+	delay, bl, starved, w := chain(arr, nodes, theta)
+	if starved >= 0 || w.overloaded() {
+		return 0, 0, 0, false
+	}
+	return delay, units.Bytes(bl), w.throughput(), true
+}
+
+// chain is chainAt on a chain built from scratch, and the walk that built it.
+func chain(arr Arrival, nodes []Node, theta []float64) (delay, backlog float64, starved int, w walk) {
+	var hops [8]hop
+	var knots [8]knot
+	w = newWalk(arr)
+	delay, backlog, starved = chainAt(appendHops(hops[:0], &w, nodes), &arr, appendKnots(knots[:0], arr), w.overloaded(), theta, true)
+	return delay, backlog, starved, w
+}
+
+// chainBounds is Bound's answer from the chain evaluator at theta (nil: the
+// blind residual), the vector Bounds.FIFOTheta reports, after a search that
+// scored combos vectors.
+func chainBounds(p Pipeline, theta []float64, combos int) (*Bounds, error) {
+	delay, backlog, starved, w := chain(p.Arrival, p.Nodes, theta)
+	if starved >= 0 {
+		return nil, starvation(p, starved)
+	}
+	b := &Bounds{
+		Rung: p.Rung.Resolved(), Throughput: w.throughput(),
+		Overloaded: w.overloaded(), BottleneckIndex: w.bottleneck, TightCombos: combos,
+		FIFOTheta: make([]float64, len(p.Nodes)),
+	}
+	if theta != nil {
+		for i, n := range p.Nodes {
+			if n.CrossRate > 0 {
+				b.FIFOTheta[i] = theta[i]
+			}
+		}
+	}
+	b.Delay, b.Backlog = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
+	if !b.Overloaded {
+		b.Delay, b.Backlog = dur(delay), units.Bytes(backlog)
+	}
+	return b, nil
+}
+
+// starvation is the error of a pipeline whose cross traffic starves node i.
+func starvation(p Pipeline, i int) error {
+	return fmt.Errorf("core: node %d (%s): cross traffic starves the node", i, p.Nodes[i].Name)
+}

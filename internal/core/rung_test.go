@@ -350,7 +350,7 @@ func tightAgainstReference(p Pipeline) (descent, ref float64, combos int, ok boo
 // search may beat the reference, which scores only grid vectors, by keeping
 // the off-grid greedy θ at some nodes.
 func TestTightDescentAgainstExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(closedFormSeed))
+	rng := rand.New(rand.NewSource(screenSeed))
 	const trials = 10000
 	var answered, close int
 	for trial := 0; trial < trials; trial++ {
@@ -417,112 +417,4 @@ func TestTightDescentMatchesExhaustiveOnChains(t *testing.T) {
 	if a, err := Analyze(pb); err != nil || a.TightCombos != 0 {
 		t.Errorf("blind analysis reported search effort: %v, %v", a, err)
 	}
-}
-
-// The member table scores a θ-vector bit for bit as the pinned chain pass
-// does: analyzeWith at that vector, then chainDelay. Checked on the seed-25
-// draws at the two seeds, at random grid vectors, and along descent-order
-// sweeps (one node varied at a time from a moving incumbent), whose scores
-// resume from the fold prefix the last vector shares; a starving member
-// entered mid-sweep must fail its vector and invalidate the prefixes from
-// its node on. Draws whose passes panic in the curve engine are skipped.
-func TestMemberTableScoreIsChainPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(closedFormSeed))
-	pick := rand.New(rand.NewSource(1)) // off the draws' stream
-	var checked, swept, starved int
-	for trial := 0; trial < 10000; trial++ {
-		p := randomScreenPipeline(rng)
-		p.Rung = RungTight
-		func() {
-			defer func() { _ = recover() }()
-			grids, hasCross, err := tightGrids(p)
-			if err != nil || !hasCross {
-				return
-			}
-			pg := p
-			pg.Rung = RungFIFO
-			greedy, err := analyzeWith(pg, nil, false)
-			if err != nil {
-				return
-			}
-			tab := newMemberTable(grids, greedy)
-			vecs := [][]float64{greedy.thetas()}
-			for k := 0; k < 3; k++ {
-				theta := make([]float64, len(grids))
-				for i, g := range grids {
-					if len(g) > 0 {
-						theta[i] = g[pick.Intn(len(g))]
-					}
-				}
-				vecs = append(vecs, theta)
-			}
-			check := func(theta []float64) bool {
-				a, err := analyzeWith(p, theta, false)
-				score, ok := tab.score(theta)
-				if (err == nil) != ok {
-					t.Fatalf("trial %d θ=%v: chain pass error %v, table ok %v", trial, theta, err, ok)
-				}
-				if err != nil {
-					return false
-				}
-				if _, d := a.chainDelay(); math.Float64bits(d) != math.Float64bits(score) {
-					t.Fatalf("trial %d θ=%v: table scores %v, chain pass %v", trial, theta, score, d)
-				}
-				checked++
-				return true
-			}
-			for _, theta := range vecs {
-				check(theta)
-			}
-
-			// A descent-order sweep. No grid θ starves a node, so the
-			// starving member sits at θ = -1, which no grid holds. The
-			// starving vector also redraws the cross nodes before its own,
-			// and the vector after it takes those entries with the last
-			// scored vector's tail: only the invalidated prefixes keep that
-			// one from reusing the tail folded onto the old entries.
-			const starving = -1.0
-			var crossNodes []int
-			for i, g := range grids {
-				if len(g) > 0 {
-					crossNodes = append(crossNodes, i)
-				}
-			}
-			starveAt := crossNodes[pick.Intn(len(crossNodes))]
-			tab.byTheta[starveAt] = append(tab.byTheta[starveAt], thetaMember{theta: starving})
-			incumbent := greedy.thetas()
-			for _, i := range crossNodes {
-				for k, th := range grids[i] {
-					theta := append([]float64(nil), incumbent...)
-					theta[i] = th
-					if check(theta) {
-						swept++
-					}
-					if pick.Intn(4) == 0 {
-						incumbent = theta
-					}
-					if i != starveAt || k != len(grids[i])/2 {
-						continue
-					}
-					bad := append([]float64(nil), theta...)
-					for _, j := range crossNodes {
-						if j < i {
-							bad[j] = grids[j][pick.Intn(len(grids[j]))]
-						}
-					}
-					bad[i] = starving
-					if _, ok := tab.score(bad); ok {
-						t.Fatalf("trial %d θ=%v: a starving member scored", trial, bad)
-					}
-					starved++
-					bad[i] = theta[i]
-					check(bad)
-				}
-			}
-		}()
-	}
-	if checked < 10000 || swept < 10000 || starved < 1000 {
-		t.Errorf("only %d vectors checked (%d swept, %d starving): the generator is off target", checked, swept, starved)
-	}
-	t.Logf("%d vectors checked, %d of them in sweeps past %d starving members", checked, swept, starved)
 }
