@@ -424,10 +424,9 @@ func BenchmarkAdmit(b *testing.B) {
 	}
 }
 
-// Cache hit path: a rejected spec re-checked on an unchanged platform is
-// served from the verdict cache (only rejections persist — any commit bumps
-// the epoch and flushes it).
-func BenchmarkAdmitCached(b *testing.B) {
+// Repeated refusal: a rejected spec re-checked on an unchanged platform is
+// decided again each time.
+func BenchmarkAdmitRefused(b *testing.B) {
 	c := admitBenchPlatform(b)
 	hog := admit.Flow{
 		ID:      "hog",
@@ -440,8 +439,8 @@ func BenchmarkAdmitCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := c.Admit(hog)
-		if v.Admitted || !v.Cached {
-			b.Fatalf("expected cached rejection, got %+v", v)
+		if v.Admitted {
+			b.Fatalf("expected a rejection, got %+v", v)
 		}
 	}
 }

@@ -31,7 +31,6 @@ type verdictJSON struct {
 	HeadroomRate units.Rate  `json:"headroom_rate,omitempty"`
 	Rung         string      `json:"rung,omitempty"`
 	Epoch        uint64      `json:"epoch"`
-	Cached       bool        `json:"cached,omitempty"`
 }
 
 func toVerdictJSON(v admit.Verdict) verdictJSON {
@@ -42,7 +41,6 @@ func toVerdictJSON(v admit.Verdict) verdictJSON {
 		Binding:  v.Binding,
 		Rung:     v.Rung,
 		Epoch:    v.Epoch,
-		Cached:   v.Cached,
 	}
 	if v.Admitted {
 		out.Delay = v.Delay.String()
@@ -264,8 +262,7 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 		var mem runtime.MemStats
 		runtime.ReadMemStats(&mem)
 		// epoch is the global commit counter: it steps once per committed
-		// transaction or release, and a cached verdict is valid only at the
-		// epoch it was decided at.
+		// transaction or release.
 		health := map[string]any{
 			"ok":               true,
 			"platform":         c.Name(),
@@ -275,12 +272,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 			"heap_alloc_bytes": mem.HeapAlloc,
 			"heap_sys_bytes":   mem.HeapSys,
 			"caches": map[string]any{
-				"verdict": map[string]any{
-					"hits":     st.VerdictHits,
-					"misses":   st.VerdictMisses,
-					"entries":  st.VerdictEntries,
-					"hit_rate": obs.HitRate(st.VerdictHits, st.VerdictMisses),
-				},
 				"analysis": map[string]any{
 					"hits":     st.AnalysisHits,
 					"misses":   st.AnalysisMisses,

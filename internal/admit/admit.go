@@ -74,16 +74,13 @@
 // controller. The platform epoch steps once per committed transaction or
 // release.
 //
-// Two caches keep decisions cheap. Verdict rejections are cached
-// keyed by (arrival-envelope digest, path, SLO, analysis rung) — curve
-// digests rather than spec hashes, so two specs with identical curves share
-// one entry regardless of flow ID — and an entry is valid only at the epoch
-// it was decided at: any commit or release invalidates every entry.
-// All analyses run through a controller-wide core.Memo, so a candidate, a
-// victim re-check or a standalone reservation never recomputes an identical
-// pipeline. Nothing caches individual curve operations: on the
-// one- and two-segment curves of this model an operator costs less than a
-// lookup in front of it.
+// Every Admit that passes precheck is decided, refusals too: every bound a
+// decision reads is a chain bound in scalars, so deciding a refusal again
+// costs microseconds, and nothing replays an earlier one. All analyses run
+// through a controller-wide core.Memo, so a candidate, a victim re-check or
+// a standalone reservation never recomputes an identical pipeline. Nothing
+// caches individual curve operations: on the one- and two-segment curves of
+// this model an operator costs less than a lookup in front of it.
 package admit
 
 import (
@@ -159,20 +156,17 @@ type Verdict struct {
 	// default when unset.
 	Rung string
 
-	// Epoch is the platform epoch the verdict was computed at; Cached
-	// reports a verdict served from the cache.
-	Epoch  uint64
-	Cached bool
+	// Epoch is the platform epoch the verdict was computed at.
+	Epoch uint64
 }
 
-// verdictKey identifies an admission question independently of the flow ID:
-// the structural digest of the arrival envelope (curve.Curve.Digest), the
+// classKey is a flow-class identity, independent of the flow ID: the
+// structural digest of the arrival envelope (curve.Curve.Digest), the
 // arrival packetizer size, the path, the SLO, and the resolved analysis
 // rung (two flows analyzed at different tightness are different admission
 // questions with different reservations and verdicts). Two specs with
-// identical curves map to the same key; the key doubles as the registry's
-// flow-class identity.
-type verdictKey struct {
+// identical curves map to the same key, and so to the same class.
+type classKey struct {
 	alpha uint64 // arrival envelope digest
 	lmax  units.Bytes
 	path  string // node names joined with NUL
@@ -183,7 +177,7 @@ type verdictKey struct {
 // keyLess is a total order over class keys, fixing the summation order of
 // aggregates and the victim-check iteration order so both are deterministic
 // functions of the admitted population (independent of arrival order).
-func keyLess(a, b verdictKey) bool {
+func keyLess(a, b classKey) bool {
 	if a.alpha != b.alpha {
 		return a.alpha < b.alpha
 	}
@@ -206,16 +200,16 @@ func keyLess(a, b verdictKey) bool {
 }
 
 // insertKey adds k to keys, which is sorted by keyLess and does not hold k.
-func insertKey(keys []verdictKey, k verdictKey) []verdictKey {
+func insertKey(keys []classKey, k classKey) []classKey {
 	i := sort.Search(len(keys), func(i int) bool { return !keyLess(keys[i], k) })
-	keys = append(keys, verdictKey{})
+	keys = append(keys, classKey{})
 	copy(keys[i+1:], keys[i:])
 	keys[i] = k
 	return keys
 }
 
 // removeKey drops k from keys, which is sorted by keyLess.
-func removeKey(keys []verdictKey, k verdictKey) []verdictKey {
+func removeKey(keys []classKey, k classKey) []classKey {
 	i := sort.Search(len(keys), func(i int) bool { return !keyLess(keys[i], k) })
 	if i < len(keys) && keys[i] == k {
 		keys = append(keys[:i], keys[i+1:]...)
@@ -233,7 +227,7 @@ type shard struct {
 
 // insert adds m members of class k reserving bucket b each. Callers must
 // hold the registry write lock.
-func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
+func (s *shard) insert(k classKey, b core.Bucket, m int) {
 	i, ok := s.cross.find(k)
 	if ok {
 		s.cross.terms[i].n += m
@@ -248,7 +242,7 @@ func (s *shard) insert(k verdictKey, b core.Bucket, m int) {
 
 // remove drops m members of class k. Callers must hold the registry write
 // lock.
-func (s *shard) remove(k verdictKey, m int) {
+func (s *shard) remove(k classKey, m int) {
 	i, ok := s.cross.find(k)
 	if !ok {
 		return
@@ -264,7 +258,7 @@ func (s *shard) remove(k verdictKey, m int) {
 // classState is one admitted flow class: the shared spec, reservation, the
 // latest admission verdict (ID-independent), and the member IDs.
 type classState struct {
-	key     verdictKey
+	key     classKey
 	arrival core.Arrival
 	path    []string
 	slo     SLO
@@ -341,14 +335,14 @@ type Controller struct {
 
 	mu      sync.RWMutex // guards flows/classes and commit/release transactions
 	flows   map[string]*classState
-	classes map[verdictKey]*classState
+	classes map[classKey]*classState
 	// classKeys holds the keys of classes sorted by keyLess: the
 	// deterministic victim-check iteration order.
-	classKeys []verdictKey
+	classKeys []classKey
 
 	// epoch is the global commit counter: one step per committed admission
-	// transaction (a single Admit, a group, a batch) or release. A cached
-	// verdict is valid only at the epoch it carries.
+	// transaction (a single Admit, a group, a batch) or release. A verdict
+	// describes the registry at the epoch it carries.
 	epoch atomic.Uint64
 
 	// leaderSem is the writer role (group.go): its holder — the combiner
@@ -363,11 +357,6 @@ type Controller struct {
 	// memo caches whole-pipeline analyses across admission probes (the same
 	// standalone, candidate, and victim pipelines recur constantly).
 	memo *core.Memo
-
-	cacheMu   sync.Mutex
-	cache     map[verdictKey]Verdict
-	cacheHits atomic.Uint64
-	cacheMiss atomic.Uint64
 
 	// Telemetry sinks (nil when detached): metric handles from EnableObs,
 	// the structured audit logger from SetAudit (obs.go), and the decision
@@ -388,10 +377,9 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		name:      name,
 		shards:    make(map[string]*shard, len(nodes)),
 		flows:     make(map[string]*classState),
-		classes:   make(map[verdictKey]*classState),
+		classes:   make(map[classKey]*classState),
 		leaderSem: make(chan struct{}, 1),
 		memo:      core.NewMemo(),
-		cache:     make(map[verdictKey]Verdict),
 	}
 	for i, n := range nodes {
 		if n.Name == "" {
@@ -436,7 +424,7 @@ func (c *Controller) rungFor(f Flow) core.Rung {
 
 // Epoch returns the current platform epoch; it increments on every
 // successful admit or release (once per batch transaction). It is the change
-// detector for snapshots, replays and the verdict cache.
+// detector for snapshots and replays.
 func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
 
 // NodeNames returns the platform node names in declaration order.
@@ -476,21 +464,13 @@ func (c *Controller) Admit(f Flow) Verdict {
 }
 
 func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
-	epoch := c.epoch.Load()
-	// Spec and identity checks run before the cache probe: the verdict cache
-	// is keyed on curves, not IDs, so ID problems (and arrivals too malformed
-	// to build a curve from) must never reach it.
-	if v, bad := c.precheck(f, epoch); bad {
+	// Spec and identity checks run before the class key is built: arrivals
+	// too malformed to build a curve from must never reach it.
+	if v, bad := c.precheck(f, c.epoch.Load()); bad {
 		tr.mark(PhasePrecheck)
 		return v
 	}
 	key := c.keyFor(f)
-	if v, ok := c.cachedVerdict(key); ok {
-		// The cached verdict is ID-independent; stamp the asking flow's ID.
-		v.FlowID = f.ID
-		tr.mark(PhasePrecheck)
-		return v
-	}
 	tr.mark(PhasePrecheck)
 	// Hand the decision to the group-commit combiner (group.go): an
 	// uncontended caller becomes the leader and runs the transaction at
@@ -502,7 +482,7 @@ func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
 // commit registers flow f (already decided admissible by plan pl) under
 // class key; the caller steps the epoch once per transaction. Callers must
 // hold the registry write lock.
-func (c *Controller) commit(key verdictKey, f Flow, pl *classPlan) {
+func (c *Controller) commit(key classKey, f Flow, pl *classPlan) {
 	cs, ok := c.classes[key]
 	if !ok {
 		cs = &classState{
@@ -527,9 +507,8 @@ func (c *Controller) commit(key verdictKey, f Flow, pl *classPlan) {
 	}
 }
 
-// precheck runs the ID and spec checks that must precede the (ID-agnostic)
-// verdict cache probe. bad is true when v is a rejection to return as-is;
-// these rejections are never cached.
+// precheck runs the ID and spec checks that must precede keyFor. bad is
+// true when v is a rejection to return as-is.
 func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, bad bool) {
 	v = Verdict{FlowID: f.ID, Epoch: epoch, Admitted: false}
 	reject := func(binding, format string, args ...any) (Verdict, bool) {
@@ -560,10 +539,12 @@ func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, bad bool) {
 	return v, false
 }
 
-// keyFor builds the ID-independent cache key for f. The arrival must have
-// passed precheck (Envelope panics on malformed buckets).
-func (c *Controller) keyFor(f Flow) verdictKey {
-	return verdictKey{
+// keyFor builds f's class key: the registry groups admitted flows under it,
+// and a candidate set is rostered, reserved for and analysed once per key.
+// The arrival must have passed precheck (Envelope panics on malformed
+// buckets).
+func (c *Controller) keyFor(f Flow) classKey {
+	return classKey{
 		alpha: f.Arrival.Envelope().Digest(),
 		lmax:  f.Arrival.MaxPacket,
 		path:  strings.Join(f.Path, "\x00"),
@@ -753,7 +734,7 @@ func (c *Controller) Recheck(id string) (Verdict, error) {
 // to report. The registry lock must be held in either mode.
 func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
 	cs := c.flows[f.ID] // nil when f is not admitted
-	var self verdictKey
+	var self classKey
 	if cs != nil {
 		self = cs.key
 	}
@@ -849,71 +830,25 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	return r, nil
 }
 
-// --- Verdict cache ---------------------------------------------------------
-
-// cachedVerdict returns a stored verdict decided at the current epoch. Only
-// rejections are ever stored: an admission commits state, so replaying it
-// from a cache would skip the commit.
-func (c *Controller) cachedVerdict(key verdictKey) (Verdict, bool) {
-	c.cacheMu.Lock()
-	v, ok := c.cache[key]
-	if ok && v.Epoch != c.epoch.Load() {
-		// Stale: drop it so the map doesn't accumulate dead entries.
-		delete(c.cache, key)
-		ok = false
-	}
-	c.cacheMu.Unlock()
-	if !ok {
-		c.cacheMiss.Add(1)
-		return Verdict{}, false
-	}
-	c.cacheHits.Add(1)
-	v.Cached = true
-	return v, true
-}
-
-// storeVerdict caches a rejection decided at v.Epoch. The caller holds the
-// writer role, so nothing has committed since and v.Epoch is still the live
-// epoch.
-func (c *Controller) storeVerdict(key verdictKey, v Verdict) {
-	v.Cached = false
-	v.FlowID = "" // the stored verdict is ID-independent
-	c.cacheMu.Lock()
-	defer c.cacheMu.Unlock()
-	if len(c.cache) >= 8192 {
-		c.cache = make(map[verdictKey]Verdict)
-	}
-	c.cache[key] = v
-}
-
-// Stats is a snapshot of the controller's cache and memo effectiveness, for
-// the daemon's /healthz endpoint.
+// Stats is a snapshot of the controller's registry size and memo
+// effectiveness, for the daemon's /healthz endpoint.
 type Stats struct {
 	// Registry cardinality: admitted flows and distinct flow classes.
 	Flows   int `json:"flows"`
 	Classes int `json:"classes"`
-	// Verdict cache (valid at one epoch, digest-keyed).
-	VerdictHits    uint64 `json:"verdict_hits"`
-	VerdictMisses  uint64 `json:"verdict_misses"`
-	VerdictEntries int    `json:"verdict_entries"`
 	// Pipeline-analysis memo (core.Memo).
 	AnalysisHits    uint64 `json:"analysis_hits"`
 	AnalysisMisses  uint64 `json:"analysis_misses"`
 	AnalysisEntries int    `json:"analysis_entries"`
 }
 
-// Stats reports cumulative cache counters.
+// Stats reports the registry size and cumulative memo counters.
 func (c *Controller) Stats() Stats {
 	var s Stats
 	c.mu.RLock()
 	s.Flows = len(c.flows)
 	s.Classes = len(c.classes)
 	c.mu.RUnlock()
-	s.VerdictHits = c.cacheHits.Load()
-	s.VerdictMisses = c.cacheMiss.Load()
-	c.cacheMu.Lock()
-	s.VerdictEntries = len(c.cache)
-	c.cacheMu.Unlock()
 	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
 	return s
 }

@@ -235,23 +235,25 @@ func TestBookkeepingOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestVerdictCache(t *testing.T) {
+// TestRepeatedRefusal: a refused spec offered again, under another ID and
+// with nothing committed in between, gets the same verdict; a commit and a
+// release each step the epoch once, and the refusal carries the new one.
+func TestRepeatedRefusal(t *testing.T) {
 	c := testPlatform(t)
-	// A rejection stays cached while the platform is unchanged.
 	bad := tenant("big", 500*units.MiBPerSec)
 	v1 := c.Admit(bad)
-	if v1.Admitted || v1.Cached {
+	if v1.Admitted {
 		t.Fatalf("first verdict: %+v", v1)
 	}
-	v2 := c.Admit(bad)
-	if !v2.Cached {
-		t.Error("identical re-check must be served from the cache")
+	v2 := c.Admit(tenant("big2", 500*units.MiBPerSec))
+	if v2.FlowID != "big2" {
+		t.Errorf("second verdict answers %q, want big2", v2.FlowID)
 	}
-	if v2.Admitted != v1.Admitted || v2.Reason != v1.Reason {
-		t.Error("cached verdict must match the original")
+	v2.FlowID = v1.FlowID
+	if v2 != v1 {
+		t.Errorf("repeated refusal differs:\nfirst  %+v\nsecond %+v", v1, v2)
 	}
 
-	// Any commit bumps the epoch and invalidates the cache.
 	e := c.Epoch()
 	if v := c.Admit(tenant("t1", units.MiBPerSec)); !v.Admitted {
 		t.Fatalf("admit failed: %s", v.Reason)
@@ -259,19 +261,16 @@ func TestVerdictCache(t *testing.T) {
 	if c.Epoch() != e+1 {
 		t.Errorf("epoch = %d, want %d", c.Epoch(), e+1)
 	}
-	v3 := c.Admit(bad)
-	if v3.Cached {
-		t.Error("cache must be invalidated by a commit")
+	if v := c.Admit(bad); v.Admitted || v.Epoch != e+1 {
+		t.Errorf("after a commit: %+v, want a refusal at epoch %d", v, e+1)
 	}
 
-	// Release also bumps the epoch.
-	e = c.Epoch()
 	c.Release("t1")
-	if c.Epoch() != e+1 {
-		t.Errorf("epoch after release = %d, want %d", c.Epoch(), e+1)
+	if c.Epoch() != e+2 {
+		t.Errorf("epoch after release = %d, want %d", c.Epoch(), e+2)
 	}
-	if v := c.Admit(bad); v.Cached {
-		t.Error("cache must be invalidated by a release")
+	if v := c.Admit(bad); v.Admitted || v.Epoch != e+2 {
+		t.Errorf("after a release: %+v, want a refusal at epoch %d", v, e+2)
 	}
 }
 

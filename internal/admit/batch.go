@@ -86,17 +86,16 @@ func (c *Controller) decideBatch(rem []cand, out []Verdict, tr *decTrace) {
 		if d.ok {
 			continue
 		}
-		// The refusal now sits in the verdict cache; same-class candidates
-		// further down take it from there for as long as the nodes it read
-		// stay untouched.
+		// Same-class candidates further down take the boundary's refusal: the
+		// registry has not moved since it was decided, and members of a class
+		// are interchangeable, so it is the verdict a fresh decision would give.
 		next := rem[:0]
 		for _, cd := range rem {
 			if cd.key == refused {
-				if v, ok := c.cachedVerdict(cd.key); ok {
-					v.FlowID = cd.f.ID
-					out[cd.idx] = v
-					continue
-				}
+				v := d.refusal
+				v.FlowID = cd.f.ID
+				out[cd.idx] = v
+				continue
 			}
 			next = append(next, cd)
 		}

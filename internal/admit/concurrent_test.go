@@ -42,8 +42,8 @@ func isolationPlatform(t *testing.T) (*Controller, []string, []string) {
 func TestDisjointPathEpochIsolation(t *testing.T) {
 	c, aNames, bNames := isolationPlatform(t)
 
-	// Seed a b-side tenant, then cache a b-side rejection (a hog whose rate
-	// exceeds the residual the tenant leaves).
+	// Seed a b-side tenant, then refuse a b-side hog (its rate exceeds the
+	// residual the tenant leaves).
 	seed := Flow{
 		ID:      "b-seed",
 		Arrival: core.Arrival{Rate: 50 * units.MiBPerSec, Burst: 64 * units.KiB, MaxPacket: 4 * units.KiB},
@@ -59,11 +59,12 @@ func TestDisjointPathEpochIsolation(t *testing.T) {
 		Path:    bNames,
 		SLO:     SLO{MaxDelay: time.Second},
 	}
-	if v := c.Admit(hog); v.Admitted {
+	refused := c.Admit(hog)
+	if refused.Admitted {
 		t.Fatalf("hog unexpectedly admitted")
 	}
-	if v := c.Admit(hog); !v.Cached {
-		t.Fatalf("second hog probe not served from cache: %s", v.Reason)
+	if v := c.Admit(hog); v != refused {
+		t.Fatalf("second hog probe differs:\nfirst  %+v\nsecond %+v", refused, v)
 	}
 
 	bSide := func() (map[string]nodeCross, []AdmittedFlow) {

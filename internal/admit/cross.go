@@ -9,7 +9,7 @@ import (
 
 // crossTerm is one class's share of a node's cross traffic.
 type crossTerm struct {
-	key    verdictKey
+	key    classKey
 	b      core.Bucket // per-member reservation (local units)
 	n      int         // members
 	sum    core.Bucket // b × n
@@ -32,7 +32,7 @@ type nodeCross struct {
 }
 
 // find returns the position of class k's term, or where it would go.
-func (nc *nodeCross) find(k verdictKey) (int, bool) {
+func (nc *nodeCross) find(k classKey) (int, bool) {
 	i := sort.Search(len(nc.terms), func(i int) bool { return !keyLess(nc.terms[i].key, k) })
 	return i, i < len(nc.terms) && nc.terms[i].key == k
 }
@@ -61,7 +61,7 @@ func (nc *nodeCross) resum(i int) {
 // It resumes the sum at self's term: what came before it, self's remaining
 // members, then every later term in order — bit for bit the sum a walk over
 // all terms with self's count lowered by one would produce.
-func (nc *nodeCross) without(self verdictKey) core.Bucket {
+func (nc *nodeCross) without(self classKey) core.Bucket {
 	i, ok := nc.find(self)
 	if !ok {
 		return nc.total
@@ -84,7 +84,7 @@ func (nc *nodeCross) without(self verdictKey) core.Bucket {
 // the node, otherwise a sorted merge of the shard's terms and the added
 // ones, summed afresh. The result is read-only. Callers must hold the
 // registry lock in either mode.
-func (sh *shard) crossWith(adds []verdictKey, plans map[verdictKey]*classPlan) *nodeCross {
+func (sh *shard) crossWith(adds []classKey, plans map[classKey]*classPlan) *nodeCross {
 	own := sh.cross.terms
 	var nc *nodeCross
 	i := 0

@@ -16,8 +16,8 @@ import (
 // a term's key, bucket and count, never its sums): one walk over the shard's
 // classes and d's added ones in keyLess order, self's count lowered by one,
 // terms added left to right.
-func referenceCross(sh *shard, self verdictKey, d *decision) core.Bucket {
-	var adds []verdictKey
+func referenceCross(sh *shard, self classKey, d *decision) core.Bucket {
+	var adds []classKey
 	if d != nil {
 		adds = d.keys
 	}
@@ -25,7 +25,7 @@ func referenceCross(sh *shard, self verdictKey, d *decision) core.Bucket {
 	var out core.Bucket
 	i, j := 0, 0
 	for i < len(own) || j < len(adds) {
-		var k verdictKey
+		var k classKey
 		var b core.Bucket
 		n := 0
 		takeShard := j >= len(adds) || (i < len(own) && !keyLess(adds[j], own[i].key))
@@ -61,12 +61,12 @@ func referenceCross(sh *shard, self verdictKey, d *decision) core.Bucket {
 // that any change in summation order shows in the low bits.
 type crossPopulation struct {
 	shards  []*shard
-	keys    []verdictKey // every class, admitted or only added
-	contrib map[verdictKey]map[string]core.Bucket
+	keys    []classKey // every class, admitted or only added
+	contrib map[classKey]map[string]core.Bucket
 }
 
-func randomKey(rng *rand.Rand, path string) verdictKey {
-	return verdictKey{
+func randomKey(rng *rand.Rand, path string) classKey {
+	return classKey{
 		alpha: rng.Uint64(),
 		lmax:  units.Bytes(1500 * rng.Intn(3)),
 		path:  path,
@@ -83,7 +83,7 @@ func randomBucket(rng *rand.Rand) core.Bucket {
 }
 
 func newCrossPopulation(rng *rand.Rand, classes int) *crossPopulation {
-	p := &crossPopulation{contrib: make(map[verdictKey]map[string]core.Bucket)}
+	p := &crossPopulation{contrib: make(map[classKey]map[string]core.Bucket)}
 	for i := 0; i < 4; i++ {
 		p.shards = append(p.shards, &shard{node: core.Node{Name: fmt.Sprintf("n%d", i)}})
 	}
@@ -95,7 +95,7 @@ func newCrossPopulation(rng *rand.Rand, classes int) *crossPopulation {
 
 // newClass draws a class over a random 1–4 node path and its per-node
 // reservation, without admitting anybody.
-func (p *crossPopulation) newClass(rng *rand.Rand) verdictKey {
+func (p *crossPopulation) newClass(rng *rand.Rand) classKey {
 	hops := rng.Perm(len(p.shards))[:1+rng.Intn(len(p.shards))]
 	contrib := make(map[string]core.Bucket, len(hops))
 	path := ""
@@ -109,7 +109,7 @@ func (p *crossPopulation) newClass(rng *rand.Rand) verdictKey {
 	return k
 }
 
-func (p *crossPopulation) admit(k verdictKey, members int) {
+func (p *crossPopulation) admit(k classKey, members int) {
 	for _, sh := range p.shards {
 		if b, hosted := p.contrib[k][sh.node.Name]; hosted {
 			sh.insert(k, b, members)
@@ -137,7 +137,7 @@ func (p *crossPopulation) churn(rng *rand.Rand) {
 // additions builds a decision adding members to some admitted classes and to
 // some classes nobody holds yet.
 func (p *crossPopulation) additions(rng *rand.Rand) *decision {
-	d := &decision{plans: make(map[verdictKey]*classPlan)}
+	d := &decision{plans: make(map[classKey]*classPlan)}
 	for _, k := range p.keys {
 		if rng.Intn(4) == 0 {
 			d.keys = append(d.keys, k)
@@ -175,9 +175,9 @@ func TestCrossBitIdentical(t *testing.T) {
 			}
 			// Every class the population knows (hosted on a node or not, with
 			// one member or many, gaining members or not), nobody, a stranger.
-			selves := append([]verdictKey{{}, randomKey(rng, "n9\x00")}, p.keys...)
+			selves := append([]classKey{{}, randomKey(rng, "n9\x00")}, p.keys...)
 			for _, sh := range p.shards {
-				if got, want := d.crossAt(sh).total, referenceCross(sh, verdictKey{}, ref); !same(got, want) {
+				if got, want := d.crossAt(sh).total, referenceCross(sh, classKey{}, ref); !same(got, want) {
 					t.Fatalf("trial %d node %s adds=%t: total %v, reference %v", trial, sh.node.Name, withAdds, got, want)
 				}
 				for _, self := range selves {

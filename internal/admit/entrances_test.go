@@ -169,16 +169,22 @@ func TestEntrancesAgreeOnFittingSet(t *testing.T) {
 // is decided one ticket at a time in order, so the combiner answers exactly
 // as sequential Admit does — every field. AdmitBatch commits the prefix that
 // fits as a set, decides the boundary flow alone and carries on: the same
-// admitted set, the same refusal for the boundary flow and the same verdict
-// for the flow after it up to the epoch, and the same final registry.
+// admitted set, the same refusal for the boundary flow, the same verdict for
+// the flows after it up to the epoch, and the same final registry. The
+// second heavy flow is of the boundary's class: AdmitBatch hands it the
+// boundary's refusal without deciding it, and that must be the verdict
+// sequential Admit decides for it.
 func TestEntrancesAgreeOnRefusedSet(t *testing.T) {
 	heavy := tenant("n-heavy", 28*units.MiBPerSec)
 	heavy.SLO = SLO{}
+	heavy2 := heavy
+	heavy2.ID = "n-heavy2"
 	offer := []Flow{
 		tenant("n-1", 2*units.MiBPerSec),
 		tenant("n-2", 2*units.MiBPerSec),
 		heavy, // breaks s-fragile
-		tenant("n-4", 2*units.MiBPerSec),
+		heavy2,
+		tenant("n-5", 2*units.MiBPerSec),
 	}
 	answers := map[string][]Verdict{}
 	states := map[string][]Verdict{}
@@ -188,7 +194,7 @@ func TestEntrancesAgreeOnRefusedSet(t *testing.T) {
 		states[e.name] = recheckAll(t, c)
 	}
 	want := answers["admit"]
-	if want[2].Admitted || want[2].Binding != "victim:s-fragile" || !want[3].Admitted {
+	if want[2].Admitted || want[2].Binding != "victim:s-fragile" || want[3].Admitted || !want[4].Admitted {
 		t.Fatalf("scenario drifted: %+v", want)
 	}
 	if !reflect.DeepEqual(answers["group"], want) {
@@ -201,6 +207,9 @@ func TestEntrancesAgreeOnRefusedSet(t *testing.T) {
 		if i >= 2 && !reflect.DeepEqual(sansEpoch(v), sansEpoch(want[i])) {
 			t.Errorf("batch flow %d (decided at the same state as by admit): %+v, admit has %+v", i, v, want[i])
 		}
+	}
+	if b := answers["batch"]; b[3].FlowID != heavy2.ID || b[3].Epoch != b[2].Epoch {
+		t.Errorf("batch flow 3 is not the boundary's refusal for %s: %+v, boundary %+v", heavy2.ID, b[3], b[2])
 	}
 	for _, name := range []string{"group", "batch"} {
 		if !reflect.DeepEqual(states[name], states["admit"]) {

@@ -31,9 +31,9 @@ const (
 // done receive — each handoff channel- or mutex-synchronized.
 type ticket struct {
 	kind int
-	f    Flow       // tkAdmit
-	key  verdictKey // tkAdmit
-	id   string     // tkRelease
+	f    Flow     // tkAdmit
+	key  classKey // tkAdmit
+	id   string   // tkRelease
 	tr   *decTrace
 	done chan ticketResult // buffered: the leader never blocks on an answer
 
@@ -95,7 +95,7 @@ func (c *Controller) lead() {
 // sweep in flight), then the admissions. The callers behind the tickets are
 // parked on their done channels, so a panic in an analysis must not unwind
 // past here: every ticket still unanswered gets an "internal" rejection
-// (uncached; a panicking analysis commits nothing) and the leader carries on.
+// (a panicking analysis commits nothing) and the leader carries on.
 func (c *Controller) processGroup(q []*ticket) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // DecisionBuckets are the histogram bounds for admission-decision latency
-// (seconds): 1µs (cached rejections) up to ~1s (deep victim re-checks).
+// (seconds): 1µs (spec rejections) up to ~1s (deep victim re-checks).
 var DecisionBuckets = obs.ExponentialBuckets(1e-6, 4, 11)
 
 // AnalysisBuckets are the histogram bounds for pipeline analyses (seconds).
@@ -47,7 +47,6 @@ type ctrlObs struct {
 	opts       ObsOptions
 	admitted   *obs.Counter
 	rejected   *obs.Counter
-	cached     *obs.Counter
 	releases   *obs.Counter
 	decision   *obs.Histogram
 	commitWait *obs.Histogram
@@ -65,7 +64,7 @@ type ctrlObs struct {
 
 	// st is the per-scrape Stats snapshot: the collector refreshes it once
 	// per render, and the CounterFunc/GaugeFunc closures read it — so one
-	// scrape sees one consistent snapshot and cache counters can be typed
+	// scrape sees one consistent snapshot and memo counters can be typed
 	// as counters without re-snapshotting per family.
 	stMu sync.Mutex
 	st   Stats
@@ -85,16 +84,15 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 
 // EnableObsOpts wires the controller onto reg:
 //
-//   - verdict counters (nc_admit_verdicts_total by result, nc_admit_cached_total,
+//   - verdict counters (nc_admit_verdicts_total by result,
 //     nc_admit_releases_total) and a decision-latency histogram whose buckets
 //     carry exemplars pointing at flight-recorder sequence numbers;
 //   - SLO instruments against opts.SLOObjective: nc_admit_slo_fast_total,
 //     nc_admit_slo_objective_seconds, and the windowed burn-rate gauge
 //     nc_admit_slo_budget_burn;
-//   - scrape-time gauges for admitted flows, platform epoch, and both cache
-//     layers' hits/misses/entries (verdict cache, analysis memo); per-node
-//     reservation gauges only with opts.PerNodeMetrics (unbounded cardinality
-//     on large platforms);
+//   - scrape-time gauges for admitted flows, platform epoch, and the
+//     analysis memo's hits/misses/entries; per-node reservation gauges only
+//     with opts.PerNodeMetrics (unbounded cardinality on large platforms);
 //   - process-wide operator counts and analysis timing: curve.SetOpCounter
 //     feeds the nc_curve_ops_total{op=...} counters, so a curve operator
 //     call pays one counter increment, and core.SetAnalysisTimer feeds the
@@ -118,7 +116,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 		opts:     opts,
 		admitted: reg.Counter("nc_admit_verdicts_total", "admission decisions by result", obs.Label{Key: "result", Value: "admitted"}),
 		rejected: reg.Counter("nc_admit_verdicts_total", "admission decisions by result", obs.Label{Key: "result", Value: "rejected"}),
-		cached:   reg.Counter("nc_admit_cached_total", "verdicts served from the epoch cache"),
 		releases: reg.Counter("nc_admit_releases_total", "admitted flows released"),
 		decision: reg.Histogram("nc_admit_decision_seconds", "admission decision latency", DecisionBuckets),
 		commitWait: reg.Histogram("nc_admit_commit_wait_seconds",
@@ -152,21 +149,18 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			return (float64(m.slowWin.Sum()) / float64(total)) / opts.SLOBudget
 		})
 
-	// Cache effectiveness, typed honestly: the hit/miss tallies are
-	// monotone, so they render as counters reading from the per-scrape
-	// snapshot the collector refreshes.
-	for _, layer := range []string{"verdict", "analysis"} {
-		l := obs.Label{Key: "cache", Value: layer}
-		layer := layer
-		reg.CounterFunc("nc_cache_hits_total", "cache hits by layer",
-			func() float64 { h, _, _ := m.snapshot().cacheLayer(layer); return float64(h) }, l)
-		reg.CounterFunc("nc_cache_misses_total", "cache misses by layer",
-			func() float64 { _, mi, _ := m.snapshot().cacheLayer(layer); return float64(mi) }, l)
-		reg.GaugeFunc("nc_cache_entries", "cache entries by layer",
-			func() float64 { _, _, e := m.snapshot().cacheLayer(layer); return float64(e) }, l)
-		reg.GaugeFunc("nc_cache_hit_rate", "hits/(hits+misses) by layer",
-			func() float64 { h, mi, _ := m.snapshot().cacheLayer(layer); return obs.HitRate(h, mi) }, l)
-	}
+	// Memo effectiveness, typed honestly: the hit/miss tallies are monotone,
+	// so they render as counters reading from the per-scrape snapshot the
+	// collector refreshes.
+	l := obs.Label{Key: "cache", Value: "analysis"}
+	reg.CounterFunc("nc_cache_hits_total", "cache hits by layer",
+		func() float64 { return float64(m.snapshot().AnalysisHits) }, l)
+	reg.CounterFunc("nc_cache_misses_total", "cache misses by layer",
+		func() float64 { return float64(m.snapshot().AnalysisMisses) }, l)
+	reg.GaugeFunc("nc_cache_entries", "cache entries by layer",
+		func() float64 { return float64(m.snapshot().AnalysisEntries) }, l)
+	reg.GaugeFunc("nc_cache_hit_rate", "hits/(hits+misses) by layer",
+		func() float64 { st := m.snapshot(); return obs.HitRate(st.AnalysisHits, st.AnalysisMisses) }, l)
 
 	// The operator and analysis families exist (at zero) from startup, and
 	// the hooks hold their series: no registry lookup on the operator path.
@@ -181,17 +175,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 	core.SetAnalysisTimer(analysisSeconds.Observe)
 
 	reg.AddCollector(func(r *obs.Registry) { c.collect(r) })
-}
-
-// cacheLayer maps a layer name onto the snapshot's counters.
-func (s Stats) cacheLayer(layer string) (hits, misses uint64, entries int) {
-	switch layer {
-	case "verdict":
-		return s.VerdictHits, s.VerdictMisses, s.VerdictEntries
-	case "analysis":
-		return s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries
-	}
-	return 0, 0, 0
 }
 
 // collect snapshots registry-independent controller state into gauges; runs
@@ -297,7 +280,6 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 	rec := tr.record(took)
 	rec.FlowID = v.FlowID
 	rec.Admitted = v.Admitted
-	rec.Cached = v.Cached
 	rec.Binding = v.Binding
 	rec.Rung = v.Rung
 	rec.Epoch = v.Epoch
@@ -309,9 +291,6 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 		} else {
 			m.rejected.Inc()
 		}
-		if v.Cached {
-			m.cached.Inc()
-		}
 		m.observeDecisionLatency(took, seq, v.FlowID)
 	}
 	if c.audit != nil {
@@ -321,7 +300,6 @@ func (c *Controller) observeAdmit(v Verdict, tr *decTrace) {
 			"binding", v.Binding,
 			"rung", v.Rung,
 			"epoch", v.Epoch,
-			"cached", v.Cached,
 			"decision_us", took.Microseconds(),
 			"victims_screened", rec.VictimsScreened,
 			"victims_certified", rec.VictimsCertified,

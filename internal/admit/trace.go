@@ -24,7 +24,7 @@ import (
 
 // Phase names recorded on decision spans.
 const (
-	PhasePrecheck       = "precheck"        // spec checks + verdict-cache probe
+	PhasePrecheck       = "precheck"        // spec checks + class key
 	PhaseQueueWait      = "queue_wait"      // combiner queue, waiting for a leader; a batch, for the writer role
 	PhaseDrain          = "drain"           // leader committing queued releases first
 	PhaseAnalysis       = "analysis"        // reservations + analysis of the classes gaining members
@@ -156,7 +156,6 @@ type DecisionRecord struct {
 	FlowID   string `json:"flow_id,omitempty"`
 	Admitted bool   `json:"admitted"`
 	Released bool   `json:"released,omitempty"` // release decisions
-	Cached   bool   `json:"cached,omitempty"`
 	Binding  string `json:"binding,omitempty"`
 	Rung     string `json:"rung,omitempty"` // analysis tightness rung decided at
 	Epoch    uint64 `json:"epoch,omitempty"`

@@ -115,7 +115,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			t.Errorf("record %d (%s %s): %v of %v unattributed\nphases: %+v",
 				r.Seq, r.Kind, r.FlowID, gap, total, r.Phases)
 		}
-		if r.Kind == KindAdmit && r.Admitted && !r.Cached {
+		if r.Kind == KindAdmit && r.Admitted {
 			admitSeen = true
 			if want := []string{"encrypt", "ingest", "uplink"}; !reflect.DeepEqual(r.Nodes, want) {
 				t.Errorf("admitted record %d: nodes read %q, want %q", r.Seq, r.Nodes, want)
@@ -123,7 +123,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}
 	}
 	if !admitSeen {
-		t.Fatal("no uncached admitted decision recorded")
+		t.Fatal("no admitted decision recorded")
 	}
 
 	// Seq numbers are unique and dense enough to order the ring.

@@ -17,7 +17,7 @@ import (
 // cand is one flow offered for admission that has passed precheck.
 type cand struct {
 	f   Flow
-	key verdictKey
+	key classKey
 	idx int // position in the caller's output (AdmitBatch)
 }
 
@@ -35,8 +35,8 @@ type classPlan struct {
 // snapshot.
 type decision struct {
 	epoch uint64
-	plans map[verdictKey]*classPlan
-	keys  []verdictKey // classes gaining members, in keyLess order
+	plans map[classKey]*classPlan
+	keys  []classKey // classes gaining members, in keyLess order
 	// spec holds the candidates (by position) answered on their own — an ID
 	// already admitted, a spec the pristine platform cannot carry. They are
 	// not part of the set the rest of the decision is about.
@@ -133,14 +133,14 @@ func (d *decision) nodeNames() []string {
 // verdict because a victim's bounds are never reported. A single Admit is the
 // set of one. The caller must hold the writer role and the registry lock, in
 // either mode; precheck must have passed for every candidate. Nothing in a
-// refusal mentions a candidate's ID: it is cached and replayed for any flow of
-// the same class.
+// refusal mentions a candidate's ID: AdmitBatch hands it to every flow of the
+// same class behind the boundary.
 func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	d := &decision{
 		epoch: c.epoch.Load(),
-		plans: make(map[verdictKey]*classPlan),
+		plans: make(map[classKey]*classPlan),
 	}
-	own := func(i int, k verdictKey, format string, args ...any) {
+	own := func(i int, k classKey, format string, args ...any) {
 		if d.spec == nil {
 			d.spec = make(map[int]Verdict)
 		}
@@ -187,7 +187,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 	// must not loosen (or tighten) the promises made to blind-rung classes.
 	// A class gaining members (cs nil) runs the fresh search; an admitted
 	// victim goes through classBound, which tries its stored θ-vector first.
-	check := func(arrival core.Arrival, path []string, slo SLO, self verdictKey, cs *classState) (*core.Bounds, *sloCheck, error) {
+	check := func(arrival core.Arrival, path []string, slo SLO, self classKey, cs *classState) (*core.Bounds, *sloCheck, error) {
 		p := c.sharedPipeline(arrival, path, self.rung, self, d)
 		b, certified, err := c.classBound(cs, p, false)
 		if err != nil {
@@ -279,7 +279,7 @@ func (c *Controller) planClass(cd cand) *classPlan {
 // admittedVerdict is the verdict template of a class whose members fit:
 // promised bounds, bottleneck, and the residual headroom there with every
 // addition counted.
-func (c *Controller) admittedVerdict(d *decision, k verdictKey, pl *classPlan, b *core.Bounds) Verdict {
+func (c *Controller) admittedVerdict(d *decision, k classKey, pl *classPlan, b *core.Bounds) Verdict {
 	slo := pl.f.SLO
 	bn := pl.f.Path[b.BottleneckIndex]
 	sh := c.shards[bn]
@@ -315,7 +315,7 @@ func touches(path []string, nodes map[string]struct{}) bool {
 // a decision analysed is bit-identical to the one Recheck builds after the
 // commit. The name is ID-independent (see planClass). The registry lock must
 // be held in either mode.
-func (c *Controller) sharedPipeline(arrival core.Arrival, path []string, rung core.Rung, self verdictKey, d *decision) core.Pipeline {
+func (c *Controller) sharedPipeline(arrival core.Arrival, path []string, rung core.Rung, self classKey, d *decision) core.Pipeline {
 	p := core.Pipeline{Name: c.name + "/shared", Arrival: arrival, Rung: rung,
 		Nodes: make([]core.Node, 0, len(path))}
 	for _, name := range path {
@@ -351,14 +351,11 @@ func (c *Controller) analyse(cands []cand, tr *decTrace) *decision {
 }
 
 // settle acts on d = analyse(cands); the caller must have held the writer
-// role since before that analysis. A set that fits is committed. A refusal
-// commits nothing; that of a set of one is exact and goes to the verdict
-// cache, valid until the epoch next steps.
+// role since before that analysis. A set that fits is committed; a refusal
+// commits nothing.
 func (c *Controller) settle(cands []cand, d *decision, tr *decTrace) {
 	if d.ok {
 		c.commitSet(cands, d)
-	} else if len(cands) == 1 {
-		c.storeVerdict(cands[0].key, d.refusal)
 	}
 	tr.mark(PhaseValidateCommit)
 	tr.setNodes(d)

@@ -40,8 +40,8 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 	for _, tk := range group {
 		select {
 		case r := <-tk.done:
-			if r.v.Admitted || r.v.Binding != "internal" || r.v.Cached || r.v.FlowID != tk.f.ID {
-				t.Errorf("%s: %+v, want an uncached internal rejection", tk.f.ID, r.v)
+			if r.v.Admitted || r.v.Binding != "internal" || r.v.FlowID != tk.f.ID {
+				t.Errorf("%s: %+v, want an internal rejection", tk.f.ID, r.v)
 			}
 		default:
 			t.Fatalf("%s was left unanswered", tk.f.ID)

@@ -204,6 +204,15 @@ func TestVDevEqualRates(t *testing.T) {
 	approx(t, VDev(a, b), 5+4*3, 1e-9, "vdev equal rates")
 }
 
+// An arrival knot 0.5 ns past the service latency, closer than absEps: the
+// sup sits on the arrival knot, where f has risen at 1e12 B/s and g at only
+// 1e9 B/s since 5 ns. Merging the two knots would read 6000 at 5 ns.
+func TestVDevKnotsWithinEps(t *testing.T) {
+	f := New(0, []Segment{{0, 1000, 1e12}, {5.5e-9, 6500, 1e6}})
+	g := RateLatency(1e9, 5e-9)
+	approx(t, VDev(f, g), 6500-0.5, 1e-9, "vdev at the arrival knot")
+}
+
 // Brute-force cross-check of HDev/VDev on random curve pairs.
 func TestDevMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -57,10 +57,15 @@ func vDev(f, g Curve) float64 {
 			sup = v
 		}
 	}
-	for _, x := range mergeBreakpoints(f.Breakpoints(), g.Breakpoints()) {
-		consider(f.Value(x) - g.Value(x))
-		consider(f.ValueLeft(x) - g.ValueLeft(x))
-		consider(f.ValueRight(x) - g.ValueRight(x))
+	// Every breakpoint of either curve, as it is: merging knots closer than
+	// absEps would drop the one the sup sits on.
+	for _, c := range [2]Curve{f, g} {
+		for _, s := range c.segs {
+			x := s.X
+			consider(f.Value(x) - g.Value(x))
+			consider(f.ValueLeft(x) - g.ValueLeft(x))
+			consider(f.ValueRight(x) - g.ValueRight(x))
+		}
 	}
 	if math.Abs(fr-gr) <= absEps(gr) {
 		consider(fo - gOff) // asymptotic gap for equal long-run rates

@@ -38,14 +38,16 @@ func residualService(beta, cross Curve) (res Curve, ok bool) {
 	}
 	// diff(t) = beta(t) - cross(t) evaluated on the merged breakpoints; the
 	// difference is convex, so it has a single sign change from <= 0 to > 0.
-	// Locate the crossing and emit the increasing positive tail.
+	// Locate the crossing and emit the increasing positive tail. diff reads
+	// right limits (the same values past 0): at 0 the cross burst has
+	// already arrived, so a zero-latency beta still starts below it.
 	xs := mergeBreakpoints(beta.Breakpoints(), cross.Breakpoints())
-	diffAt := func(t float64) float64 { return beta.Value(t) - cross.Value(t) }
+	diff := func(t float64) float64 { return beta.ValueRight(t) - cross.ValueRight(t) }
 
 	// Find the first merged breakpoint (or final-ray point) with diff > 0.
 	idx := -1
 	for i, x := range xs {
-		if diffAt(x) > 0 {
+		if diff(x) > 0 {
 			idx = i
 			break
 		}
@@ -60,7 +62,7 @@ func residualService(beta, cross Curve) (res Curve, ok bool) {
 		mid := (lo + hi) / 2
 		sb, sc := beta.segAt(mid), cross.segAt(mid)
 		slope := sb.Slope - sc.Slope
-		v := diffAt(hi)
+		v := diff(hi)
 		if slope > 0 {
 			t0 = hi - v/slope
 			if t0 < lo {
@@ -72,7 +74,7 @@ func residualService(beta, cross Curve) (res Curve, ok bool) {
 	default:
 		// Positive only on the final ray.
 		last := xs[len(xs)-1]
-		v := diffAt(last)
+		v := diff(last)
 		slope := br - cr
 		t0 = last - v/slope // v <= 0, slope > 0 => t0 >= last
 	}
@@ -86,7 +88,7 @@ func residualService(beta, cross Curve) (res Curve, ok bool) {
 	slopeAt := func(t float64) float64 {
 		return beta.segAt(t).Slope - cross.segAt(t).Slope
 	}
-	start := Segment{t0, math.Max(0, diffAt(t0)), math.Max(0, slopeAt(after))}
+	start := Segment{t0, math.Max(0, diff(t0)), math.Max(0, slopeAt(after))}
 	if t0 == 0 {
 		start.Y = math.Max(0, beta.Burst()-cross.Burst())
 	}
@@ -95,7 +97,7 @@ func residualService(beta, cross Curve) (res Curve, ok bool) {
 		if x <= t0 {
 			continue
 		}
-		segs = append(segs, Segment{x, diffAt(x), math.Max(0, slopeAt(math.Nextafter(x, math.Inf(1))))})
+		segs = append(segs, Segment{x, diff(x), math.Max(0, slopeAt(math.Nextafter(x, math.Inf(1))))})
 	}
 	y0 := math.Max(0, beta.AtZero()-cross.AtZero())
 	return newOwned(y0, segs), true

@@ -21,6 +21,19 @@ func TestResidualServiceTextbook(t *testing.T) {
 	}
 }
 
+// A zero-latency server still owes the cross burst first: beta = RL(100, 0)
+// against cross = LB(40, 500) leaves RL(60, 500/60), not the (R-r)·t a
+// crossing search reading f(0) = 0 for both curves finds.
+func TestResidualServiceZeroLatency(t *testing.T) {
+	got, ok := ResidualService(RateLatency(100, 0), Affine(40, 500))
+	if !ok {
+		t.Fatal("expected residual service")
+	}
+	if want := RateLatency(60, 500.0/60); !got.Equal(want) {
+		t.Errorf("residual = %v, want %v", got, want)
+	}
+}
+
 func TestResidualServiceStarved(t *testing.T) {
 	if _, ok := ResidualService(RateLatency(3, 1), Affine(3, 0)); ok {
 		t.Error("cross rate == service rate must starve")
