@@ -55,7 +55,6 @@ type ctrlObs struct {
 	internal   *obs.Counter
 	screened   *obs.Counter
 	certified  *obs.Counter
-	rungCombos *obs.Counter
 
 	// Sliding windows: every decision, and the slow (objective-violating)
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
@@ -130,8 +129,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			"victim classes cleared by the closed-form screen without an analysis"),
 		certified: reg.Counter("nc_admit_victims_certified_total",
 			"tight-rung victim classes cleared by a chain pass at their stored θ-vector without a search"),
-		rungCombos: reg.Counter("nc_rung_combos_total",
-			"tight-rung θ-vectors scored by the analyses decisions consulted (memo hits at their original cost)"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}

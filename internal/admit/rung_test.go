@@ -2,14 +2,10 @@ package admit
 
 import (
 	"fmt"
-	"regexp"
-	"strconv"
 	"testing"
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
-	"streamcalc/internal/obs"
 	"streamcalc/internal/units"
 )
 
@@ -235,48 +231,5 @@ func TestRungVictimCheckedAtOwnRung(t *testing.T) {
 	}
 	if v.Binding != "victim:resident" {
 		t.Errorf("binding = %q, want victim:resident", v.Binding)
-	}
-}
-
-// The flight recorder must surface the tight rung's search effort on the
-// decision record — nonzero scored vectors for a tight admission, zero for a
-// blind one — and nc_rung_combos_total must move by exactly what the records
-// report.
-func TestRungSearchEffortOnDecisionRecord(t *testing.T) {
-	defer curve.SetOpCounter(nil)
-	defer core.SetAnalysisTimer(nil)
-	c := sharedNodePlatform(t)
-	reg := obs.NewRegistry()
-	c.EnableObs(reg)
-	rec := c.EnableFlightRecorder(16)
-	combos := func() int {
-		m := regexp.MustCompile(`(?m)^nc_rung_combos_total (\d+)$`).FindStringSubmatch(scrape(t, reg))
-		if m == nil {
-			t.Fatal("scrape lacks nc_rung_combos_total")
-		}
-		n, _ := strconv.Atoi(m[1])
-		return n
-	}
-	before := combos()
-	if v := c.Admit(rungTenant("b", core.RungBlind, 0)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	if v := c.Admit(rungTenant("t", core.RungTight, 0)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	recs := rec.Snapshot(0)
-	if len(recs) != 2 {
-		t.Fatalf("recorder depth = %d, want 2", len(recs))
-	}
-	// Newest first: recs[1] is the blind admission (no tight analyses
-	// anywhere yet), recs[0] the tight one.
-	if recs[1].RungCombos != 0 {
-		t.Errorf("blind decision reported search effort: %d", recs[1].RungCombos)
-	}
-	if recs[0].RungCombos <= 0 {
-		t.Errorf("tight decision reported no scored combos: %+v", recs[0])
-	}
-	if delta := combos() - before; delta != recs[0].RungCombos {
-		t.Errorf("nc_rung_combos_total moved by %d, the records report %d", delta, recs[0].RungCombos)
 	}
 }

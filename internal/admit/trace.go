@@ -53,8 +53,6 @@ type decTrace struct {
 	nodes     []string
 	batchN    int // batch decisions: flows offered
 	batchAdm  int // batch decisions: flows admitted
-
-	rungCombos int // tight-rung θ-vectors scored across this decision's analyses
 }
 
 // newTrace starts a decision trace, or returns nil when no sink is
@@ -110,19 +108,6 @@ func (tr *decTrace) noteGroup(n int) {
 	}
 }
 
-// noteRungSearch counts a tight-rung analysis's scored θ-vectors on the
-// decision and on nc_rung_combos_total; analyses below RungTight report zero.
-// tr is non-nil whenever a sink is attached.
-func (c *Controller) noteRungSearch(tr *decTrace, combos int) {
-	if tr == nil || combos == 0 {
-		return
-	}
-	tr.rungCombos += combos
-	if m := c.obsm; m != nil {
-		m.rungCombos.Add(uint64(combos))
-	}
-}
-
 // absorb folds the leader's shared trace of one transaction (span phases,
 // counters, nodes read) into this ticket's trace. Called by the
 // leader before the done-channel handoff.
@@ -134,7 +119,6 @@ func (tr *decTrace) absorb(g *decTrace) {
 	tr.victims += g.victims
 	tr.screened += g.screened
 	tr.certified += g.certified
-	tr.rungCombos += g.rungCombos
 	if g.nodes != nil {
 		tr.nodes = g.nodes
 	}
@@ -177,13 +161,6 @@ type DecisionRecord struct {
 	// Nodes names the nodes the decision's analysis read, sorted.
 	Nodes []string `json:"nodes,omitempty"`
 
-	// RungCombos is the number of θ-vectors the tight rung's search scored,
-	// summed over every analysis this decision consulted (candidate plus
-	// victim sweeps); zero below RungTight. A memoized analysis contributes
-	// the effort of its original computation — the cost the decision would
-	// have paid without the memo.
-	RungCombos int `json:"rung_combos,omitempty"`
-
 	BatchFlows    int `json:"batch_flows,omitempty"`
 	BatchAdmitted int `json:"batch_admitted,omitempty"`
 }
@@ -202,7 +179,6 @@ func (tr *decTrace) record(total time.Duration) DecisionRecord {
 		VictimsScreened:  tr.screened,
 		VictimsCertified: tr.certified,
 		Nodes:            tr.nodes,
-		RungCombos:       tr.rungCombos,
 		BatchFlows:       tr.batchN,
 		BatchAdmitted:    tr.batchAdm,
 	}

@@ -199,7 +199,6 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			c.noteCertified(tr)
 			return b, nil, nil
 		}
-		c.noteRungSearch(tr, b.TightCombos)
 		return b, sloViolation(slo, p, b), nil
 	}
 

@@ -121,10 +121,8 @@ type Analysis struct {
 	// sustained rate.
 	BottleneckIndex int
 
-	// TightCombos is the number of θ-vectors the tight rung's search scored
-	// for this analysis (zero below RungTight). TightPruned is always zero:
-	// the search prunes nothing. It stays for the bench module's probes,
-	// which read it.
+	// TightCombos and TightPruned are always zero: no rung searches a θ
+	// grid. They stay for the bench module's probes, which read them.
 	TightCombos, TightPruned int
 }
 
@@ -167,22 +165,21 @@ type Bounds struct {
 	// them; the maximum Duration and +Inf when Overloaded.
 	Delay   time.Duration
 	Backlog units.Bytes
-	// Throughput, Overloaded, BottleneckIndex and TightCombos are
+	// Throughput, Overloaded and BottleneckIndex are
 	// Analysis.ThroughputLower and the Analysis fields of the same name.
 	Throughput      units.Rate
 	Overloaded      bool
 	BottleneckIndex int
-	TightCombos     int
 	// FIFOTheta is NodeAnalysis.FIFOTheta, indexed by node.
 	FIFOTheta []float64
 }
 
 // Bound is the chain-only sibling of AnalyzeMemo (m may be nil): it computes
 // what Bounds carries and nothing of the per-node report, taking the delay and
-// backlog from ChainBound at the rung's θ-vector (none at blind, the greedy
-// pass's at fifo, the search's winner at tight), so Bound and BoundAt agree
-// bit for bit at one vector, and Analyze reports the same vector, throughput,
-// overload and bottleneck.
+// backlog from ChainBound at the rung's θ-vector (none at blind, the capped
+// optimum at fifo and tight; see Rung), so Bound and BoundAt agree bit for bit
+// at one vector, and Analyze reports the same vector, throughput, overload and
+// bottleneck.
 func Bound(p Pipeline, m *Memo) (*Bounds, error) {
 	_, b, err := m.lookup(p, false)
 	return b, err
@@ -194,8 +191,7 @@ func Bound(p Pipeline, m *Memo) (*Bounds, error) {
 // and no curve. Every member of the family is a valid service curve for any
 // θ ≥ 0, so the result is sound whatever cross traffic p carries — a vector
 // taken from an earlier Bounds.FIFOTheta stays a certificate after the cross
-// traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p) but for the
-// search counter TightCombos, which is zero here.
+// traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p).
 func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
 	if len(theta) != len(p.Nodes) {
 		return nil, fmt.Errorf("core: BoundAt: %d thetas for %d nodes", len(theta), len(p.Nodes))
@@ -215,48 +211,24 @@ func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err 
 	if err = p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	combos := 0
-	if theta == nil {
-		switch p.Rung.Resolved() {
-		case RungFIFO:
-			// The greedy rung reads propagated arrivals: one engine pass.
-			if a, err = analyzeWith(p, nil, report); err != nil || report {
-				return a, nil, err
-			}
-			theta = a.thetas()
-		case RungTight:
-			if theta, combos, err = analyzeTight(p); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
+	search := theta == nil && p.Rung.Resolved() != RungBlind
 	if !report {
-		b, err = chainBounds(p, theta, combos)
+		b, err = chainBounds(p, theta, search)
 		return nil, b, err
 	}
-	if a, err = analyzeWith(p, theta, true); err == nil {
-		a.TightCombos = combos
+	if search {
+		theta = optimum(p)
 	}
+	a, err = analyzeWith(p, theta, true)
 	return a, nil, err
-}
-
-// thetas is the analysis's θ-vector, indexed by node.
-func (a *Analysis) thetas() []float64 {
-	out := make([]float64, len(a.Nodes))
-	for i := range a.Nodes {
-		out[i] = a.Nodes[i].FIFOTheta
-	}
-	return out
 }
 
 // analyzeWith runs the node loop over curves. A non-nil thetas slice (indexed
 // by node) pins the FIFO left-over θ at every cross node (entries elsewhere
-// are ignored); with thetas nil a cross node takes the blind residual, or at
-// RungFIFO the greedy member against its propagated arrival. The chain pass,
-// report unset, builds per node the normalisation, Beta and θ, and of the
-// chain Alpha, AlphaPrime, ThroughputLower, Overloaded and BottleneckIndex:
-// what the greedy rung's θ choices read (the arrival is propagated only
-// there), and the curve-engine oracle ChainBound is tested against. The
+// are ignored); with thetas nil a cross node takes the blind residual. The
+// chain pass, report unset, builds per node the normalisation, Beta and θ,
+// and of the chain Alpha, AlphaPrime, ThroughputLower, Overloaded and
+// BottleneckIndex: the curve-engine oracle ChainBound is tested against. The
 // report pass fills in every other field of Analysis and NodeAnalysis.
 func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	rung := p.Rung.Resolved()
@@ -274,10 +246,6 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	w := newWalk(p.Arrival)
 	cumLatency := time.Duration(0)
 	alphaIn := alphaPrime
-
-	// Who reads the propagated arrival: the report, and the greedy rung's θ
-	// choice at the next cross node.
-	propagates := report || (thetas == nil && rung == RungFIFO)
 
 	for i, n := range p.Nodes {
 		var h hop
@@ -298,18 +266,10 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		if h.cross > 0 {
 			full, crossC := h.service()
 			var ok bool
-			switch {
-			case thetas != nil:
-				// Theta pinned: the tight rung's winner in the report pass.
+			if thetas != nil {
 				na.FIFOTheta = thetas[i]
 				resid, ok = curve.FIFOResidual(full, crossC, thetas[i])
-			case rung == RungFIFO:
-				// Greedy rung: best member against this node's propagated
-				// arrival. Candidates are dominance-safe (theta = 0, the
-				// blind residual, included), so the node — and by pointwise
-				// dominance the whole chain — never does worse than blind.
-				resid, na.FIFOTheta, ok = curve.FIFOResidualBest(alphaIn, full, crossC)
-			default:
+			} else {
 				resid, ok = curve.ResidualService(full, crossC)
 			}
 			if !ok {
@@ -346,10 +306,10 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 		// Propagate the flow to the next node: output bound
 		// alpha* = (alphaIn ⊗ gamma) ⊘ beta, reinterpreted as an arrival
 		// curve. Under overload the output is service-limited instead.
-		if propagates {
+		if report {
 			na.Gamma = curve.RateLatency(float64(na.MaxRate), 0) // best case: no delay
 		}
-		if propagates && i+1 < len(p.Nodes) {
+		if report && i+1 < len(p.Nodes) {
 			if !na.Overloaded {
 				conv := curve.Convolve(alphaIn, na.Gamma)
 				if out, ok := curve.Deconvolve(conv, beta); ok {

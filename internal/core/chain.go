@@ -279,18 +279,128 @@ func chain(arr Arrival, nodes []Node, theta []float64) (delay, backlog float64, 
 	return delay, backlog, starved, w
 }
 
-// chainBounds is Bound's answer from the chain evaluator at theta (nil: the
-// blind residual), the vector Bounds.FIFOTheta reports, after a search that
-// scored combos vectors.
-func chainBounds(p Pipeline, theta []float64, combos int) (*Bounds, error) {
-	delay, backlog, starved, w := chain(p.Arrival, p.Nodes, theta)
-	if starved >= 0 {
-		return nil, starvation(p, starved)
+// free is a cross hop whose θ the optimum chooses on [lo, hi] = [θ₀, θmax]:
+// there its member adds θ to ΣD and contributes A − a·θ to the max-term.
+type free struct {
+	i            int
+	A, a, lo, hi float64
+}
+
+// at is the free hop's θ at level z: the smallest θ in [lo, hi] whose term
+// A − a·θ is at most z, or hi when none is.
+func (f *free) at(z float64) float64 { return min(max((f.A-z)/f.a, f.lo), f.hi) }
+
+// thetaOptimum writes into dst (as long as hops, zero at hops without cross
+// traffic) and returns the θ-vector that minimises chainAt's delay over the
+// capped box: θₖ in [0, θmaxₖ] at every cross hop k, where
+//
+//	θmaxₖ = (bₖ + Rfₖ·Tₖ)/(Rfₖ − rₖ)
+//
+// is the blind residual's latency (curve.FIFOThetaMax in scalars, with T and
+// a zero latency as hop takes them), the largest θ whose member dominates
+// the blind residual pointwise. So the bound is never above the blind one nor
+// above any vector in the box. It returns nil when no hop carries cross
+// traffic or one is starved (chainAt reports the starvation).
+//
+// Below θ₀ₖ the member's D falls as θ rises and J stays 0, so a hop with
+// θmaxₖ ≤ θ₀ₖ is pinned at θmaxₖ, and every other hop k is free on
+// [θ₀ₖ, θmaxₖ], where it adds θₖ to ΣD and Aₖ − aₖθₖ to the max-term, with
+// aₖ = Rfₖ/Sₖ and Aₖ = maxⱼ((α′ⱼ + Rfₖ·Tₖ + bₖ + lₖ)/Sₖ − tⱼ). With z₀ the
+// largest term of the other hops (at least 0), the delay less a constant is
+//
+//	G(θ) = Σθₖ + max(z₀, maxₖ(Aₖ − aₖθₖ))
+//
+// over the free hops. At a level z the cheapest θₖ keeping hop k's term at
+// most z is θₖ(z) = clamp((Aₖ − z)/aₖ, θ₀ₖ, θmaxₖ), and G(θ(z)) is convex and
+// piecewise linear in z from z_lo = max(z₀, maxₖ(Aₖ − aₖθmaxₖ)) on, with
+// breakpoints where a hop reaches θ₀ₖ. Any θ in the box is matched or beaten
+// by θ(z) at its own level, so the scan of G(θ(z)) at z₀ and at the 2N levels
+// Aₖ − aₖθ₀ₖ and Aₖ − aₖθmaxₖ finds the minimum. Ties keep the higher level,
+// whose θ is no larger at any hop. It costs O(N·J + N²) scalars for N hops
+// and J knots, and allocates nothing for up to 8 free hops.
+func thetaOptimum(hops []hop, knots []knot, dst []float64) []float64 {
+	var onStack [8]free
+	fs := onStack[:0]
+	z0, crossed := 0.0, false
+	// term is the max-term of a member without a jump and with slope s.
+	term := func(s float64) float64 {
+		worst := math.Inf(-1)
+		for _, k := range knots {
+			worst = max(worst, k.a/s-k.t)
+		}
+		return worst
 	}
+	for i := range hops {
+		h := &hops[i]
+		if h.starved {
+			return nil
+		}
+		dst[i] = 0
+		if h.cross == 0 {
+			z0 = max(z0, term(h.full))
+			continue
+		}
+		crossed = true
+		s := float64(h.rate)
+		tmax := (h.burst + h.full*h.latency) / s
+		if tmax <= h.theta0 {
+			dst[i] = tmax
+			z0 = max(z0, term(s))
+			continue
+		}
+		f := free{i: i, A: math.Inf(-1), a: h.full / s, lo: h.theta0, hi: tmax}
+		for _, k := range knots {
+			f.A = max(f.A, (k.a+h.full*h.latency+h.burst+h.lmax)/s-k.t)
+		}
+		fs = append(fs, f)
+	}
+	if !crossed {
+		return nil
+	}
+	// g is G(θ(z)).
+	g := func(z float64) float64 {
+		sum, worst := 0.0, z0
+		for k := range fs {
+			th := fs[k].at(z)
+			sum += th
+			worst = max(worst, fs[k].A-fs[k].a*th)
+		}
+		return sum + worst
+	}
+	bestZ, best := z0, g(z0)
+	for k := range fs {
+		for _, th := range [2]float64{fs[k].lo, fs[k].hi} {
+			z := fs[k].A - fs[k].a*th
+			if v := g(z); v < best || (v == best && z > bestZ) {
+				bestZ, best = z, v
+			}
+		}
+	}
+	for k := range fs {
+		dst[fs[k].i] = fs[k].at(bestZ)
+	}
+	return dst
+}
+
+// chainBounds is Bound's answer from the chain evaluator at theta (nil: the
+// blind residual), or with search set at thetaOptimum's vector, the vector
+// Bounds.FIFOTheta reports.
+func chainBounds(p Pipeline, theta []float64, search bool) (*Bounds, error) {
+	var hb [8]hop
+	var kb [8]knot
+	w := newWalk(p.Arrival)
+	hops, knots := appendHops(hb[:0], &w, p.Nodes), appendKnots(kb[:0], p.Arrival)
 	b := &Bounds{
 		Rung: p.Rung.Resolved(), Throughput: w.throughput(),
-		Overloaded: w.overloaded(), BottleneckIndex: w.bottleneck, TightCombos: combos,
+		Overloaded: w.overloaded(), BottleneckIndex: w.bottleneck,
 		FIFOTheta: make([]float64, len(p.Nodes)),
+	}
+	if search {
+		theta = thetaOptimum(hops, knots, b.FIFOTheta)
+	}
+	delay, backlog, starved := chainAt(hops, &p.Arrival, knots, b.Overloaded, theta, true)
+	if starved >= 0 {
+		return nil, starvation(p, starved)
 	}
 	if theta != nil {
 		for i, n := range p.Nodes {
@@ -304,6 +414,14 @@ func chainBounds(p Pipeline, theta []float64, combos int) (*Bounds, error) {
 		b.Delay, b.Backlog = dur(delay), units.Bytes(backlog)
 	}
 	return b, nil
+}
+
+// optimum is thetaOptimum on p's chain, for the report pass.
+func optimum(p Pipeline) []float64 {
+	var hb [8]hop
+	var kb [8]knot
+	w := newWalk(p.Arrival)
+	return thetaOptimum(appendHops(hb[:0], &w, p.Nodes), appendKnots(kb[:0], p.Arrival), make([]float64, len(p.Nodes)))
 }
 
 // starvation is the error of a pipeline whose cross traffic starves node i.

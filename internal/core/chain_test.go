@@ -15,7 +15,7 @@ import (
 )
 
 // screenSeed seeds the seed-25 draws of TestScreenDominatesBound,
-// TestChainBoundIsChainPass and the tight-rung tests; ROADMAP's time-axis
+// TestChainBoundIsChainPass and the θ-optimum tests; ROADMAP's time-axis
 // item quotes the panic census this seed produces.
 const screenSeed = 25
 
@@ -94,8 +94,7 @@ func censusKey(p Pipeline, r any) string {
 	return fmt.Sprintf("%-5v %-11s %s", p.Rung, buckets, numberRE.ReplaceAllString(fmt.Sprint(r), "#"))
 }
 
-// boundOrPanic is Bound with a curve-engine panic (from the greedy pass or
-// the θ-grids) recovered into a census key.
+// boundOrPanic is Bound with a panic recovered into a census key.
 func boundOrPanic(p Pipeline) (b *Bounds, err error, panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -107,8 +106,8 @@ func boundOrPanic(p Pipeline) (b *Bounds, err error, panicked string) {
 }
 
 // engineOrPanic runs the curve engine's chain pass for p at its rung — at the
-// greedy pass's vector at fifo, at the search's winner at tight — with a
-// panic recovered into a census key.
+// optimum's vector at fifo and tight — with a panic recovered into a census
+// key.
 func engineOrPanic(p Pipeline) (panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -116,10 +115,8 @@ func engineOrPanic(p Pipeline) (panicked string) {
 		}
 	}()
 	var theta []float64
-	if p.Rung.Resolved() == RungTight {
-		if theta, _, _ = analyzeTight(p); theta == nil {
-			theta = make([]float64, len(p.Nodes))
-		}
+	if p.Rung.Resolved() != RungBlind {
+		theta = optimum(p)
 	}
 	engineChain(p, theta)
 	return ""
@@ -211,7 +208,7 @@ func screenViolations(rng *rand.Rand, p Pipeline, census map[string]int, screenP
 // and tight may raise on TestScreenDominatesBound's seed: the count the engine
 // reaches today, all of them the time-axis defect (ROADMAP). A change that
 // heals more of the time axis lowers it; none may raise it.
-const censusCeiling = 368
+const censusCeiling = 366
 
 // The screen never passes what the analysis would fail: wherever the blind
 // ChainBound answers, Bound at blind, fifo and tight succeeds, is not
@@ -314,20 +311,41 @@ type chainDraw struct{ draw, vector string }
 // ChainBound within the tolerance, and the test checks that it still does.
 var chainEngineMisses = func() map[chainDraw]string {
 	const (
-		late          = "the engine's fold starts up to absEps(t) late: pessimistic, its backlog over by more than 1e-9"
-		lost          = "the engine's fold loses a node's latency shorter than absEps(t) at a large offset: optimistic"
-		exactFallback = "the engine's fold through ConvolveExact lies above the exact convolution: optimistic by 1.8 s"
+		late = "the engine's fold starts up to absEps(t) late: pessimistic, its backlog over by more than 1e-9"
+		lost = "the engine's fold loses a node's latency shorter than absEps(t) at a large offset: optimistic"
 	)
 	return map[chainDraw]string{
-		{"214", "grid2"}: late, {"754", "greedy"}: late, {"754", "tight"}: late,
-		{"1267", "greedy"}: late, {"1267", "tight"}: late, {"2937", "tight"}: late,
-		{"3438", "tight"}: late, {"3438", "grid0"}: late, {"3438", "grid1"}: late,
-		{"4446", "greedy"}: late, {"4446", "tight"}: late, {"4446", "grid2"}: late,
-		{"6307", "grid2"}: late, {"7783", "grid1"}: late, {"8930", "greedy"}: late,
-		{"5576", "greedy"}: lost, {"5576", "tight"}: lost, {"6991", "greedy"}: lost, {"6991", "tight"}: lost,
-		{"2534", "tight"}: exactFallback,
+		{"214", "optimum"}: late, {"1267", "optimum"}: late, {"2464", "optimum"}: late,
+		{"2937", "optimum"}: late, {"3955", "optimum"}: late, {"4446", "grid1"}: late,
+		{"5647", "optimum"}: late, {"5787", "optimum"}: late, {"6487", "optimum"}: late,
+		{"6967", "optimum"}: late, {"7267", "optimum"}: late, {"7791", "optimum"}: late,
+		{"8001", "optimum"}: late,
+		{"5268", "grid2"}:   lost, {"6767", "optimum"}: lost, {"6991", "optimum"}: lost, {"6991", "grid0"}: lost,
 	}
 }()
+
+// grid is a coarse θ-grid at cross hop h of a chain whose packetized arrival
+// starts at a0 = α′(0⁺): ascending, 0, the latency T and the
+// arrival-aware T + (b + a0)/Rf where they fall inside (0, θmax) and apart
+// from the others by more than 1e-9·(1 + θ), and θmax.
+func grid(h *hop, a0 float64) []float64 {
+	tmax := (h.burst + h.full*h.latency) / float64(h.rate)
+	g := []float64{0}
+	if tmax <= 0 {
+		return g
+	}
+	for _, th := range []float64{h.latency, h.latency + (h.burst+a0)/h.full, tmax} {
+		if th <= 0 || th > tmax || (th < tmax && th > tmax-1e-9*(1+tmax)) {
+			continue
+		}
+		i := sort.SearchFloat64s(g, th)
+		if (i < len(g) && g[i]-th <= 1e-9*(1+th)) || (i > 0 && th-g[i-1] <= 1e-9*(1+th)) {
+			continue
+		}
+		g = append(g[:i], append([]float64{th}, g[i:]...)...)
+	}
+	return g
+}
 
 // withinChainTol reports whether got matches want within the tolerance the
 // chain evaluator is held to: 1 ns + 1e-9 relative for a delay in seconds,
@@ -340,8 +358,8 @@ func withinChainTol(gotDelay, wantDelay, gotBacklog, wantBacklog float64) bool {
 // The chain evaluator computes what the curve engine's chain pass computes:
 // analyzeWith at a θ-vector, then the horizontal and vertical deviation
 // between AlphaPrime and ConcatenatedBeta. Checked on the 10 000 seed-25
-// draws and the fuzz corpus at the blind residual (nil), the greedy pass's
-// vector, the tight search's winner and three random grid vectors: the error,
+// draws and the fuzz corpus at the blind residual (nil), the optimum's vector
+// and three random vectors of the per-node θ-grids (see grid): the error,
 // the overload, the bottleneck and the throughput match exactly, the delay
 // within 1 ns + 1e-9 relative and the backlog within 1e-9 relative. Vectors
 // outside that must be on chainEngineMisses, where the exact split-point
@@ -376,22 +394,19 @@ func TestChainBoundIsChainPass(t *testing.T) {
 					skipped++
 				}
 			}()
-			grids, hasCross, err := tightGrids(p)
-			if err != nil || !hasCross {
-				return
+			w := newWalk(p.Arrival)
+			hops := appendHops(nil, &w, p.Nodes)
+			opt := optimum(p)
+			if opt == nil {
+				return // no cross traffic, or starved
 			}
-			pg := p
-			pg.Rung = RungFIFO
-			if g, err := analyzeWith(pg, nil, false); err == nil {
-				vecs = append(vecs, vector{"greedy", g.thetas()})
-			}
-			if w, _, err := analyzeTight(p); err == nil {
-				vecs = append(vecs, vector{"tight", w})
-			}
+			vecs = append(vecs, vector{"optimum", opt})
+			a0 := p.Arrival.envelopeAt(0) + float64(p.Arrival.MaxPacket)
 			for k := 0; k < 3; k++ {
-				theta := make([]float64, len(grids))
-				for i, g := range grids {
-					if len(g) > 0 {
+				theta := make([]float64, len(hops))
+				for i := range hops {
+					if hops[i].cross > 0 {
+						g := grid(&hops[i], a0)
 						theta[i] = g[pick.Intn(len(g))]
 					}
 				}
@@ -485,7 +500,7 @@ func TestTightBoundNotBelowSplitPoint(t *testing.T) {
 // at fifo and tight the flow's burst waits only behind the cross burst, at the
 // full rate, (b + 10)/R — the exact FIFO worst case. The report pass reads the
 // same residual: Analyze's Beta at the node starts at ChainBound's blind D,
-// and FIFOThetaMax, the top of the node's θ-grid, is that latency, not 0.
+// and FIFOThetaMax, the node's cap on θ, is that latency, not 0.
 func TestBoundZeroLatencyCrossNode(t *testing.T) {
 	p := Pipeline{
 		Arrival: Arrival{Rate: 1, Burst: 10},
@@ -547,31 +562,24 @@ func countOps(f func()) int {
 	return n
 }
 
-// Bounds are off the curve engine: a blind Bound, a BoundAt and ChainBound
-// make no curve operator call, and a tight Bound makes only the greedy pass's
-// and the θ-grids' — pinned by count on BenchmarkBound's pipeline.
+// Bounds are off the curve engine: Bound at every rung, a BoundAt and
+// ChainBound make no curve operator call, on BenchmarkBound's pipeline.
 func TestBoundCurveOps(t *testing.T) {
 	p := chainOpsPipeline()
 	theta := []float64{1e-3, 2e-3, 3e-3}
-	for name, f := range map[string]func(){
-		"ChainBound":  func() { ChainBound(p.Arrival, p.Nodes, theta) },
-		"blind Bound": func() { Bound(p, nil) },
-		"BoundAt":     func() { BoundAt(p, theta) },
-	} {
+	ops := map[string]func(){
+		"ChainBound": func() { ChainBound(p.Arrival, p.Nodes, theta) },
+		"BoundAt":    func() { BoundAt(p, theta) },
+	}
+	for _, r := range Rungs() {
+		pr := p
+		pr.Rung = r
+		ops[r.String()+" Bound"] = func() { Bound(pr, nil) }
+	}
+	for name, f := range ops {
 		if n := countOps(f); n != 0 {
 			t.Errorf("%s: %d curve operator calls, want 0", name, n)
 		}
-	}
-	pg := p
-	pg.Rung = RungFIFO
-	greedy := countOps(func() { analyzeWith(pg, nil, false) })
-	grids := countOps(func() { tightGrids(p) })
-	p.Rung = RungTight
-	tight := countOps(func() { Bound(p, nil) })
-	const wantGreedy, wantGrids = 35, 4
-	if greedy != wantGreedy || grids != wantGrids || tight != greedy+grids {
-		t.Errorf("tight Bound: %d curve operator calls, greedy pass %d and θ-grids %d; want %d + %d",
-			tight, greedy, grids, wantGreedy, wantGrids)
 	}
 }
 

@@ -14,8 +14,8 @@ func (a *Analysis) chainDelay() (chain curve.Curve, seconds float64) {
 	return chain, curve.HDev(a.AlphaPrime, chain)
 }
 
-// engineChain is the curve engine's chain pass at theta (nil: the rung's own
-// residuals, the greedy pass's at fifo), the oracle ChainBound is held to:
+// engineChain is the curve engine's chain pass at theta (nil: the blind
+// residual at every cross node), the oracle ChainBound is held to:
 // analyzeWith, then the horizontal and vertical deviation between AlphaPrime
 // and ConcatenatedBeta, both +Inf when the chain is overloaded.
 func engineChain(p Pipeline, theta []float64) (a *Analysis, delay, backlog float64, err error) {
@@ -42,97 +42,4 @@ func RungDelayBound(p Pipeline, r Rung) float64 {
 	}
 	_, d := a.chainDelay()
 	return d
-}
-
-// AnalyzeTightExhaustive is the reference for the tight rung's coordinate
-// descent: one chain pass per θ-vector of the full lattice of the same
-// per-node grids, first node most significant, keeping the exact minimum
-// (ties to the lowest index), and the greedy fifo vector when that scores
-// strictly lower. The report pass runs at the winner; TightCombos is the
-// lattice size.
-func AnalyzeTightExhaustive(p Pipeline) (*Analysis, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p.Rung = RungTight
-	grids, hasCross, err := tightGrids(p)
-	if err != nil {
-		return nil, err
-	}
-	if !hasCross {
-		return analyzeWith(p, nil, true)
-	}
-	combos := 1
-	for _, g := range grids {
-		if len(g) > 0 {
-			combos *= len(g)
-		}
-	}
-	scores := make([]float64, combos)
-	errs := make([]error, combos)
-	for idx := range scores {
-		a, err := analyzeWith(p, decodeTight(grids, idx), false)
-		if err != nil {
-			errs[idx] = err // score every vector; only all-errored fails below
-			continue
-		}
-		_, scores[idx] = a.chainDelay()
-	}
-	best := bestIndex(scores, errs)
-	if best < 0 {
-		// Every vector errored: report the lowest-index error.
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-	}
-	win := decodeTight(grids, best)
-	pg := p
-	pg.Rung = RungFIFO
-	if ga, err := analyzeWith(pg, nil, false); err == nil {
-		if _, d := ga.chainDelay(); d < scores[best] {
-			for i := range win {
-				win[i] = ga.Nodes[i].FIFOTheta
-			}
-		}
-	}
-	a, err := analyzeWith(p, win, true)
-	if err != nil {
-		return nil, err
-	}
-	a.TightCombos = combos
-	return a, nil
-}
-
-// bestIndex returns the index of the smallest score among the vectors that
-// did not error, ties keeping the lowest index, or -1 when every vector
-// errored. Skipping errored entries (instead of bailing on the first) is
-// what lets a partially failed sweep still return its true minimum.
-func bestIndex(scores []float64, errs []error) int {
-	best := -1
-	for i := range scores {
-		if errs[i] != nil {
-			continue
-		}
-		if best < 0 || scores[i] < scores[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// decodeTight maps a leaf index onto its θ-vector with the first node as the
-// most significant digit — the exhaustive reference's enumeration order.
-func decodeTight(grids [][]float64, idx int) []float64 {
-	thetas := make([]float64, len(grids))
-	for i := len(grids) - 1; i >= 0; i-- {
-		g := grids[i]
-		if len(g) == 0 {
-			continue
-		}
-		thetas[i] = g[idx%len(g)]
-		idx /= len(g)
-	}
-	return thetas
 }

@@ -7,9 +7,11 @@ package core_test
 // worst-delayed byte can always be attributed to the flow of interest
 // (the cross flow fills the front of the burst, the foi the tail). Every
 // rung's analytic delay bound for the flow of interest must therefore
-// cover the simulated p100 delay.
+// cover the simulated p100 delay. The server rate is drawn down to 1.02×
+// the total load, where the FIFO bounds are tightest.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,14 +23,15 @@ import (
 
 func TestRungBoundsCoverFIFOSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
+	highest := map[core.Rung]float64{}
+	for trial := 0; trial < 200; trial++ {
 		packet := units.Bytes(float64(int(8) << rng.Intn(3)))
 		rf := units.Rate(50 + rng.Float64()*200)
 		bf := units.Bytes(rng.Float64() * 100)
 		rc := units.Rate(50 + rng.Float64()*200)
 		bc := units.Bytes(rng.Float64() * 200)
 		total := rf + rc
-		R := total.Mul(1.2 + rng.Float64())
+		R := total.Mul(1.02 + 1.18*rng.Float64())
 		T := time.Duration(rng.Intn(40)) * time.Millisecond
 
 		p := core.Pipeline{
@@ -57,10 +60,17 @@ func TestRungBoundsCoverFIFOSim(t *testing.T) {
 
 		for _, r := range core.Rungs() {
 			bound := core.RungDelayBound(p, r)
-			if got := res.DelayMax.Seconds(); got > bound*(1+1e-9) {
+			got := res.DelayMax.Seconds()
+			highest[r] = max(highest[r], got/bound)
+			if got > bound*(1+1e-9) {
 				t.Errorf("trial %d: rung %v bound %.6fs below simulated FIFO delay %.6fs\nR=%v T=%v foi=(%v,%v) cross=(%v,%v) packet=%v",
 					trial, r, bound, got, R, T, rf, bf, rc, bc, packet)
 			}
 		}
 	}
+	var report string
+	for _, r := range core.Rungs() {
+		report += fmt.Sprintf(" %v %.3f", r, highest[r])
+	}
+	t.Logf("highest simulated/bound delay ratio:%s", report)
 }

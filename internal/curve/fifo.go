@@ -223,101 +223,3 @@ func FIFOThetaMax(beta, cross Curve) (float64, bool) {
 	}
 	return blind.Latency(), true
 }
-
-// maxThetaCandidates bounds the per-node theta grid; breakpoint-difference
-// candidates beyond it are thinned evenly (the endpoints always survive).
-const maxThetaCandidates = 16
-
-// FIFOThetaCandidates returns the dominance-safe theta search grid for the
-// pair (beta, cross), sorted ascending: 0 (the blind residual), the
-// pairwise differences of beta and cross breakpoints that fall inside
-// (0, thetaMax) — the only points where the piecewise-linear structure of
-// beta_theta can change — and thetaMax itself. Returns nil when the flow
-// starves.
-func FIFOThetaCandidates(beta, cross Curve) []float64 {
-	tmax, ok := FIFOThetaMax(beta, cross)
-	if !ok {
-		return nil
-	}
-	if tmax <= 0 {
-		return []float64{0}
-	}
-	if !cross.IsConcave() {
-		cross = ConcaveHull(cross)
-	}
-	set := []float64{0, tmax}
-	for _, bb := range beta.Breakpoints() {
-		for _, bc := range cross.Breakpoints() {
-			if d := bb - bc; d > absEps(tmax) && d < tmax-absEps(tmax) {
-				set = append(set, d)
-			}
-		}
-	}
-	sort.Float64s(set)
-	out := set[:0]
-	for _, x := range set {
-		if len(out) == 0 || x-out[len(out)-1] > absEps(x) {
-			out = append(out, x)
-		}
-	}
-	if len(out) > maxThetaCandidates {
-		thinned := make([]float64, 0, maxThetaCandidates)
-		for i := 0; i < maxThetaCandidates; i++ {
-			thinned = append(thinned, out[i*(len(out)-1)/(maxThetaCandidates-1)])
-		}
-		out = thinned
-	}
-	return out
-}
-
-// FIFOThetaInsert inserts th into the sorted theta grid g, keeping it sorted
-// and free of near-equal duplicates: when th is within absEps of an existing
-// candidate the grid is returned unchanged. A duplicate theta would not be
-// unsound — every member of the family is a valid residual — but the
-// tight rung's search would score it twice, so every grid insert routes
-// through here.
-func FIFOThetaInsert(g []float64, th float64) []float64 {
-	i := sort.SearchFloat64s(g, th)
-	if i < len(g) && g[i]-th <= absEps(th) {
-		return g
-	}
-	if i > 0 && th-g[i-1] <= absEps(th) {
-		return g
-	}
-	g = append(g, 0)
-	copy(g[i+1:], g[i:])
-	g[i] = th
-	return g
-}
-
-// FIFOResidualBest searches the dominance-safe theta grid for the family
-// member minimizing the delay bound HDev(alpha, beta_theta) against the
-// flow's arrival envelope alpha. Ties keep the smaller theta (theta = 0 is
-// always a candidate, so the result never does worse than the blind
-// residual). ok is false when the flow can starve.
-func FIFOResidualBest(alpha, beta, cross Curve) (res Curve, theta float64, ok bool) {
-	cands := FIFOThetaCandidates(beta, cross)
-	if n := len(cands); n > 0 {
-		// Arrival-aware candidate: the theta where the service available
-		// right after theta just covers the cross and arrival bursts,
-		// beta(theta) = b_cross + b_alpha. For a rate-latency beta and
-		// affine envelopes this is T + (b_c + b_a)/R — the exact aggregate
-		// FIFO delay bound — and it is where the delay-vs-theta curve
-		// bottoms out between the structural breakpoints.
-		tmax := cands[n-1]
-		if th := beta.InverseLower(cross.Burst() + alpha.Burst()); th > 0 && th < tmax && !math.IsInf(th, 1) {
-			cands = FIFOThetaInsert(cands, th)
-		}
-	}
-	bestD := math.Inf(1)
-	for _, th := range cands {
-		r, rok := FIFOResidual(beta, cross, th)
-		if !rok {
-			continue
-		}
-		if d := HDev(alpha, r); !ok || d < bestD-absEps(bestD) {
-			bestD, res, theta, ok = d, r, th, true
-		}
-	}
-	return res, theta, ok
-}

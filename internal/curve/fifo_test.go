@@ -154,28 +154,24 @@ func TestFIFOResidualCanonicalClosedForm(t *testing.T) {
 	}
 }
 
-func TestFIFOResidualBestImprovesDelay(t *testing.T) {
-	// With affine cross and rate-latency beta, delay(theta) is strictly
-	// decreasing on the dominance-safe grid, so the optimum is thetaMax and
-	// it strictly beats the blind bound.
+func TestFIFOResidualImprovesDelay(t *testing.T) {
+	// With affine cross and rate-latency beta the member at thetaMax, the
+	// top of the dominance-safe range, strictly beats the blind bound.
 	R, T, r, b := 1000.0, 0.01, 300.0, 50.0
 	alpha := Affine(200, 100)
 	beta := RateLatency(R, T)
 	cross := Affine(r, b)
 	blind, _ := ResidualService(beta, cross)
-	blindD := HDev(alpha, blind)
-	res, theta, ok := FIFOResidualBest(alpha, beta, cross)
+	tmax, _ := FIFOThetaMax(beta, cross)
+	res, ok := FIFOResidual(beta, cross, tmax)
 	if !ok {
 		t.Fatal("starved")
 	}
-	if bestD := HDev(alpha, res); bestD >= blindD {
-		t.Errorf("best fifo delay %v not better than blind %v (theta=%v)", bestD, blindD, theta)
+	if d, blindD := HDev(alpha, res), HDev(alpha, blind); d >= blindD {
+		t.Errorf("fifo delay %v at thetaMax %v not better than blind %v", d, tmax, blindD)
 	}
-	tmax, _ := FIFOThetaMax(beta, cross)
-	if math.Abs(theta-tmax) > 1e-9*(1+tmax) {
-		t.Errorf("affine case optimal theta = %v, want thetaMax %v", theta, tmax)
-	}
-	// Fuzz: the best member's delay bound never exceeds blind's.
+	// Fuzz: no member in the dominance-safe range has a delay bound above
+	// blind's.
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		beta := RateLatency(100+rng.Float64()*900, rng.Float64()*0.05)
@@ -185,12 +181,15 @@ func TestFIFOResidualBestImprovesDelay(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, _, ok := FIFOResidualBest(alpha, beta, cross)
-		if !ok {
-			t.Fatalf("trial %d: best starved where blind did not", trial)
-		}
-		if d, bd := HDev(alpha, res), HDev(alpha, blind); d > bd+1e-9*(1+bd) {
-			t.Fatalf("trial %d: best delay %v worse than blind %v", trial, d, bd)
+		tmax, _ := FIFOThetaMax(beta, cross)
+		for _, th := range []float64{0, rng.Float64() * tmax, tmax} {
+			res, ok := FIFOResidual(beta, cross, th)
+			if !ok {
+				t.Fatalf("trial %d: θ=%v starved where blind did not", trial, th)
+			}
+			if d, bd := HDev(alpha, res), HDev(alpha, blind); d > bd+1e-9*(1+bd) {
+				t.Fatalf("trial %d: θ=%v delay %v worse than blind %v", trial, th, d, bd)
+			}
 		}
 	}
 }
@@ -200,38 +199,6 @@ func TestFIFOResidualZeroCross(t *testing.T) {
 	res, ok := FIFOResidual(beta, Zero(), 0.5)
 	if !ok || !res.Equal(beta) {
 		t.Errorf("zero cross: got %v ok=%v, want beta back", res, ok)
-	}
-}
-
-func TestFIFOThetaInsert(t *testing.T) {
-	g := []float64{0, 1, 2}
-	if got := FIFOThetaInsert(g, 1); len(got) != 3 {
-		t.Errorf("exact duplicate inserted: %v", got)
-	}
-	if got := FIFOThetaInsert(g, 1+1e-12); len(got) != 3 {
-		t.Errorf("near-equal duplicate inserted: %v", got)
-	}
-	got := FIFOThetaInsert(g, 1.5)
-	want := []float64{0, 1, 1.5, 2}
-	if len(got) != 4 {
-		t.Fatalf("insert failed: %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insert out of order: %v, want %v", got, want)
-		}
-	}
-	for j := 1; j < len(got); j++ {
-		if got[j] <= got[j-1] {
-			t.Fatalf("grid not strictly increasing: %v", got)
-		}
-	}
-	// Appending at the end and at the front both keep order.
-	if got := FIFOThetaInsert([]float64{1, 2}, 3); got[2] != 3 {
-		t.Errorf("tail insert: %v", got)
-	}
-	if got := FIFOThetaInsert([]float64{1, 2}, 0.5); got[0] != 0.5 {
-		t.Errorf("head insert: %v", got)
 	}
 }
 
@@ -253,8 +220,8 @@ func sameBits(a, b Curve) bool {
 
 // FIFOResidual's rate-latency ⊖ affine closed form returns, bit for bit, what
 // the generic kernel builds from the shifted cross, over rates from 1 B/s to
-// 1 GB/s and thetas on the candidate grid, at and within absEps of the
-// latency, and past thetaMax. Other shapes keep the generic kernel, which
+// 1 GB/s and thetas at thetaMax, at and within absEps of the latency, and
+// past thetaMax. Other shapes keep the generic kernel, which
 // alone calls ShiftRight.
 func TestFIFOResidualClosedFormBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
@@ -281,16 +248,15 @@ func TestFIFOResidualClosedFormBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("R=%g r=%g: starves", R, r)
 		}
-		// θ on the grid, at the latency, on both sides of it within absEps,
+		// θ at θmax, at the latency, on both sides of it within absEps,
 		// on both sides of the edge absEps(T) below it where the generic
 		// breakpoint merge starts to keep T apart from θ, and past θmax.
 		lat := beta.Latency()
 		edge := lat - absEps(lat)
-		thetas := append(FIFOThetaCandidates(beta, cross),
-			lat, lat*(1+1e-12), lat+0.5*absEps(lat), lat-0.5*absEps(lat),
+		thetas := []float64{tmax, lat, lat * (1 + 1e-12), lat + 0.5*absEps(lat), lat - 0.5*absEps(lat),
 			math.Nextafter(lat, 0), math.Nextafter(lat, math.Inf(1)),
 			edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)),
-			tmax*(1+3*rng.Float64()), 2*tmax+1, rng.Float64()*tmax)
+			tmax * (1 + 3*rng.Float64()), 2*tmax + 1, rng.Float64() * tmax}
 		for _, th := range thetas {
 			if th <= absEps(th) {
 				continue
