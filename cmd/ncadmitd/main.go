@@ -25,8 +25,8 @@
 //	                               its current residual service, fanned across a
 //	                               worker pool (?workers=N, default GOMAXPROCS);
 //	                               409 when any bound or SLO is violated
-//	GET    /healthz                liveness, platform epoch, uptime, decision
-//	                               rate, cache/memo hit rates
+//	GET    /healthz                liveness, platform epoch, flows, classes,
+//	                               uptime, decision rate
 //	GET    /metrics                Prometheus text metrics (?format=json for JSON),
 //	                               including per-flow bound-tightness gauges
 //	GET    /debug/decisions        flight recorder: the last N admission

@@ -258,7 +258,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := c.Stats()
 		var mem runtime.MemStats
 		runtime.ReadMemStats(&mem)
 		// epoch is the global commit counter: it steps once per committed
@@ -271,14 +270,6 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 			"classes":          c.ClassCount(),
 			"heap_alloc_bytes": mem.HeapAlloc,
 			"heap_sys_bytes":   mem.HeapSys,
-			"caches": map[string]any{
-				"analysis": map[string]any{
-					"hits":     st.AnalysisHits,
-					"misses":   st.AnalysisMisses,
-					"entries":  st.AnalysisEntries,
-					"hit_rate": obs.HitRate(st.AnalysisHits, st.AnalysisMisses),
-				},
-			},
 		}
 		// Liveness extras stay O(1): uptime is a clock read, the decision
 		// rate is a fixed-size window sum, and recorder depth is one mutex.

@@ -30,7 +30,7 @@
 //     newest members, and its victim checks, Recheck and revalidation first
 //     evaluate that vector (core.BoundAt, sound under any cross traffic, the
 //     same scalars) before they re-run the search (classBound). Reservations
-//     alone come from a full core.Analyze, of the flow on the pristine platform.
+//     are core.Reservations of the flow on the pristine platform, scalars too.
 //
 // # Scaling: flow classes
 //
@@ -76,17 +76,14 @@
 //
 // Every Admit that passes precheck is decided, refusals too: every bound a
 // decision reads is a chain bound in scalars, so deciding a refusal again
-// costs microseconds, and nothing replays an earlier one. All analyses run
-// through a controller-wide core.Memo, so a candidate, a victim re-check or
-// a standalone reservation never recomputes an identical pipeline. Nothing
-// caches individual curve operations: on the one- and two-segment curves of
-// this model an operator costs less than a lookup in front of it.
+// costs microseconds, and nothing replays an earlier one. A new class's
+// reservation is core.Reservations, scalars too, so the controller holds no
+// cache: the class key's envelope digest is the only curve a decision builds.
 package admit
 
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -354,10 +351,6 @@ type Controller struct {
 	queue     []*ticket
 	leaderSem chan struct{}
 
-	// memo caches whole-pipeline analyses across admission probes (the same
-	// standalone, candidate, and victim pipelines recur constantly).
-	memo *core.Memo
-
 	// Telemetry sinks (nil when detached): metric handles from EnableObs,
 	// the structured audit logger from SetAudit (obs.go), and the decision
 	// flight recorder from EnableFlightRecorder (trace.go).
@@ -379,7 +372,6 @@ func New(name string, nodes []core.Node) (*Controller, error) {
 		flows:     make(map[string]*classState),
 		classes:   make(map[classKey]*classState),
 		leaderSem: make(chan struct{}, 1),
-		memo:      core.NewMemo(),
 	}
 	for i, n := range nodes {
 		if n.Name == "" {
@@ -464,14 +456,11 @@ func (c *Controller) Admit(f Flow) Verdict {
 }
 
 func (c *Controller) admit(f Flow, tr *decTrace) Verdict {
-	// Spec and identity checks run before the class key is built: arrivals
-	// too malformed to build a curve from must never reach it.
-	if v, bad := c.precheck(f, c.epoch.Load()); bad {
-		tr.mark(PhasePrecheck)
+	v, key, bad := c.precheck(f, c.epoch.Load())
+	tr.mark(PhasePrecheck)
+	if bad {
 		return v
 	}
-	key := c.keyFor(f)
-	tr.mark(PhasePrecheck)
 	// Hand the decision to the group-commit combiner (group.go): an
 	// uncontended caller becomes the leader and runs the transaction at
 	// once; under concurrency, queued admissions go in as one set, so one
@@ -507,14 +496,14 @@ func (c *Controller) commit(key classKey, f Flow, pl *classPlan) {
 	}
 }
 
-// precheck runs the ID and spec checks that must precede keyFor. bad is
-// true when v is a rejection to return as-is.
-func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, bad bool) {
+// precheck runs the ID and spec checks and builds f's class key. bad is true
+// when v is a rejection to return as-is.
+func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, key classKey, bad bool) {
 	v = Verdict{FlowID: f.ID, Epoch: epoch, Admitted: false}
-	reject := func(binding, format string, args ...any) (Verdict, bool) {
+	reject := func(binding, format string, args ...any) (Verdict, classKey, bool) {
 		v.Binding = binding
 		v.Reason = "rejected: " + fmt.Sprintf(format, args...)
-		return v, true
+		return v, classKey{}, true
 	}
 	if f.ID == "" {
 		return reject("spec", "flow has no ID")
@@ -536,21 +525,33 @@ func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, bad bool) {
 	if dup {
 		return reject("spec", "flow %q is already admitted", f.ID)
 	}
-	return v, false
+	key, err := c.keyFor(f)
+	if err != nil {
+		return reject("spec", "%v", err)
+	}
+	return v, key, false
 }
 
 // keyFor builds f's class key: the registry groups admitted flows under it,
 // and a candidate set is rostered, reserved for and analysed once per key.
-// The arrival must have passed precheck (Envelope panics on malformed
-// buckets).
-func (c *Controller) keyFor(f Flow) classKey {
+// The arrival must be valid. Its envelope digest is the one curve a decision
+// builds, and the curve engine panics on some valid arrivals whose knees fall
+// below its time resolution (ROADMAP, "A scale-free time axis"). keyFor is
+// the one place that recovers that panic: it becomes err, which precheck
+// refuses as a spec error before the flow reaches the combiner.
+func (c *Controller) keyFor(f Flow) (key classKey, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("the arrival's envelope cannot be represented on the curve engine's time axis: %v", r)
+		}
+	}()
 	return classKey{
 		alpha: f.Arrival.Envelope().Digest(),
 		lmax:  f.Arrival.MaxPacket,
 		path:  strings.Join(f.Path, "\x00"),
 		slo:   f.SLO,
 		rung:  c.rungFor(f),
-	}
+	}, nil
 }
 
 // orAny renders an SLO field, or "(any)" when unconstrained.
@@ -559,31 +560,6 @@ func orAny(constrained bool, v any) string {
 		return "(any)"
 	}
 	return fmt.Sprint(v)
-}
-
-// reservationFrom converts a standalone analysis into per-node leaky-bucket
-// reservations in node-local units. The propagated arrival bound AlphaIn is
-// input-referred; multiplying by the gain chain restores local bytes.
-// Using the standalone (uncontended) propagation makes the reservation a
-// deterministic function of (flow, platform): bookkeeping is associative
-// and independent of admission order. It is exact at the path entry and an
-// approximation downstream (contention smooths real traffic less than the
-// uncontended bound assumes); the -validate sim replay checks the promised
-// bounds end to end.
-func reservationFrom(path []string, a *core.Analysis) map[string]core.Bucket {
-	out := make(map[string]core.Bucket, len(path))
-	for i, na := range a.Nodes {
-		rate, offset := na.AlphaIn.UltimateAffine()
-		b := core.Bucket{
-			Rate:  units.Rate(rate * na.GainBefore),
-			Burst: units.Bytes(math.Max(0, offset) * na.GainBefore),
-		}
-		// A flow visiting the same node twice reserves the sum of both
-		// visits.
-		prev := out[path[i]]
-		out[path[i]] = core.Bucket{Rate: prev.Rate + b.Rate, Burst: prev.Burst + b.Burst}
-	}
-	return out
 }
 
 // sloCheck describes a violated SLO dimension.
@@ -754,7 +730,7 @@ func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
 // replay is built from the vector its bound was taken at.
 func (c *Controller) classBound(cs *classState, p core.Pipeline, report bool) (b *core.Bounds, certified bool, err error) {
 	if cs == nil || cs.theta == nil {
-		b, err = core.Bound(p, c.memo)
+		b, err = core.Bound(p)
 		return b, false, err
 	}
 	at, atErr := core.BoundAt(p, cs.theta)
@@ -762,7 +738,7 @@ func (c *Controller) classBound(cs *classState, p core.Pipeline, report bool) (b
 	if atOK && !report {
 		return at, true, nil
 	}
-	b, err = core.Bound(p, c.memo)
+	b, err = core.Bound(p)
 	if atOK && (err != nil || sloViolation(cs.slo, p, b) != nil || at.Delay < b.Delay) {
 		return at, true, nil
 	}
@@ -828,27 +804,4 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 	r.Curve = resid
 	r.Rate = units.Rate(resid.UltimateSlope())
 	return r, nil
-}
-
-// Stats is a snapshot of the controller's registry size and memo
-// effectiveness, for the daemon's /healthz endpoint.
-type Stats struct {
-	// Registry cardinality: admitted flows and distinct flow classes.
-	Flows   int `json:"flows"`
-	Classes int `json:"classes"`
-	// Pipeline-analysis memo (core.Memo).
-	AnalysisHits    uint64 `json:"analysis_hits"`
-	AnalysisMisses  uint64 `json:"analysis_misses"`
-	AnalysisEntries int    `json:"analysis_entries"`
-}
-
-// Stats reports the registry size and cumulative memo counters.
-func (c *Controller) Stats() Stats {
-	var s Stats
-	c.mu.RLock()
-	s.Flows = len(c.flows)
-	s.Classes = len(c.classes)
-	c.mu.RUnlock()
-	s.AnalysisHits, s.AnalysisMisses, s.AnalysisEntries = c.memo.Stats()
-	return s
 }

@@ -34,7 +34,8 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 	seen := make(map[string]struct{}, len(flows))
 	epoch := c.epoch.Load()
 	for i, f := range flows {
-		if v, bad := c.precheck(f, epoch); bad {
+		v, key, bad := c.precheck(f, epoch)
+		if bad {
 			out[i] = v
 			continue
 		}
@@ -44,7 +45,7 @@ func (c *Controller) AdmitBatch(flows []Flow) []Verdict {
 			continue
 		}
 		seen[f.ID] = struct{}{}
-		rem = append(rem, cand{f: f, key: c.keyFor(f), idx: i})
+		rem = append(rem, cand{f: f, key: key, idx: i})
 	}
 	tr.mark(PhasePrecheck)
 	c.decideBatch(rem, out, tr)

@@ -14,7 +14,7 @@ import (
 // every admit re-analyses every class. 50 000 flows are preloaded; each
 // iteration admits a fresh flow of the next class in rotation and releases
 // an older flow of a popularity-drawn class, so the population drifts and no
-// pipeline recurs — core.Memo answers none of it.
+// pipeline recurs.
 func BenchmarkDecideWide(b *testing.B) {
 	const preload = 50000
 	sc := load.DefaultScenario(preload)

@@ -25,7 +25,7 @@ var entrances = []struct {
 		// The combiner leader's entry, handed the flows as one drained group.
 		ts := make([]*ticket, len(flows))
 		for i, f := range flows {
-			ts[i] = &ticket{kind: tkAdmit, f: f, key: c.keyFor(f), done: make(chan ticketResult, 1)}
+			ts[i] = c.admitTicket(f)
 		}
 		c.processGroup(ts)
 		out := make([]Verdict, len(ts))

@@ -17,7 +17,7 @@ func (c *Controller) FreshBound(id string) (b *core.Bounds, meets bool, err erro
 		return nil, false, fmt.Errorf("flow %q not admitted", id)
 	}
 	p := c.sharedPipeline(cs.arrival, cs.path, cs.key.rung, cs.key, &decision{})
-	if b, err = core.Bound(p, nil); err != nil {
+	if b, err = core.Bound(p); err != nil {
 		return nil, false, err
 	}
 	return b, sloViolation(cs.slo, p, b) == nil, nil
@@ -40,4 +40,11 @@ func (c *Controller) VictimCheck(id string) (screened, certified bool, err error
 	p := c.sharedPipeline(cs.arrival, cs.path, cs.key.rung, cs.key, d)
 	_, certified, err = c.classBound(cs, p, false)
 	return false, certified, err
+}
+
+// admitTicket is an Admit ticket for f that skips precheck, the way the
+// combiner's tests hand flows to processGroup and submit.
+func (c *Controller) admitTicket(f Flow) *ticket {
+	key, _ := c.keyFor(f)
+	return &ticket{kind: tkAdmit, f: f, key: key, done: make(chan ticketResult, 1)}
 }

@@ -3,7 +3,6 @@ package admit
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"streamcalc/internal/core"
@@ -60,19 +59,6 @@ type ctrlObs struct {
 	// ones, for the burn-rate gauge and /healthz decisions-per-second.
 	decWin  *obs.Window
 	slowWin *obs.Window
-
-	// st is the per-scrape Stats snapshot: the collector refreshes it once
-	// per render, and the CounterFunc/GaugeFunc closures read it — so one
-	// scrape sees one consistent snapshot and memo counters can be typed
-	// as counters without re-snapshotting per family.
-	stMu sync.Mutex
-	st   Stats
-}
-
-func (m *ctrlObs) snapshot() Stats {
-	m.stMu.Lock()
-	defer m.stMu.Unlock()
-	return m.st
 }
 
 // EnableObs wires the controller onto reg with default options — see
@@ -89,9 +75,9 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 //   - SLO instruments against opts.SLOObjective: nc_admit_slo_fast_total,
 //     nc_admit_slo_objective_seconds, and the windowed burn-rate gauge
 //     nc_admit_slo_budget_burn;
-//   - scrape-time gauges for admitted flows, platform epoch, and the
-//     analysis memo's hits/misses/entries; per-node reservation gauges only
-//     with opts.PerNodeMetrics (unbounded cardinality on large platforms);
+//   - scrape-time gauges for admitted flows, classes and the platform
+//     epoch; per-node reservation gauges only with opts.PerNodeMetrics
+//     (unbounded cardinality on large platforms);
 //   - process-wide operator counts and analysis timing: curve.SetOpCounter
 //     feeds the nc_curve_ops_total{op=...} counters, so a curve operator
 //     call pays one counter increment, and core.SetAnalysisTimer feeds the
@@ -146,19 +132,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			return (float64(m.slowWin.Sum()) / float64(total)) / opts.SLOBudget
 		})
 
-	// Memo effectiveness, typed honestly: the hit/miss tallies are monotone,
-	// so they render as counters reading from the per-scrape snapshot the
-	// collector refreshes.
-	l := obs.Label{Key: "cache", Value: "analysis"}
-	reg.CounterFunc("nc_cache_hits_total", "cache hits by layer",
-		func() float64 { return float64(m.snapshot().AnalysisHits) }, l)
-	reg.CounterFunc("nc_cache_misses_total", "cache misses by layer",
-		func() float64 { return float64(m.snapshot().AnalysisMisses) }, l)
-	reg.GaugeFunc("nc_cache_entries", "cache entries by layer",
-		func() float64 { return float64(m.snapshot().AnalysisEntries) }, l)
-	reg.GaugeFunc("nc_cache_hit_rate", "hits/(hits+misses) by layer",
-		func() float64 { st := m.snapshot(); return obs.HitRate(st.AnalysisHits, st.AnalysisMisses) }, l)
-
 	// The operator and analysis families exist (at zero) from startup, and
 	// the hooks hold their series: no registry lookup on the operator path.
 	var opCalls [curve.NumOpKinds]*obs.Counter
@@ -167,7 +140,7 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			obs.Label{Key: "op", Value: op.String()})
 	}
 	analysisSeconds := reg.Histogram("nc_analysis_seconds",
-		"computed analysis cost, one observation per chain pass (an admission check) or full analysis (core.Memo hits are not timed)", AnalysisBuckets)
+		"computed analysis cost, one observation per bound (a chain pass in scalars) or full analysis", AnalysisBuckets)
 	curve.SetOpCounter(func(op curve.OpKind) { opCalls[op].Inc() })
 	core.SetAnalysisTimer(analysisSeconds.Observe)
 
@@ -175,21 +148,19 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 }
 
 // collect snapshots registry-independent controller state into gauges; runs
-// at scrape time (before family rendering, so the CounterFunc closures read
-// the fresh snapshot).
+// at scrape time, before family rendering.
 func (c *Controller) collect(r *obs.Registry) {
 	m := c.obsm
-	st := c.Stats()
-	m.stMu.Lock()
-	m.st = st
-	m.stMu.Unlock()
+	c.mu.RLock()
+	flows, classes := len(c.flows), len(c.classes)
+	c.mu.RUnlock()
 
 	set := func(name, help string, v float64, labels ...obs.Label) {
 		r.Gauge(name, help, labels...).Set(v)
 	}
 	set("nc_admit_epoch", "platform epoch (bumps on every commit/release)", float64(c.Epoch()))
-	set("nc_admit_flows", "currently admitted flows", float64(st.Flows))
-	set("nc_admit_classes", "distinct admitted flow classes (shared curves+path+SLO)", float64(st.Classes))
+	set("nc_admit_flows", "currently admitted flows", float64(flows))
+	set("nc_admit_classes", "distinct admitted flow classes (shared curves+path+SLO)", float64(classes))
 
 	if rec := c.rec; rec != nil {
 		set("nc_admit_recorder_depth", "decisions retained in the flight recorder", float64(rec.Depth()))

@@ -249,29 +249,41 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 }
 
 // planClass resolves the reservation one member of cd's class holds: the
-// admitted class's own when it exists, otherwise the flow's propagated
-// arrival bound at each path node of the pristine platform (no co-resident
-// reservations), so the reservation is a deterministic function of (flow,
-// platform). An analysis error there is a spec error (a starved platform
-// node, an arrival no node can carry).
+// admitted class's own when it exists, otherwise core.Reservations of the
+// flow on the pristine platform (no co-resident reservations) at its rung, so
+// the reservation is a deterministic function of (flow, platform) and the
+// bookkeeping is associative and independent of admission order. A node the
+// path visits twice holds the sum of both visits. An error there is a spec
+// error (a starved platform node, an arrival no node can carry).
+//
+// Each reservation is the ultimate affine bound of the flow's *standalone*
+// propagated output bound. It is exact at the path entry, but upstream
+// contention makes a flow burstier than that: on ROADMAP's two-node probe
+// (a flow of (1 MiB/s, 64 KiB) over n1 → n2 at 10 MiB/s and 1 ms each, n1
+// also carrying (5 MiB/s, 4 MiB)), the flow reserves 66 585 B at n2 against
+// 906 494 B propagated there at blind. The sim replay cannot see this: it
+// serves a residual built from these same reservations. ROADMAP's
+// delay-budget reservations item closes the hole.
 func (c *Controller) planClass(cd cand) *classPlan {
 	pl := &classPlan{f: cd.f}
 	if cs, ok := c.classes[cd.key]; ok {
 		pl.contrib = cs.contrib
 		return pl
 	}
-	// The pipeline name is ID-independent so the analysis memo shares the
-	// result across flows with identical curves and paths.
-	p := core.Pipeline{Name: c.name + "/standalone", Arrival: cd.f.Arrival, Rung: cd.key.rung}
+	p := core.Pipeline{Arrival: cd.f.Arrival, Rung: cd.key.rung}
 	for _, name := range cd.f.Path {
 		p.Nodes = append(p.Nodes, c.shards[name].node)
 	}
-	standalone, err := core.AnalyzeMemo(p, c.memo)
+	res, err := core.Reservations(p)
 	if err != nil {
 		pl.err = err
 		return pl
 	}
-	pl.contrib = reservationFrom(cd.f.Path, standalone)
+	pl.contrib = make(map[string]core.Bucket, len(res))
+	for i, b := range res {
+		prev := pl.contrib[cd.f.Path[i]]
+		pl.contrib[cd.f.Path[i]] = core.Bucket{Rate: prev.Rate + b.Rate, Burst: prev.Burst + b.Burst}
+	}
 	return pl
 }
 

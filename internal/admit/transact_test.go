@@ -31,11 +31,7 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 	}
 	bad := tenant("bad", units.MiBPerSec)
 	bad.Path = []string{"ingest", "gpu"}
-	newTicket := func(f Flow) *ticket {
-		return &ticket{kind: tkAdmit, f: f, key: c.keyFor(f), done: make(chan ticketResult, 1)}
-	}
-
-	group := []*ticket{newTicket(tenant("good-1", units.MiBPerSec)), newTicket(bad)}
+	group := []*ticket{c.admitTicket(tenant("good-1", units.MiBPerSec)), c.admitTicket(bad)}
 	c.processGroup(group)
 	for _, tk := range group {
 		select {
@@ -54,7 +50,7 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 	answers := make(chan Verdict, 2)
 	for _, f := range []Flow{bad, tenant("good-2", units.MiBPerSec)} {
 		f := f
-		go func() { answers <- c.submit(&ticket{kind: tkAdmit, f: f, key: c.keyFor(f)}).v }()
+		go func() { answers <- c.submit(c.admitTicket(f)).v }()
 	}
 	for i := 0; i < 2; i++ {
 		select {
@@ -145,5 +141,62 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 	}
 	if !strings.Contains(scrape(t, reg), "nc_admit_internal_errors_total 2\n") {
 		t.Error("want nc_admit_internal_errors_total at 2, one per panicked group")
+	}
+}
+
+// A decision on a new class builds no curve: its reservation is
+// core.Reservations and every bound a chain bound, both in scalars.
+func TestNewClassBuildsNoCurve(t *testing.T) {
+	c := testPlatform(t)
+	if v := c.Admit(tenant("first", 2*units.MiBPerSec)); !v.Admitted {
+		t.Fatal(v.Reason)
+	}
+	ops := 0
+	defer curve.SetOpCounter(curve.SetOpCounter(func(curve.OpKind) { ops++ }))
+	if v := c.Admit(tenant("admit", 3*units.MiBPerSec)); !v.Admitted {
+		t.Fatal(v.Reason)
+	}
+	if ops != 0 {
+		t.Errorf("Admit of a new class: %d curve operator calls, want 0", ops)
+	}
+	ops = 0
+	if v := c.AdmitBatch([]Flow{tenant("batch", 4*units.MiBPerSec)})[0]; !v.Admitted {
+		t.Fatal(v.Reason)
+	}
+	if ops != 0 {
+		t.Errorf("AdmitBatch of a new class: %d curve operator calls, want 0", ops)
+	}
+}
+
+// knee is a valid arrival whose envelope the curve engine cannot build: its
+// buckets cross below the engine's time resolution.
+func knee(id string) Flow {
+	return Flow{ID: id, Path: []string{"ingest", "encrypt"}, Arrival: core.Arrival{
+		Rate: 238 * units.MiBPerSec, Burst: 20, MaxPacket: units.Bytes(2.43 * 1024),
+		Extra: []core.Bucket{{Rate: 895 * units.MiBPerSec, Burst: 1.33}, {Rate: units.Rate(5.99 * 1024 * 1024 * 1024), Burst: 0.682}},
+	}}
+}
+
+// Admit and AdmitBatch refuse such an arrival as a spec error naming the
+// cause, and the controller carries on.
+func TestUnrepresentableArrivalIsSpec(t *testing.T) {
+	c := testPlatform(t)
+	if err := knee("k").Arrival.Validate(); err != nil {
+		t.Fatalf("the knee arrival is invalid: %v", err)
+	}
+	check := func(entrance string, v Verdict) {
+		t.Helper()
+		if v.Admitted || v.Binding != "spec" || !strings.Contains(v.Reason, "time axis") {
+			t.Errorf("%s: %+v, want a spec refusal naming the time axis", entrance, v)
+		}
+	}
+	check("Admit", c.Admit(knee("k1")))
+	vs := c.AdmitBatch([]Flow{knee("k2"), tenant("fine", units.MiBPerSec)})
+	check("AdmitBatch", vs[0])
+	if !vs[1].Admitted {
+		t.Errorf("the well-formed flow beside it: %+v", vs[1])
+	}
+	if n := c.FlowCount(); n != 1 {
+		t.Errorf("%d flows registered, want 1", n)
 	}
 }

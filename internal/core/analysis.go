@@ -144,13 +144,8 @@ func Analyze(p Pipeline) (*Analysis, error) { return AnalyzeMemo(p, nil) }
 // AnalyzeMemo is Analyze with a result cache: when m is non-nil and holds an
 // analysis for a structurally identical pipeline, that result is returned
 // directly (analyses are immutable once published — callers must not mutate
-// a shared *Analysis). The admission controller threads one Memo through its
-// standalone analyses and, through Bound, its candidate and victim checks,
-// where the same pipelines recur for every probe.
-func AnalyzeMemo(p Pipeline, m *Memo) (*Analysis, error) {
-	a, _, err := m.lookup(p, true)
-	return a, err
-}
+// a shared *Analysis).
+func AnalyzeMemo(p Pipeline, m *Memo) (*Analysis, error) { return m.lookup(p) }
 
 // Bounds is what an admission verdict reads of an analysis: the end-to-end
 // bounds of the concatenated chain curve (Analysis.ConcatenatedBeta — sound
@@ -174,21 +169,21 @@ type Bounds struct {
 	FIFOTheta []float64
 }
 
-// Bound is the chain-only sibling of AnalyzeMemo (m may be nil): it computes
-// what Bounds carries and nothing of the per-node report, taking the delay and
-// backlog from ChainBound at the rung's θ-vector (none at blind, the capped
-// optimum at fifo and tight; see Rung), so Bound and BoundAt agree bit for bit
-// at one vector, and Analyze reports the same vector, throughput, overload and
+// Bound is the chain-only sibling of Analyze: it computes what Bounds
+// carries and nothing of the per-node report, taking the delay and backlog
+// from ChainBound at the rung's θ-vector (none at blind, the capped optimum at
+// fifo and tight; see Rung), so Bound and BoundAt agree bit for bit at one
+// vector, and Analyze reports the same vector, throughput, overload and
 // bottleneck.
-func Bound(p Pipeline, m *Memo) (*Bounds, error) {
-	_, b, err := m.lookup(p, false)
+func Bound(p Pipeline) (*Bounds, error) {
+	_, b, err := run(p, nil, false)
 	return b, err
 }
 
 // BoundAt is Bound evaluated at a given θ-vector (indexed by node; entries
 // at nodes without cross traffic are ignored): ChainBound with the FIFO
-// left-over member at every cross node pinned to theta, no search, no memo
-// and no curve. Every member of the family is a valid service curve for any
+// left-over member at every cross node pinned to theta, no search and no
+// curve. Every member of the family is a valid service curve for any
 // θ ≥ 0, so the result is sound whatever cross traffic p carries — a vector
 // taken from an earlier Bounds.FIFOTheta stays a certificate after the cross
 // traffic moves. BoundAt(p, Bound(p).FIFOTheta) equals Bound(p).
@@ -200,10 +195,10 @@ func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
 	return b, err
 }
 
-// run computes one half of a Memo entry: the Bounds, or with report set the
-// full Analysis; a non-nil theta pins the θ-vector (BoundAt) instead of
-// following the rung. An attached AnalysisTimer is told how long it took;
-// detached, that costs one atomic pointer load.
+// run computes the Bounds, or with report set the full Analysis; a non-nil
+// theta pins the θ-vector (BoundAt) instead of following the rung. An
+// attached AnalysisTimer is told how long it took; detached, that costs one
+// atomic pointer load.
 func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err error) {
 	if t := analysisTimer.Load(); t != nil {
 		defer func(start time.Time) { (*t)(time.Since(start).Seconds()) }(time.Now())

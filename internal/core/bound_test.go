@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -118,7 +117,7 @@ func TestBoundMatchesAnalysis(t *testing.T) {
 		for _, r := range Rungs() {
 			p.Rung = r
 			a, errA := Analyze(p)
-			b, errB := Bound(p, nil)
+			b, errB := Bound(p)
 			if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
 				t.Fatalf("trial %d %v: Analyze error %v, Bound error %v", trial, r, errA, errB)
 			}
@@ -149,89 +148,8 @@ func TestBoundMatchesAnalysis(t *testing.T) {
 	}
 }
 
-// One Memo entry serves both entrances in either order: each returns what
-// the uncached call returns, and the first lookup is the only miss.
-func TestMemoChainThenFullAndBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 60; trial++ {
-		p := randomBoundPipeline(rng)
-		p.Rung = Rungs()[trial%3]
-		wantA, errA := Analyze(p)
-		wantB, errB := Bound(p, nil)
-		for _, chainFirst := range []bool{true, false} {
-			m := NewMemo()
-			var a *Analysis
-			var b *Bounds
-			var e1, e2 error
-			if chainFirst {
-				b, e1 = Bound(p, m)
-				a, e2 = AnalyzeMemo(p, m)
-			} else {
-				a, e2 = AnalyzeMemo(p, m)
-				b, e1 = Bound(p, m)
-			}
-			if (e1 == nil) != (errB == nil) || (e2 == nil) != (errA == nil) {
-				t.Fatalf("trial %d chainFirst=%v: errors %v, %v; uncached %v, %v", trial, chainFirst, e1, e2, errB, errA)
-			}
-			if !reflect.DeepEqual(a, wantA) {
-				t.Errorf("trial %d chainFirst=%v: memoised Analysis differs from Analyze", trial, chainFirst)
-			}
-			if !reflect.DeepEqual(b, wantB) {
-				t.Errorf("trial %d chainFirst=%v: memoised Bounds %+v, uncached %+v", trial, chainFirst, b, wantB)
-			}
-			if hits, misses, entries := m.Stats(); hits != 1 || misses != 1 || entries != 1 {
-				t.Errorf("trial %d chainFirst=%v: hits/misses/entries %d/%d/%d, want 1/1/1", trial, chainFirst, hits, misses, entries)
-			}
-			// Both halves are held now: further lookups return them as they are.
-			if a2, _ := AnalyzeMemo(p, m); a2 != a {
-				t.Errorf("trial %d: second AnalyzeMemo rebuilt the analysis", trial)
-			}
-			if b2, _ := Bound(p, m); b2 != b {
-				t.Errorf("trial %d: second Bound rebuilt the bounds", trial)
-			}
-		}
-	}
-}
-
-// Eight goroutines asking one digest for both halves at once (run under
-// -race): every answer is the uncached one, whoever filled the entry.
-func TestMemoConcurrentHalves(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 10; trial++ {
-		p := randomMixedPipeline(rng)
-		p.Rung = Rungs()[trial%3]
-		wantA, err := Analyze(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, _ := Bound(p, nil)
-		m := NewMemo()
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for k := 0; k < 4; k++ {
-					if (g+k)%2 == 0 {
-						if b, err := Bound(p, m); err != nil || !reflect.DeepEqual(b, wantB) {
-							t.Errorf("trial %d goroutine %d: Bound = %+v, %v", trial, g, b, err)
-						}
-					} else if a, err := AnalyzeMemo(p, m); err != nil || !reflect.DeepEqual(a, wantA) {
-						t.Errorf("trial %d goroutine %d: AnalyzeMemo differs (%v)", trial, g, err)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if hits, misses, entries := m.Stats(); hits+misses != 32 || misses < 1 || entries != 1 {
-			t.Errorf("trial %d: hits/misses/entries %d/%d/%d, want 32 lookups on one entry", trial, hits, misses, entries)
-		}
-	}
-}
-
 // The analysis timer fires once per computation — a chain pass or a full
-// analysis, whichever half the entry lacked — and never for a lookup the
-// entry already answers.
+// analysis — and never for a lookup the Memo already answers.
 func TestAnalysisTimerCountsComputations(t *testing.T) {
 	var fired int
 	defer SetAnalysisTimer(SetAnalysisTimer(func(float64) { fired++ }))
@@ -246,14 +164,9 @@ func TestAnalysisTimerCountsComputations(t *testing.T) {
 		}
 	}
 	m := NewMemo()
-	step("Bound, miss", 1, func() { Bound(p, m) })
-	step("Bound, hit", 0, func() { Bound(p, m) })
-	step("AnalyzeMemo beside the held Bounds", 1, func() { AnalyzeMemo(p, m) })
-	step("AnalyzeMemo, hit", 0, func() { AnalyzeMemo(p, m) })
-	m = NewMemo()
 	step("AnalyzeMemo, miss", 1, func() { AnalyzeMemo(p, m) })
-	step("Bound beside the held Analysis", 1, func() { Bound(p, m) })
-	step("Analyze and Bound without a Memo", 2, func() { Analyze(p); Bound(p, nil) })
+	step("AnalyzeMemo, hit", 0, func() { AnalyzeMemo(p, m) })
+	step("Analyze and Bound", 2, func() { Analyze(p); Bound(p) })
 }
 
 // The seconds-to-Duration conversion behind Bounds.Delay saturates instead
@@ -268,7 +181,7 @@ func TestBoundDelaySaturates(t *testing.T) {
 				Arrival: Arrival{Rate: units.Rate(rate / 10), Burst: units.Bytes(rate * drain)},
 				Nodes:   []Node{{Name: "s", Rate: units.Rate(rate), Latency: time.Millisecond, JobIn: 1, JobOut: 1}},
 			}
-			b, err := Bound(p, nil)
+			b, err := Bound(p)
 			if err != nil {
 				t.Fatalf("rate %g drain %g: %v", rate, drain, err)
 			}
@@ -347,7 +260,7 @@ func BenchmarkBound(b *testing.B) {
 		b.Run("chain/"+r.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				v, err := Bound(p, nil)
+				v, err := Bound(p)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -416,6 +416,66 @@ func chainBounds(p Pipeline, theta []float64, search bool) (*Bounds, error) {
 	return b, nil
 }
 
+// Reservations is, per node of p and in node-local units, the ultimate affine
+// bound (rate, burst) of the flow's propagated output bound α* = (α ⊗ γ) ⊘ β
+// at that node's input: NodeAnalysis.AlphaIn.UltimateAffine() times
+// GainBefore, from the same chain at the rung's θ-vector (none at blind,
+// thetaOptimum's at fifo and tight), in scalars and without a curve. Every
+// member is δ_D ⊗ (J + S·t), so with r·t + B the ultimate part of the
+// arrival at node k (from the least-rate bucket, least burst on ties, plus
+// the packet) the ultimate part at node k+1 is
+//
+//	overloaded:     hₖ.rate·t + max(JobInₖ, lₖ)
+//	r < MaxRateₖ:   r·t + B + r·D′ₖ
+//	otherwise:      MaxRateₖ·t + MaxRateₖ·D′ₖ
+//
+// with D′ₖ the member's D less the aggregation delay. The errors are Bound's:
+// an invalid pipeline or a node the cross traffic starves.
+func Reservations(p Pipeline) ([]Bucket, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	var hb [8]hop
+	var kb [8]knot
+	w := newWalk(p.Arrival)
+	hops := appendHops(hb[:0], &w, p.Nodes)
+	for i := range hops {
+		if hops[i].starved {
+			return nil, starvation(p, i)
+		}
+	}
+	var theta []float64
+	if p.Rung.Resolved() != RungBlind {
+		theta = thetaOptimum(hops, appendKnots(kb[:0], p.Arrival), make([]float64, len(hops)))
+	}
+	r, b := float64(p.Arrival.Rate), float64(p.Arrival.Burst)
+	for _, x := range p.Arrival.Extra {
+		if xr, xb := float64(x.Rate), float64(x.Burst); xr < r || (xr == r && xb < b) {
+			r, b = xr, xb
+		}
+	}
+	b += float64(p.Arrival.MaxPacket)
+	out := make([]Bucket, len(hops))
+	for i := range hops {
+		h := &hops[i]
+		out[i] = Bucket{Rate: units.Rate(r * h.gain), Burst: units.Bytes(max(0, b) * h.gain)}
+		if h.overloaded {
+			r, b = float64(h.rate), max(float64(h.jobIn), h.lmax)
+			continue
+		}
+		if maxRate := float64(h.maxRate); r >= maxRate {
+			r, b = maxRate, 0
+		}
+		th := 0.0
+		if theta != nil {
+			th = theta[i]
+		}
+		d, _, _, _ := h.member(th)
+		b += r * (d - secs(h.agg))
+	}
+	return out, nil
+}
+
 // optimum is thetaOptimum on p's chain, for the report pass.
 func optimum(p Pipeline) []float64 {
 	var hb [8]hop

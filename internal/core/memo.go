@@ -5,26 +5,21 @@ import (
 	"sync"
 )
 
-// Memo is a bounded cache of analysis results keyed by a structural digest of
-// the pipeline description (name, arrival buckets, and every node field).
-// Identical pipelines — the common case in admission control, where each
-// probe re-analyzes the same standalone flows and candidate paths — share
-// one entry: the Bounds, the full Analysis, or both, each computed when
-// first asked for. An entry that only ever serves Bound holds a handful of
-// scalars and no curve.
+// Memo is a bounded cache of full analyses keyed by a structural digest of
+// the pipeline description (name, arrival buckets, and every node field):
+// structurally identical pipelines share one Analysis. Nothing on the
+// admission path reads it; it serves callers that analyse the same pipeline
+// again and again.
 //
 // A Memo is safe for concurrent use. Cached results are returned by
 // pointer; callers must treat them as read-only.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[uint64]memoEntry
-	hits    uint64
-	misses  uint64
 }
 
 type memoEntry struct {
 	a   *Analysis
-	b   *Bounds
 	err error
 }
 
@@ -35,39 +30,21 @@ const memoCap = 1024
 // NewMemo returns an empty analysis cache.
 func NewMemo() *Memo { return &Memo{} }
 
-// Stats returns the cumulative hit/miss counters and current entry count.
-func (m *Memo) Stats() (hits, misses uint64, entries int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses, len(m.entries)
-}
-
-// lookup serves AnalyzeMemo (report set) and Bound from p's entry, counting
-// one hit when the entry exists and one miss when it does not. An entry that
-// lacks the half asked for computes it with run, from scratch. A nil Memo
-// computes.
-func (m *Memo) lookup(p Pipeline, report bool) (*Analysis, *Bounds, error) {
+// lookup serves AnalyzeMemo from p's entry, computing it with run when there
+// is none. A nil Memo computes.
+func (m *Memo) lookup(p Pipeline) (*Analysis, error) {
 	if m == nil {
-		return run(p, nil, report)
+		a, _, err := run(p, nil, true)
+		return a, err
 	}
 	key := p.digest()
 	m.mu.Lock()
 	e, ok := m.entries[key]
-	if ok {
-		m.hits++
-	} else {
-		m.misses++
-	}
 	m.mu.Unlock()
-
-	if e.err != nil || (report && e.a != nil) || (!report && e.b != nil) {
-		return e.a, e.b, e.err
+	if ok {
+		return e.a, e.err
 	}
-	if report {
-		e.a, _, e.err = run(p, nil, true)
-	} else {
-		_, e.b, e.err = run(p, nil, false)
-	}
+	e.a, _, e.err = run(p, nil, true)
 
 	m.mu.Lock()
 	if m.entries == nil {
@@ -85,7 +62,7 @@ func (m *Memo) lookup(p Pipeline, report bool) (*Analysis, *Bounds, error) {
 	}
 	m.entries[key] = e
 	m.mu.Unlock()
-	return e.a, e.b, e.err
+	return e.a, e.err
 }
 
 // digest hashes every field of the pipeline description that Analyze reads.

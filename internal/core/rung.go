@@ -18,7 +18,7 @@ import "fmt"
 //	         exact, found in O(N·J + N²) scalars for N nodes and J arrival
 //	         knots (see thetaOptimum), with no grid and no curve built.
 //	tight  — the same vector as fifo. It stays a rung of its own, with its
-//	         own name and memo entries, for the callers that select it.
+//	         own name, for the callers that select it.
 //
 // The vector minimizes delay only: a backlog SLO is judged at the same
 // vector, which need not be the one with the least backlog.

@@ -202,8 +202,11 @@ func TestMemoSeparatesRungs(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if _, misses, entries := m.Stats(); misses != 2 || entries != 2 {
-		t.Errorf("rungs shared a memo entry: misses=%d entries=%d", misses, entries)
+	if ab == af || af.Rung != RungFIFO || len(m.entries) != 2 {
+		t.Errorf("rungs shared a memo entry: %d entries", len(m.entries))
+	}
+	if again, _ := AnalyzeMemo(pf, m); again != af {
+		t.Error("a second AnalyzeMemo of the fifo pipeline missed its entry")
 	}
 	if curve.HDev(af.AlphaPrime, af.ConcatenatedBeta()) >= curve.HDev(ab.AlphaPrime, ab.ConcatenatedBeta()) {
 		t.Error("fifo rung not tighter through the memo path")
@@ -280,7 +283,7 @@ func sweep(h *hop, a0 float64) []float64 {
 // rung, both in seconds, and the lattice size; ok is false when p errors, is
 // overloaded, or has no or more than three cross nodes.
 func bruteForce(p Pipeline) (best, opt float64, vectors int, ok bool) {
-	b, err := Bound(p, nil)
+	b, err := Bound(p)
 	if err != nil || b.Overloaded {
 		return 0, 0, 0, false
 	}
@@ -387,7 +390,7 @@ func TestThetaOptimumIsotone(t *testing.T) {
 		u := pick.Float64()
 		n.CrossRate, n.CrossBurst = n.CrossRate.Mul(u), n.CrossBurst.Mul(u)
 		p.Rung, less.Rung = RungTight, RungTight
-		before, err := Bound(p, nil)
+		before, err := Bound(p)
 		if err != nil || before.Overloaded {
 			continue
 		}
@@ -398,7 +401,7 @@ func TestThetaOptimumIsotone(t *testing.T) {
 		if cert.Delay > before.Delay+time.Nanosecond+time.Duration(tol*float64(before.Delay)) {
 			t.Errorf("trial %d: less cross traffic raised the bound at the old vector: %v -> %v", trial, before.Delay, cert.Delay)
 		}
-		after, err := Bound(less, nil)
+		after, err := Bound(less)
 		if err != nil {
 			t.Fatalf("trial %d: less cross traffic fails: %v", trial, err)
 		}

@@ -137,15 +137,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// HitRate renders hits/(hits+misses), 0 before any lookups. The shared
-// helper behind every cache-effectiveness gauge and the /healthz blob.
-func HitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // --- Registry ---------------------------------------------------------------
 
 // metricKind discriminates families.

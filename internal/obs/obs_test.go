@@ -246,15 +246,6 @@ func TestExponentialBuckets(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	if hr := HitRate(0, 0); hr != 0 {
-		t.Errorf("HitRate(0,0) = %g", hr)
-	}
-	if hr := HitRate(3, 1); hr != 0.75 {
-		t.Errorf("HitRate(3,1) = %g", hr)
-	}
-}
-
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("nc_x_total", "")
