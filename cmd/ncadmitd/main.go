@@ -35,6 +35,9 @@
 //	GET    /debug/decisions/trace  the same decisions as a Chrome trace_event
 //	                               timeline (open in chrome://tracing or Perfetto)
 //
+// Every JSON response is one line of compact JSON and a newline; pipe it to
+// jq . to read it indented.
+//
 // Every admission decision and release is audited as a structured log line
 // on stderr (disable with -audit=false). With -pprof the net/http/pprof
 // profiling handlers are mounted under /debug/pprof/ on the same listener.

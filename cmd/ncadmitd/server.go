@@ -363,12 +363,12 @@ func parseFlowBody(body []byte) (admit.Flow, error) {
 	return fl.Admit()
 }
 
+// writeJSON answers v as one line of compact JSON and a newline (pipe to
+// jq . to read it indented).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // readBody reads r's body up to limit bytes. A longer body is answered 413,

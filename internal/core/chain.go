@@ -382,6 +382,14 @@ func thetaOptimum(hops []hop, knots []knot, dst []float64) []float64 {
 	return dst
 }
 
+// boundsBuf is a Bounds and the backing array of its FIFOTheta, so that a
+// chain of at most 8 nodes costs one allocation, like the [8]hop buffers
+// (a longer one appends past the array).
+type boundsBuf struct {
+	Bounds
+	theta [8]float64
+}
+
 // chainBounds is Bound's answer from the chain evaluator at theta (nil: the
 // blind residual), or with search set at thetaOptimum's vector, the vector
 // Bounds.FIFOTheta reports.
@@ -390,10 +398,12 @@ func chainBounds(p Pipeline, theta []float64, search bool) (*Bounds, error) {
 	var kb [8]knot
 	w := newWalk(p.Arrival)
 	hops, knots := appendHops(hb[:0], &w, p.Nodes), appendKnots(kb[:0], p.Arrival)
-	b := &Bounds{
+	buf := new(boundsBuf)
+	b := &buf.Bounds
+	*b = Bounds{
 		Rung: p.Rung.Resolved(), Throughput: w.throughput(),
 		Overloaded: w.overloaded(), BottleneckIndex: w.bottleneck,
-		FIFOTheta: make([]float64, len(p.Nodes)),
+		FIFOTheta: append(buf.theta[:0], make([]float64, len(p.Nodes))...),
 	}
 	if search {
 		theta = thetaOptimum(hops, knots, b.FIFOTheta)

@@ -82,45 +82,58 @@ func (r Rate) Mul(x float64) Rate { return Rate(float64(r) * x) }
 // String formats the volume with an automatically chosen binary prefix,
 // e.g. "20.6 MiB".
 func (b Bytes) String() string {
-	v := float64(b)
-	neg := ""
-	if v < 0 {
-		neg, v = "-", -v
-	}
-	switch {
-	case v >= float64(TiB):
-		return fmt.Sprintf("%s%.3g TiB", neg, v/float64(TiB))
-	case v >= float64(GiB):
-		return fmt.Sprintf("%s%.3g GiB", neg, v/float64(GiB))
-	case v >= float64(MiB):
-		return fmt.Sprintf("%s%.3g MiB", neg, v/float64(MiB))
-	case v >= float64(KiB):
-		return fmt.Sprintf("%s%.3g KiB", neg, v/float64(KiB))
-	default:
-		return fmt.Sprintf("%s%.3g B", neg, v)
-	}
+	var buf [24]byte
+	return string(b.appendText(buf[:0]))
 }
 
 // String formats the rate with an automatically chosen binary prefix,
 // e.g. "350 MiB/s".
 func (r Rate) String() string {
-	v := float64(r)
-	neg := ""
+	var buf [24]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// prefix is one binary prefix of a quantity's text form.
+type prefix struct {
+	scale  float64
+	suffix string
+}
+
+var (
+	bytePrefixes = []prefix{{float64(TiB), " TiB"}, {float64(GiB), " GiB"}, {float64(MiB), " MiB"}, {float64(KiB), " KiB"}, {1, " B"}}
+	ratePrefixes = []prefix{{float64(GiBPerSec), " GiB/s"}, {float64(MiBPerSec), " MiB/s"}, {float64(KiBPerSec), " KiB/s"}, {1, " B/s"}}
+)
+
+func (b Bytes) appendText(dst []byte) []byte {
+	return appendQuantity(dst, float64(b), bytePrefixes)
+}
+
+func (r Rate) appendText(dst []byte) []byte {
+	if math.IsInf(float64(r), 0) {
+		if r < 0 {
+			dst = append(dst, '-')
+		}
+		return append(dst, "inf"...)
+	}
+	return appendQuantity(dst, float64(r), ratePrefixes)
+}
+
+// appendQuantity appends v in the largest of prefixes (ordered largest
+// first) that does not exceed |v|, to three significant digits: the bytes
+// fmt's "%.3g" prints.
+func appendQuantity(dst []byte, v float64, prefixes []prefix) []byte {
 	if v < 0 {
-		neg, v = "-", -v
+		dst, v = append(dst, '-'), -v
 	}
-	switch {
-	case math.IsInf(v, 1):
-		return neg + "inf"
-	case v >= float64(GiBPerSec):
-		return fmt.Sprintf("%s%.3g GiB/s", neg, v/float64(GiBPerSec))
-	case v >= float64(MiBPerSec):
-		return fmt.Sprintf("%s%.3g MiB/s", neg, v/float64(MiBPerSec))
-	case v >= float64(KiBPerSec):
-		return fmt.Sprintf("%s%.3g KiB/s", neg, v/float64(KiBPerSec))
-	default:
-		return fmt.Sprintf("%s%.3g B/s", neg, v)
+	p := prefixes[len(prefixes)-1]
+	for _, q := range prefixes {
+		if v >= q.scale {
+			p = q
+			break
+		}
 	}
+	dst = strconv.AppendFloat(dst, v/p.scale, 'g', 3, 64)
+	return append(dst, p.suffix...)
 }
 
 var sizeSuffixes = []struct {
@@ -165,7 +178,7 @@ func ParseRate(s string) (Rate, error) {
 }
 
 // MarshalText implements encoding.TextMarshaler for Bytes.
-func (b Bytes) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+func (b Bytes) MarshalText() ([]byte, error) { return b.appendText(make([]byte, 0, 24)), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler for Bytes.
 func (b *Bytes) UnmarshalText(text []byte) error {
@@ -178,7 +191,7 @@ func (b *Bytes) UnmarshalText(text []byte) error {
 }
 
 // MarshalText implements encoding.TextMarshaler for Rate.
-func (r Rate) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+func (r Rate) MarshalText() ([]byte, error) { return r.appendText(make([]byte, 0, 24)), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler for Rate.
 func (r *Rate) UnmarshalText(text []byte) error {
