@@ -211,7 +211,7 @@ func newServer(c *admit.Controller, opt serverOptions) http.Handler {
 			Flows:   res.Flows,
 			Cross:   bucketJSON{Rate: res.Cross.Rate, Burst: res.Cross.Burst},
 			Rate:    res.Rate,
-			Latency: time.Duration(res.Curve.Latency() * float64(time.Second)).String(),
+			Latency: time.Duration(res.Latency * float64(time.Second)).String(),
 			Starved: res.Starved,
 			Service: res.Node.Rate,
 		})

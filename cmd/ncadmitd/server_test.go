@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"streamcalc/internal/admit"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/spec"
 	"streamcalc/internal/units"
@@ -50,7 +49,6 @@ func metricsServer(t *testing.T) *httptest.Server {
 	reg := obs.NewRegistry()
 	c.EnableObsOpts(reg, admit.ObsOptions{PerNodeMetrics: true})
 	c.EnableFlightRecorder(256)
-	defer curve.SetOpCounter(nil)
 	ts := httptest.NewServer(newServer(c, serverOptions{
 		metrics: reg,
 		replay:  admit.ReplayOptions{Total: 512 * units.KiB, Seed: 1},
@@ -164,17 +162,27 @@ func TestAPIAdmitLifecycle(t *testing.T) {
 }
 
 // kneeBody is a valid arrival whose envelope the curve engine cannot build:
-// its buckets cross below the engine's time resolution.
-const kneeBody = `{"id":"knee","arrival":{"rate":"238 MiB/s","burst":"20 B","max_packet":"2.43 KiB",
+// its buckets cross below the engine's time resolution. halfKneeBody is the
+// same arrival at half the rates and bursts, whose buckets cross at the same
+// instants, on a path that can carry it.
+const (
+	kneeBody = `{"id":"knee","arrival":{"rate":"238 MiB/s","burst":"20 B","max_packet":"2.43 KiB",
 	"extra":[{"rate":"895 MiB/s","burst":"1.33 B"},{"rate":"5.99 GiB/s","burst":"0.682 B"}]},"path":["ingest","encrypt"]}`
+	halfKneeBody = `{"id":"half-knee","arrival":{"rate":"119 MiB/s","burst":"10 B","max_packet":"2.43 KiB",
+	"extra":[{"rate":"447.5 MiB/s","burst":"0.665 B"},{"rate":"2.995 GiB/s","burst":"0.341 B"}]},"path":["ingest"]}`
+)
 
-// Such an arrival is refused like any other flow the platform cannot host,
-// as a spec error, and the daemon carries on.
+// Such an arrival is decided like any other flow: refused for saturation
+// where it overloads the path, admitted where the path carries it, and the
+// daemon carries on.
 func TestAPIUnrepresentableArrival(t *testing.T) {
 	ts := testServer(t)
 	resp, v := postAdmit(t, ts, kneeBody)
-	if resp.StatusCode != http.StatusConflict || v.Admitted || v.Binding != "spec" {
-		t.Errorf("knee: status %d, %+v; want 409 with binding spec", resp.StatusCode, v)
+	if resp.StatusCode != http.StatusConflict || v.Admitted || v.Binding != "saturation" {
+		t.Errorf("knee: status %d, %+v; want 409 with binding saturation", resp.StatusCode, v)
+	}
+	if resp, v := postAdmit(t, ts, halfKneeBody); resp.StatusCode != http.StatusOK || !v.Admitted {
+		t.Errorf("half knee on a path that carries it: status %d, %+v", resp.StatusCode, v)
 	}
 	if resp, v := postAdmit(t, ts, flowBody("after", "1 MiB/s")); resp.StatusCode != http.StatusOK || !v.Admitted {
 		t.Errorf("admit after the knee: status %d, %+v", resp.StatusCode, v)

@@ -26,24 +26,25 @@
 //     hold is the candidate committed. A co-resident class that the blind
 //     chain bound (core.ChainBound, scalars, never better than core.Bound at
 //     any rung) already shows to be clear of its SLO skips that re-check. A
-//     tight-rung class keeps the θ-vector of the check that admitted its
-//     newest members, and its victim checks, Recheck and revalidation first
-//     evaluate that vector (core.BoundAt, sound under any cross traffic, the
-//     same scalars) before they re-run the search (classBound). Reservations
-//     are core.Reservations of the flow on the pristine platform, scalars too.
+//     fifo- or tight-rung class keeps the θ-vector of the check that
+//     admitted its newest members, and its victim checks, Recheck and
+//     revalidation first evaluate that vector (core.BoundAt, sound under any
+//     cross traffic, the same scalars) before they re-run the search
+//     (classBound). Reservations are core.Reservations of the flow on the
+//     pristine platform, scalars too.
 //
 // # Scaling: flow classes
 //
 // The registry groups admitted flows into *classes*: flows with identical
-// arrival envelopes (by structural curve digest), paths, and SLOs. Every
-// member of a class has the same per-node reservation, the same analysis,
-// and the same admissibility — so victim re-checks run once per class, not
-// once per flow, and a node's aggregate cross traffic is the sorted-order
-// sum over classes of (per-member bucket × member count). With a bounded
-// number of tenant templates (the realistic shape: plans, tiers, device
-// models) a registry holding millions of flows does per-admission work
-// proportional to the number of *classes*, and per-flow state shrinks to
-// two map entries. A candidate set (transact.go) is rostered by class too:
+// arrival envelopes (by a digest of their canonical bucket lists), paths,
+// and SLOs. Every member of a class has the same per-node reservation, the
+// same analysis, and the same admissibility — so victim re-checks run once
+// per class, not once per flow, and a node's aggregate cross traffic is the
+// sorted-order sum over classes of (per-member bucket × member count). With
+// a bounded number of tenant templates (the realistic shape: plans, tiers,
+// device models) a registry holding millions of flows does per-admission
+// work proportional to the number of *classes*, and per-flow state shrinks
+// to two map entries. A candidate set (transact.go) is rostered by class too:
 // one reservation, one analysis and one verdict template per class, however
 // many members it adds.
 //
@@ -78,12 +79,16 @@
 // decision reads is a chain bound in scalars, so deciding a refusal again
 // costs microseconds, and nothing replays an earlier one. A new class's
 // reservation is core.Reservations, scalars too, so the controller holds no
-// cache: the class key's envelope digest is the only curve a decision builds.
+// cache, and nothing in the package builds a min-plus curve: the class key,
+// the residual report and the replay stages are scalars as well.
 package admit
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,7 +96,6 @@ import (
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/units"
 )
 
@@ -158,13 +162,13 @@ type Verdict struct {
 }
 
 // classKey is a flow-class identity, independent of the flow ID: the
-// structural digest of the arrival envelope (curve.Curve.Digest), the
+// digest of the arrival envelope's canonical bucket list (envelopeKey), the
 // arrival packetizer size, the path, the SLO, and the resolved analysis
 // rung (two flows analyzed at different tightness are different admission
 // questions with different reservations and verdicts). Two specs with
-// identical curves map to the same key, and so to the same class.
+// identical envelopes map to the same key, and so to the same class.
 type classKey struct {
-	alpha uint64 // arrival envelope digest
+	alpha uint64 // envelopeKey of the arrival
 	lmax  units.Bytes
 	path  string // node names joined with NUL
 	slo   SLO
@@ -264,8 +268,9 @@ type classState struct {
 	ids     map[string]struct{}    // member flow IDs
 
 	// theta is the θ-vector (indexed by path node) of the check that admitted
-	// the class's newest members, kept at the tight rung only: nil otherwise.
-	// classBound evaluates it before it re-runs the search.
+	// the class's newest members, kept at every rung but blind: nil there.
+	// classBound evaluates it before it re-runs the search, so a fresh θ
+	// optimum that rose when cross traffic left never refuses the class.
 	theta []float64
 
 	// minID caches the lexicographically smallest member for victim-naming;
@@ -525,33 +530,77 @@ func (c *Controller) precheck(f Flow, epoch uint64) (v Verdict, key classKey, ba
 	if dup {
 		return reject("spec", "flow %q is already admitted", f.ID)
 	}
-	key, err := c.keyFor(f)
-	if err != nil {
-		return reject("spec", "%v", err)
-	}
-	return v, key, false
+	return v, c.keyFor(f), false
 }
 
 // keyFor builds f's class key: the registry groups admitted flows under it,
 // and a candidate set is rostered, reserved for and analysed once per key.
-// The arrival must be valid. Its envelope digest is the one curve a decision
-// builds, and the curve engine panics on some valid arrivals whose knees fall
-// below its time resolution (ROADMAP, "A scale-free time axis"). keyFor is
-// the one place that recovers that panic: it becomes err, which precheck
-// refuses as a spec error before the flow reaches the combiner.
-func (c *Controller) keyFor(f Flow) (key classKey, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("the arrival's envelope cannot be represented on the curve engine's time axis: %v", r)
-		}
-	}()
+// The arrival must be valid.
+func (c *Controller) keyFor(f Flow) classKey {
 	return classKey{
-		alpha: f.Arrival.Envelope().Digest(),
+		alpha: envelopeKey(f.Arrival),
 		lmax:  f.Arrival.MaxPacket,
 		path:  strings.Join(f.Path, "\x00"),
 		slo:   f.SLO,
 		rung:  c.rungFor(f),
-	}, nil
+	}
+}
+
+// envelopeKey digests the canonical form of a valid arrival's envelope
+// minᵢ(rᵢ·t + bᵢ) on t ≥ 0: the buckets that attain it, one per rate (the
+// least burst), by decreasing rate. Arrivals whose bucket lists differ only
+// by buckets that never attain the envelope, or by their order, get the same
+// key. The digest is a multiply-xorshift avalanche over the buckets' bits
+// (−0 as +0), so distinct envelopes share a key with probability 2⁻⁶⁴, the
+// risk the curve engine's digests take too; a key is a word, so class maps
+// and the sorted term lists stay as small as they are.
+func envelopeKey(a core.Arrival) uint64 {
+	var onStack [8]core.Bucket // more buckets spill to the heap
+	lines := append(append(onStack[:0], core.Bucket{Rate: a.Rate, Burst: a.Burst}), a.Extra...)
+	slices.SortFunc(lines, func(x, y core.Bucket) int {
+		if c := cmp.Compare(y.Rate, x.Rate); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Burst, y.Burst)
+	})
+	// A lower-envelope sweep in place: hull is a prefix of lines, and
+	// starts[k] is where hull[k] becomes the minimum. A line with a smaller
+	// rate and no smaller burst takes over at its crossing with the top of
+	// the hull, which never attains the minimum when that crossing is not
+	// past its own start; one with a smaller burst too dominates the top.
+	var startStack [8]float64
+	hull, starts := lines[:0], startStack[:0]
+	for _, l := range lines {
+		if len(hull) > 0 && l.Rate == hull[len(hull)-1].Rate {
+			continue // the same rate at no smaller burst
+		}
+		x := 0.0
+		for len(hull) > 0 {
+			top := hull[len(hull)-1]
+			if l.Burst >= top.Burst {
+				x = float64(l.Burst-top.Burst) / float64(top.Rate-l.Rate)
+				if x > starts[len(starts)-1] {
+					break
+				}
+			}
+			hull, starts, x = hull[:len(hull)-1], starts[:len(starts)-1], 0
+		}
+		hull, starts = append(hull, l), append(starts, x)
+	}
+	mix := func(h uint64, v float64) uint64 {
+		h ^= math.Float64bits(v + 0) // −0 + 0 is +0
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		return h
+	}
+	h := 0x9e3779b97f4a7c15 ^ uint64(len(hull))
+	for _, b := range hull {
+		h = mix(mix(h, float64(b.Rate)), float64(b.Burst))
+	}
+	h ^= h >> 29
+	h *= 0x94d049bb133111eb
+	return h ^ h>>32
 }
 
 // orAny renders an SLO field, or "(any)" when unconstrained.
@@ -657,7 +706,7 @@ func (c *Controller) releaseLocked(id string) bool {
 type AdmittedFlow struct {
 	Flow Flow
 	// Verdict is the latest admission verdict of the flow's class (flows
-	// with identical curves, path, and SLO share promised bounds).
+	// with identical envelopes, path, and SLO share promised bounds).
 	Verdict Verdict
 }
 
@@ -721,13 +770,14 @@ func (c *Controller) boundLocked(f Flow) (core.Pipeline, *core.Bounds, error) {
 
 // classBound bounds one member of admitted class cs (nil: a flow of no
 // class) on p, the pipeline sharedPipeline built for it. Without a stored
-// θ-vector it is core.Bound. With one (a tight class) it first evaluates
-// core.BoundAt at that vector — sound under any cross traffic, one chain
-// bound in scalars, no search and no curve. A victim check (report false) stops there when that bound
-// meets the class's SLO, and certified says so. Otherwise the fresh search
-// runs too, and classBound returns whichever of the two Bounds meets the SLO —
-// the smaller delay when both do, the fresh one when neither does — so a
-// replay is built from the vector its bound was taken at.
+// θ-vector it is core.Bound. With one (a class at any rung but blind) it
+// first evaluates core.BoundAt at that vector — sound under any cross
+// traffic, one chain bound in scalars, no search. A victim check (report
+// false) stops there when that bound meets the class's SLO, and certified
+// says so. Otherwise the fresh search runs too, and classBound returns
+// whichever of the two Bounds meets the SLO — the smaller delay when both
+// do, the fresh one when neither does — so a replay is built from the
+// vector its bound was taken at.
 func (c *Controller) classBound(cs *classState, p core.Pipeline, report bool) (b *core.Bounds, certified bool, err error) {
 	if cs == nil || cs.theta == nil {
 		b, err = core.Bound(p)
@@ -754,12 +804,15 @@ type Residual struct {
 	// Cross is the aggregate reserved cross traffic (plus the node's
 	// static background), local units.
 	Cross core.Bucket
-	// Curve is the residual service curve [beta - cross]⁺; Starved reports
-	// that reservations consume the full service rate (Curve is zero).
-	Curve   curve.Curve
+	// Starved reports that reservations consume the full service rate.
 	Starved bool
-	// Rate is the residual sustained rate (ultimate slope of Curve).
-	Rate units.Rate
+	// Rate and Latency (seconds) make up the residual service curve
+	// [beta - cross]⁺ = Rate·[t - Latency]⁺: R - r and (b + R·T)/(R - r)
+	// for a node of rate R and latency T under cross traffic (r, b), the
+	// node's own rate and latency without cross traffic, and 0 and +Inf
+	// when Starved (core.ResidualAt at θ = 0).
+	Rate    units.Rate
+	Latency float64
 }
 
 // ResidualService returns the residual service of one platform node: the
@@ -789,19 +842,10 @@ func (c *Controller) ResidualService(node string) (Residual, error) {
 		Rate:  agg.Rate + sh.node.CrossRate,
 		Burst: agg.Burst + sh.node.CrossBurst,
 	}
-	beta := curve.RateLatency(float64(sh.node.Rate), sh.node.Latency.Seconds())
-	if r.Cross.Rate <= 0 {
-		r.Curve = beta
-		r.Rate = sh.node.Rate
-		return r, nil
+	n := sh.node
+	n.CrossRate, n.CrossBurst = r.Cross.Rate, r.Cross.Burst
+	if r.Rate, r.Latency, ok = core.ResidualAt(n, 0); !ok {
+		r.Starved, r.Latency = true, math.Inf(1)
 	}
-	resid, ok := curve.ResidualService(beta, curve.Affine(float64(r.Cross.Rate), float64(r.Cross.Burst)))
-	if !ok {
-		r.Starved = true
-		r.Curve = curve.Zero()
-		return r, nil
-	}
-	r.Curve = resid
-	r.Rate = units.Rate(resid.UltimateSlope())
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -178,7 +179,7 @@ func TestResidualShrinksAndRecovers(t *testing.T) {
 	if len(during.Flows) != 1 || during.Flows[0] != "t1" {
 		t.Errorf("hosted flows = %v", during.Flows)
 	}
-	if during.Curve.Latency() <= before.Curve.Latency() {
+	if during.Latency <= before.Latency {
 		t.Errorf("residual latency must grow under cross traffic")
 	}
 
@@ -189,8 +190,9 @@ func TestResidualShrinksAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.Curve.Equal(before.Curve) {
-		t.Errorf("residual after release = %v, want pristine %v", after.Curve, before.Curve)
+	if after.Rate != before.Rate || after.Latency != before.Latency {
+		t.Errorf("residual after release = %v·[t - %v]⁺, want pristine %v·[t - %v]⁺",
+			after.Rate, after.Latency, before.Rate, before.Latency)
 	}
 }
 
@@ -226,8 +228,8 @@ func TestBookkeepingOrderIndependent(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if !r1.Curve.Equal(r2.Curve) {
-			t.Errorf("node %s: residuals differ:\n  %v\n  %v", node, r1.Curve, r2.Curve)
+		if r1.Rate != r2.Rate || r1.Latency != r2.Latency {
+			t.Errorf("node %s: residuals differ: %v·[t - %v]⁺ vs %v·[t - %v]⁺", node, r1.Rate, r1.Latency, r2.Rate, r2.Latency)
 		}
 		if r1.Cross != r2.Cross {
 			t.Errorf("node %s: aggregates differ: %+v vs %+v", node, r1.Cross, r2.Cross)
@@ -349,8 +351,8 @@ func TestNewRejectsBadPlatforms(t *testing.T) {
 	}
 }
 
-// The residual curve reported for a node equals the curve the pristine
-// service minus all reservations produces directly.
+// The residual reported for a node, in scalars, is the curve the curve
+// engine builds from the pristine service minus all reservations.
 func TestResidualMatchesCurveAlgebra(t *testing.T) {
 	c := testPlatform(t)
 	for _, id := range []string{"a", "b"} {
@@ -367,8 +369,8 @@ func TestResidualMatchesCurveAlgebra(t *testing.T) {
 	if !ok {
 		t.Fatal("unexpected starvation")
 	}
-	if !r.Curve.Equal(want) {
-		t.Errorf("residual = %v, want %v", r.Curve, want)
+	if r.Starved || float64(r.Rate) != want.UltimateSlope() || math.Abs(r.Latency-want.Latency()) > 1e-15 {
+		t.Errorf("residual = %v·[t - %v]⁺, want %v", r.Rate, r.Latency, want)
 	}
 }
 

@@ -224,8 +224,8 @@ func TestConcurrentMatchesSerializedReplay(t *testing.T) {
 		if rc.Cross != rr.Cross {
 			t.Errorf("node %s: cross %+v, serialized replay %+v", n, rc.Cross, rr.Cross)
 		}
-		if !rc.Curve.Equal(rr.Curve) {
-			t.Errorf("node %s: residual curve differs from serialized replay", n)
+		if rc.Rate != rr.Rate || rc.Latency != rr.Latency {
+			t.Errorf("node %s: residual service differs from serialized replay", n)
 		}
 	}
 }

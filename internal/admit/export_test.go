@@ -45,6 +45,5 @@ func (c *Controller) VictimCheck(id string) (screened, certified bool, err error
 // admitTicket is an Admit ticket for f that skips precheck, the way the
 // combiner's tests hand flows to processGroup and submit.
 func (c *Controller) admitTicket(f Flow) *ticket {
-	key, _ := c.keyFor(f)
-	return &ticket{kind: tkAdmit, f: f, key: key, done: make(chan ticketResult, 1)}
+	return &ticket{kind: tkAdmit, f: f, key: c.keyFor(f), done: make(chan ticketResult, 1)}
 }

@@ -5,17 +5,12 @@ import (
 	"log/slog"
 	"time"
 
-	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 )
 
 // DecisionBuckets are the histogram bounds for admission-decision latency
 // (seconds): 1µs (spec rejections) up to ~1s (deep victim re-checks).
 var DecisionBuckets = obs.ExponentialBuckets(1e-6, 4, 11)
-
-// AnalysisBuckets are the histogram bounds for pipeline analyses (seconds).
-var AnalysisBuckets = obs.ExponentialBuckets(1e-7, 4, 12)
 
 // GroupSizeBuckets are the histogram bounds for combiner group sizes
 // (tickets decided per group commit).
@@ -77,13 +72,7 @@ func (c *Controller) EnableObs(reg *obs.Registry) {
 //     nc_admit_slo_budget_burn;
 //   - scrape-time gauges for admitted flows, classes and the platform
 //     epoch; per-node reservation gauges only with opts.PerNodeMetrics
-//     (unbounded cardinality on large platforms);
-//   - process-wide operator counts and analysis timing: curve.SetOpCounter
-//     feeds the nc_curve_ops_total{op=...} counters, so a curve operator
-//     call pays one counter increment, and core.SetAnalysisTimer feeds the
-//     nc_analysis_seconds histogram, two clock reads and an Observe per
-//     chain pass; both are resolved here, once (global hooks — the daemon
-//     runs one controller; a second EnableObs call rebinds them).
+//     (unbounded cardinality on large platforms).
 //
 // Call once, before serving traffic.
 func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
@@ -114,7 +103,7 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 		screened: reg.Counter("nc_admit_victims_screened_total",
 			"victim classes cleared by the closed-form screen without an analysis"),
 		certified: reg.Counter("nc_admit_victims_certified_total",
-			"tight-rung victim classes cleared by a chain pass at their stored θ-vector without a search"),
+			"fifo- and tight-rung victim classes cleared by a chain pass at their stored θ-vector without a search"),
 		decWin:  obs.NewWindow(opts.WindowSeconds),
 		slowWin: obs.NewWindow(opts.WindowSeconds),
 	}
@@ -132,18 +121,6 @@ func (c *Controller) EnableObsOpts(reg *obs.Registry, opts ObsOptions) {
 			return (float64(m.slowWin.Sum()) / float64(total)) / opts.SLOBudget
 		})
 
-	// The operator and analysis families exist (at zero) from startup, and
-	// the hooks hold their series: no registry lookup on the operator path.
-	var opCalls [curve.NumOpKinds]*obs.Counter
-	for _, op := range curve.OpKinds() {
-		opCalls[op] = reg.Counter("nc_curve_ops_total", "curve operator calls",
-			obs.Label{Key: "op", Value: op.String()})
-	}
-	analysisSeconds := reg.Histogram("nc_analysis_seconds",
-		"computed analysis cost, one observation per bound (a chain pass in scalars) or full analysis", AnalysisBuckets)
-	curve.SetOpCounter(func(op curve.OpKind) { opCalls[op].Inc() })
-	core.SetAnalysisTimer(analysisSeconds.Observe)
-
 	reg.AddCollector(func(r *obs.Registry) { c.collect(r) })
 }
 
@@ -160,7 +137,7 @@ func (c *Controller) collect(r *obs.Registry) {
 	}
 	set("nc_admit_epoch", "platform epoch (bumps on every commit/release)", float64(c.Epoch()))
 	set("nc_admit_flows", "currently admitted flows", float64(flows))
-	set("nc_admit_classes", "distinct admitted flow classes (shared curves+path+SLO)", float64(classes))
+	set("nc_admit_classes", "distinct admitted flow classes (shared envelope+path+SLO)", float64(classes))
 
 	if rec := c.rec; rec != nil {
 		set("nc_admit_recorder_depth", "decisions retained in the flight recorder", float64(rec.Depth()))

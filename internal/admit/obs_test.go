@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"log/slog"
 	"reflect"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
-	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/units"
 )
@@ -25,7 +21,6 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 }
 
 func TestEnableObsMetrics(t *testing.T) {
-	defer curve.SetOpCounter(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObsOpts(reg, ObsOptions{PerNodeMetrics: true})
@@ -48,9 +43,6 @@ func TestEnableObsMetrics(t *testing.T) {
 		`nc_node_utilization{node="encrypt"}`,
 		"nc_admit_epoch",
 		"nc_admit_flows 0",
-		`nc_curve_ops_total{op="convolve"}`,
-		"# TYPE nc_curve_ops_total counter",
-		"nc_analysis_seconds_count",
 		// 3 admissions + 1 release, all far under the 100ms objective.
 		"nc_admit_slo_fast_total 4",
 		"nc_admit_slo_objective_seconds 0.1",
@@ -60,7 +52,7 @@ func TestEnableObsMetrics(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	for _, gone := range []string{"nc_admit_cached_total", "nc_cache_"} {
+	for _, gone := range []string{"nc_admit_cached_total", "nc_cache_", "nc_curve_ops_total", "nc_analysis_seconds"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("scrape still carries %q", gone)
 		}
@@ -70,70 +62,10 @@ func TestEnableObsMetrics(t *testing.T) {
 	}
 }
 
-// opCount reads nc_curve_ops_total{op} off a scrape of reg.
-func opCount(t *testing.T, reg *obs.Registry, op string) int {
-	t.Helper()
-	m := regexp.MustCompile(`(?m)^nc_curve_ops_total\{op="` + op + `"\} (\d+)$`).
-		FindStringSubmatch(scrape(t, reg))
-	if m == nil {
-		t.Fatalf("scrape has no nc_curve_ops_total{op=%q}", op)
-	}
-	n, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
-// TestOpCounterCostContract: attached telemetry costs an operator call one
-// increment of a counter resolved at attach time — no allocation — and
-// counts every call, repeated operands included. The counter is
-// process-wide, so of two controllers on two registries the one attached
-// last receives everything.
-func TestOpCounterCostContract(t *testing.T) {
-	defer curve.SetOpCounter(nil)
-	defer core.SetAnalysisTimer(nil)
-	beta1, beta2 := curve.RateLatency(100, 0.5), curve.RateLatency(80, 0.2)
-	alpha := curve.Affine(10, 5)
-	work := func() {
-		curve.Convolve(beta1, beta2)
-		curve.HDev(alpha, beta1)
-	}
-	detached := testing.AllocsPerRun(100, work)
-
-	regA, regB := obs.NewRegistry(), obs.NewRegistry()
-	testPlatform(t).EnableObs(regA)
-	if attached := testing.AllocsPerRun(100, work); attached != detached {
-		t.Errorf("attached Convolve+HDev allocates %v per run, detached %v", attached, detached)
-	}
-	conv, hdev := opCount(t, regA, "convolve"), opCount(t, regA, "hdev")
-	const calls = 25
-	for i := 0; i < calls; i++ {
-		work()
-	}
-	if got := opCount(t, regA, "convolve") - conv; got != calls {
-		t.Errorf("%d identical Convolve calls counted %d times", calls, got)
-	}
-	if got := opCount(t, regA, "hdev") - hdev; got != calls {
-		t.Errorf("%d identical HDev calls counted %d times", calls, got)
-	}
-
-	testPlatform(t).EnableObs(regB)
-	conv = opCount(t, regA, "convolve")
-	work()
-	if got := opCount(t, regA, "convolve"); got != conv {
-		t.Errorf("first registry still counts after a second attach: %d -> %d", conv, got)
-	}
-	if got := opCount(t, regB, "convolve"); got != 1 {
-		t.Errorf("last-attached registry counted %d Convolve calls, want 1", got)
-	}
-}
-
 // TestObsPerNodeDefaultOff: without the PerNodeMetrics opt-in, a scrape
 // carries the platform epoch but no per-node series, and no per-node epoch
 // summary.
 func TestObsPerNodeDefaultOff(t *testing.T) {
-	defer curve.SetOpCounter(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObs(reg)

@@ -10,7 +10,6 @@ import (
 
 	"streamcalc/internal/admit"
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/gen"
 	"streamcalc/internal/load"
 	"streamcalc/internal/obs"
@@ -113,8 +112,6 @@ func TestAdmitThroughOneNanosecondNode(t *testing.T) {
 // bound is analysed, and the decision record, the audit line and /metrics all
 // say which happened.
 func TestScreenedVictimsAreCounted(t *testing.T) {
-	defer curve.SetOpCounter(nil)
-	defer core.SetAnalysisTimer(nil)
 	c := goldenPlatform(t, core.RungBlind)
 	reg := obs.NewRegistry()
 	c.EnableObs(reg)

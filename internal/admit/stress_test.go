@@ -87,7 +87,7 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 		if r.Cross != pristine[n].Cross {
 			t.Errorf("node %s: leaked cross traffic %+v", n, r.Cross)
 		}
-		if !r.Curve.Equal(pristine[n].Curve) {
+		if r.Rate != pristine[n].Rate || r.Latency != pristine[n].Latency {
 			t.Errorf("node %s: residual differs from pristine", n)
 		}
 	}

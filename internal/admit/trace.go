@@ -153,7 +153,7 @@ type DecisionRecord struct {
 	// VictimsChecked counts the admitted classes the decision considered as
 	// victims; VictimsScreened, how many of them the closed-form screen
 	// cleared without an analysis; VictimsCertified, how many of the rest a
-	// chain pass at their stored θ-vector cleared (tight rung only). The
+	// chain pass at their stored θ-vector cleared (fifo and tight rungs). The
 	// remainder ran core.Bound.
 	VictimsChecked   int `json:"victims_checked,omitempty"`
 	VictimsScreened  int `json:"victims_screened,omitempty"`

@@ -28,7 +28,7 @@ type classPlan struct {
 	contrib map[string]core.Bucket // per-member reservation (shared, read-only)
 	err     error                  // the standalone analysis failed: members are spec rejections
 	verdict Verdict                // admitted template (FlowID blank), set when the set fits
-	theta   []float64              // the θ-vector the class's check committed to (tight rung only)
+	theta   []float64              // the θ-vector the class's check committed to (fifo and tight rungs)
 }
 
 // decision is decideSet's answer for one candidate set at one registry
@@ -212,7 +212,7 @@ func (c *Controller) decideSet(cands []cand, tr *decTrace) *decision {
 			return refuse(PhaseAnalysis, k.rung, bad.binding, "%s", bad.detail)
 		}
 		pl.verdict = c.admittedVerdict(d, k, pl, b)
-		if k.rung == core.RungTight {
+		if k.rung != core.RungBlind {
 			pl.theta = b.FIFOTheta
 		}
 	}

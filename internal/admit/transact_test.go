@@ -1,13 +1,15 @@
 package admit
 
 import (
+	"fmt"
+	"go/build"
+	"math"
+	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/obs"
 	"streamcalc/internal/units"
 )
@@ -18,11 +20,11 @@ import (
 // well-formed one. Every caller gets an answer, nothing is committed for a
 // group that panicked, no lock and no leadership stays held, and the
 // controller carries on. Then the AdmitBatch entrance, which holds the writer
-// role itself: a panic in its analysis (from the analysis timer, the one hook
-// there is) reaches the caller, and the Admit queued behind it is answered.
+// role itself: the same bad candidate, handed to decideBatch past precheck,
+// parks under the role while the test holds the registry lock, an Admit
+// ticket queues behind it, and once the lock goes the panic reaches the
+// batch's caller and the queued ticket is answered.
 func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
-	defer curve.SetOpCounter(nil)
-	defer core.SetAnalysisTimer(nil)
 	c := testPlatform(t)
 	reg := obs.NewRegistry()
 	c.EnableObs(reg)
@@ -86,33 +88,27 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 	assertIdle()
 	before := c.FlowCount()
 
-	// The first analysis computed from here on parks until the test lets it
-	// panic; the batch that runs it is then mid-analysis, under the role.
-	var armed atomic.Bool
-	armed.Store(true)
-	entered, proceed := make(chan struct{}), make(chan struct{})
-	core.SetAnalysisTimer(func(float64) {
-		if armed.CompareAndSwap(true, false) {
-			close(entered)
-			<-proceed
-			panic("injected")
-		}
-	})
+	// The batch takes the writer role and parks on the registry lock the
+	// test holds; the ticket queues behind the role.
+	c.mu.Lock()
 	batchPanic := make(chan any, 1)
 	go func() {
 		defer func() { batchPanic <- recover() }()
-		c.AdmitBatch([]Flow{tenant("batch-bad", 3*units.MiBPerSec)})
+		tk := c.admitTicket(bad)
+		c.decideBatch([]cand{{f: tk.f, key: tk.key}}, make([]Verdict, 1), nil)
 	}()
-	<-entered
-	go func() { answers <- c.Admit(tenant("queued", 5*units.MiBPerSec)) }()
+	for len(c.leaderSem) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { answers <- c.submit(c.admitTicket(tenant("queued", 5*units.MiBPerSec))).v }()
 	for queued := 0; queued == 0; time.Sleep(time.Millisecond) {
 		c.qmu.Lock()
 		queued = len(c.queue)
 		c.qmu.Unlock()
 	}
-	close(proceed)
-	if r := <-batchPanic; r != "injected" {
-		t.Errorf("the batch's caller recovered %v, want the injected panic", r)
+	c.mu.Unlock()
+	if r := <-batchPanic; r == nil {
+		t.Error("the batch's caller saw no panic from its bad candidate")
 	}
 	select {
 	case v := <-answers:
@@ -145,26 +141,20 @@ func TestPanicInAnalysisDoesNotWedge(t *testing.T) {
 }
 
 // A decision on a new class builds no curve: its reservation is
-// core.Reservations and every bound a chain bound, both in scalars.
+// core.Reservations and every bound a chain bound, both in scalars, and
+// neither this package nor the daemon imports the curve engine (CI checks
+// the same with go list).
 func TestNewClassBuildsNoCurve(t *testing.T) {
-	c := testPlatform(t)
-	if v := c.Admit(tenant("first", 2*units.MiBPerSec)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	ops := 0
-	defer curve.SetOpCounter(curve.SetOpCounter(func(curve.OpKind) { ops++ }))
-	if v := c.Admit(tenant("admit", 3*units.MiBPerSec)); !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	if ops != 0 {
-		t.Errorf("Admit of a new class: %d curve operator calls, want 0", ops)
-	}
-	ops = 0
-	if v := c.AdmitBatch([]Flow{tenant("batch", 4*units.MiBPerSec)})[0]; !v.Admitted {
-		t.Fatal(v.Reason)
-	}
-	if ops != 0 {
-		t.Errorf("AdmitBatch of a new class: %d curve operator calls, want 0", ops)
+	for _, dir := range []string{".", "../../cmd/ncadmitd"} {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "streamcalc/internal/curve" {
+				t.Errorf("package %s (%s) imports %s", pkg.Name, dir, imp)
+			}
+		}
 	}
 }
 
@@ -177,17 +167,19 @@ func knee(id string) Flow {
 	}}
 }
 
-// Admit and AdmitBatch refuse such an arrival as a spec error naming the
-// cause, and the controller carries on.
-func TestUnrepresentableArrivalIsSpec(t *testing.T) {
+// Admit and AdmitBatch decide such an arrival like any other: on a path it
+// overloads it is refused for saturation, on a path that can carry it it is
+// admitted, both entrances put it in one class, and the controller carries
+// on.
+func TestUnrepresentableArrivalIsAnalysed(t *testing.T) {
 	c := testPlatform(t)
 	if err := knee("k").Arrival.Validate(); err != nil {
 		t.Fatalf("the knee arrival is invalid: %v", err)
 	}
 	check := func(entrance string, v Verdict) {
 		t.Helper()
-		if v.Admitted || v.Binding != "spec" || !strings.Contains(v.Reason, "time axis") {
-			t.Errorf("%s: %+v, want a spec refusal naming the time axis", entrance, v)
+		if v.Admitted || v.Binding != "saturation" {
+			t.Errorf("%s: %+v, want a saturation refusal", entrance, v)
 		}
 	}
 	check("Admit", c.Admit(knee("k1")))
@@ -198,5 +190,116 @@ func TestUnrepresentableArrivalIsSpec(t *testing.T) {
 	}
 	if n := c.FlowCount(); n != 1 {
 		t.Errorf("%d flows registered, want 1", n)
+	}
+
+	node := func(name string, rate units.Rate) core.Node {
+		return core.Node{Name: name, Rate: rate, Latency: 100 * time.Microsecond,
+			JobIn: 4 * units.KiB, JobOut: 4 * units.KiB, MaxPacket: 4 * units.KiB}
+	}
+	wide, err := New("wide", []core.Node{node("ingest", 2*units.GiBPerSec), node("encrypt", units.GiBPerSec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := wide.Admit(knee("k3")); !v.Admitted {
+		t.Errorf("Admit on a path that carries it: %+v", v)
+	}
+	if v := wide.AdmitBatch([]Flow{knee("k4")})[0]; !v.Admitted {
+		t.Errorf("AdmitBatch on a path that carries it: %+v", v)
+	}
+	if v, err := wide.Recheck("k3"); err != nil || !v.Admitted {
+		t.Errorf("recheck: %+v, %v", v, err)
+	}
+	if n := wide.ClassCount(); n != 1 {
+		t.Errorf("%d classes for two flows of one spec, want 1", n)
+	}
+}
+
+// screenDraw is internal/core's randomScreenPipeline (chain_test.go), draw
+// for draw: the pipelines its census tests run on.
+func screenDraw(rng *rand.Rand) core.Pipeline {
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	nodes := make([]core.Node, 1+rng.Intn(4))
+	gain, carry := 1.0, math.Inf(1)
+	for i := range nodes {
+		rate := logUniform(1e3, 1e11)
+		n := core.Node{
+			Name: string(rune('a' + i)), Rate: units.Rate(rate),
+			Latency: time.Duration(logUniform(2, 1e7)),
+			JobIn:   1, JobOut: 1,
+		}
+		switch rng.Intn(3) {
+		case 0:
+			n.JobIn = units.Bytes(logUniform(1e4, 1e6))
+			n.JobOut = n.JobIn
+		case 1:
+			n.JobIn = units.Bytes(logUniform(1, 1e4))
+			n.JobOut = n.JobIn.Mul(logUniform(0.1, 10))
+		}
+		if rng.Intn(2) == 0 {
+			n.MaxPacket = units.Bytes(logUniform(64, 9000))
+		}
+		if rng.Intn(3) > 0 {
+			n.CrossRate = units.Rate(rate * 0.97 * rng.Float64())
+			n.CrossBurst = units.Bytes(logUniform(1, 1e7))
+		}
+		carry = math.Min(carry, float64(n.Rate-n.CrossRate)/gain)
+		gain *= n.Gain()
+		nodes[i] = n
+	}
+	arr := core.Arrival{
+		Rate:  units.Rate(carry * logUniform(0.01, 1.2)),
+		Burst: units.Bytes(logUniform(1, 1e7)),
+	}
+	if rng.Intn(3) > 0 {
+		arr.MaxPacket = units.Bytes(logUniform(64, 9000))
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		last := core.Bucket{Rate: arr.Rate, Burst: arr.Burst}
+		if len(arr.Extra) > 0 {
+			last = arr.Extra[len(arr.Extra)-1]
+		}
+		arr.Extra = append(arr.Extra, core.Bucket{
+			Rate:  last.Rate.Mul(logUniform(1.5, 10)),
+			Burst: last.Burst.Mul(logUniform(0.05, 0.8)),
+		})
+	}
+	return core.Pipeline{Arrival: arr, Nodes: nodes}
+}
+
+// Of the 10 000 seed-25 screen draws, the 109 arrivals whose envelope the
+// curve engine cannot build all pass precheck, and each is decided by the
+// analysis on its own draw's platform: none is refused as a spec error.
+func TestKneeArrivalCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	knees := 0
+	for trial := 0; trial < 10000; trial++ {
+		p := screenDraw(rng)
+		panicked := func() (r any) {
+			defer func() { r = recover() }()
+			p.Arrival.Envelope()
+			return nil
+		}()
+		if panicked == nil {
+			continue
+		}
+		knees++
+		c, err := New("draw", p.Nodes)
+		if err != nil {
+			t.Fatalf("draw %d: %v", trial, err)
+		}
+		f := Flow{ID: fmt.Sprint(trial), Arrival: p.Arrival}
+		for _, n := range p.Nodes {
+			f.Path = append(f.Path, n.Name)
+		}
+		if v, _, bad := c.precheck(f, 0); bad {
+			t.Errorf("draw %d: precheck refuses: %s", trial, v.Reason)
+			continue
+		}
+		if v := c.Admit(f); v.Binding == "spec" || v.Binding == "internal" {
+			t.Errorf("draw %d: %+v", trial, v)
+		}
+	}
+	if knees != 109 {
+		t.Errorf("%d draws the curve engine cannot build an envelope for, want 109", knees)
 	}
 }

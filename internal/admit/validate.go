@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/sim"
 	"streamcalc/internal/units"
 )
@@ -169,16 +168,17 @@ func (c *Controller) replaySim(f Flow, opt ReplayOptions) (*sim.Pipeline, *core.
 }
 
 // residualStages builds the simulator stages for f's path: each node serves
-// deterministically at the sustained rate of the residual service curve the
-// flow's analysis rung assumed under the co-resident reservations
-// (excluding f's own), with a one-time startup latency. At the blind rung
-// the residual is the rate-latency curve [beta - cross]⁺, replayed exactly;
-// at the FIFO rungs the chosen theta-shifted member is not expressible as a
-// (rate, startup) stage, so the stage serves its minimal rate-latency
-// majorant — at least the service the analysis assumed everywhere, so the
-// analytic bounds must still dominate every replay observation. It also
-// returns the first node's job size as the default source packet, and the
-// bounds whose thetas the stages were derived from.
+// deterministically at the sustained rate of the residual service the flow's
+// analysis rung assumed under the co-resident reservations (excluding f's
+// own), with a one-time startup latency, both from core.ResidualAt at the
+// node's θ. At the blind rung the residual is the rate-latency curve
+// [beta - cross]⁺, replayed exactly; at the FIFO rungs the chosen
+// theta-shifted member is not expressible as a (rate, startup) stage, so the
+// stage serves its least rate-latency majorant — at least the service the
+// analysis assumed everywhere, so the analytic bounds must still dominate
+// every replay observation. It also returns the first node's job size as the
+// default source packet, and the bounds whose thetas the stages were derived
+// from.
 func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *core.Bounds, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -191,61 +191,15 @@ func (c *Controller) residualStages(f Flow) ([]sim.StageConfig, units.Bytes, *co
 	var out []sim.StageConfig
 	for i, node := range p.Nodes {
 		// Theta is a time quantity, so the input-referred value from the
-		// analysis carries over to the node-local curves unchanged (zero at
+		// analysis carries over to the node-local service unchanged (zero at
 		// the blind rung).
-		theta := b.FIFOTheta[i]
-		full := curve.RateLatency(float64(node.Rate), node.Latency.Seconds())
-		cross := curve.Affine(float64(node.CrossRate), float64(node.CrossBurst))
-		var resid curve.Curve
-		ok := true
-		switch {
-		case node.CrossRate <= 0:
-			resid = full
-		case theta > 0:
-			resid, ok = curve.FIFOResidual(full, cross, theta)
-		default:
-			resid, ok = curve.ResidualService(full, cross)
-		}
+		rate, latency, ok := core.ResidualAt(node, b.FIFOTheta[i])
 		if !ok {
 			return nil, 0, nil, fmt.Errorf("node %s: reservations starve the node", node.Name)
 		}
-		residRate := units.Rate(resid.UltimateSlope())
-		if residRate <= 0 {
-			return nil, 0, nil, fmt.Errorf("node %s: reservations starve the node", node.Name)
-		}
-		cfg := sim.StageFromRate(node.Name, residRate, residRate, node.JobIn, node.JobOut)
-		cfg.Startup = time.Duration(majorantLatency(resid) * float64(time.Second))
+		cfg := sim.StageFromRate(node.Name, rate, rate, node.JobIn, node.JobOut)
+		cfg.Startup = time.Duration(latency * float64(time.Second))
 		out = append(out, cfg)
 	}
 	return out, p.Nodes[0].JobIn, b, nil
-}
-
-// majorantLatency returns the latency L of the minimal rate-latency curve
-// (at the residual's own sustained rate s) dominating resid: the largest L
-// with s·(t-L) >= resid(t) everywhere, i.e. inf over t of t - resid(t)/s.
-// Every slope of a residual curve is at most its ultimate slope, so t -
-// resid(t)/s is non-decreasing between breakpoints and the infimum sits on
-// a breakpoint (right limit, catching upward jumps). For a rate-latency
-// resid — the blind rung — this is exactly its own latency.
-func majorantLatency(resid curve.Curve) float64 {
-	s := resid.UltimateSlope()
-	if s <= 0 {
-		return 0
-	}
-	lat := resid.Latency()
-	best := lat
-	for _, x := range resid.Breakpoints() {
-		// Before the latency point the curve is zero and the majorant
-		// constraint is vacuous.
-		if x < lat {
-			continue
-		}
-		if l := x - resid.Value(x)/s; l < best {
-			best = l
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
 }

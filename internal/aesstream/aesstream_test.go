@@ -2,6 +2,7 @@ package aesstream
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -120,7 +121,7 @@ func TestRoundTripQuick(t *testing.T) {
 		pt, err := dec.Decrypt(enc.Encrypt(src, 512))
 		return err == nil && bytes.Equal(pt, src)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -196,13 +196,8 @@ func BoundAt(p Pipeline, theta []float64) (*Bounds, error) {
 }
 
 // run computes the Bounds, or with report set the full Analysis; a non-nil
-// theta pins the θ-vector (BoundAt) instead of following the rung. An
-// attached AnalysisTimer is told how long it took; detached, that costs one
-// atomic pointer load.
+// theta pins the θ-vector (BoundAt) instead of following the rung.
 func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err error) {
-	if t := analysisTimer.Load(); t != nil {
-		defer func(start time.Time) { (*t)(time.Since(start).Seconds()) }(time.Now())
-	}
 	if err = p.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -148,27 +148,6 @@ func TestBoundMatchesAnalysis(t *testing.T) {
 	}
 }
 
-// The analysis timer fires once per computation — a chain pass or a full
-// analysis — and never for a lookup the Memo already answers.
-func TestAnalysisTimerCountsComputations(t *testing.T) {
-	var fired int
-	defer SetAnalysisTimer(SetAnalysisTimer(func(float64) { fired++ }))
-	p := randomMixedPipeline(rand.New(rand.NewSource(18)))
-	p.Rung = RungTight
-	step := func(what string, want int, f func()) {
-		t.Helper()
-		fired = 0
-		f()
-		if fired != want {
-			t.Errorf("%s: timer fired %d times, want %d", what, fired, want)
-		}
-	}
-	m := NewMemo()
-	step("AnalyzeMemo, miss", 1, func() { AnalyzeMemo(p, m) })
-	step("AnalyzeMemo, hit", 0, func() { AnalyzeMemo(p, m) })
-	step("Analyze and Bound", 2, func() { Analyze(p); Bound(p) })
-}
-
 // The seconds-to-Duration conversion behind Bounds.Delay saturates instead
 // of wrapping: from 1 B/s to 100 GB/s and from nanoseconds to far beyond
 // the 292 years a Duration holds, the promised delay is never negative and

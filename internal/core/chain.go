@@ -187,6 +187,26 @@ func (h *hop) member(theta float64) (d, j, s float64, ok bool) {
 	return theta + h.d, h.full*(theta-h.latency) - h.burst - h.lmax, s, true
 }
 
+// ResidualAt is node n on its own, in its local units, with no packet and no
+// aggregation delay: the rate S of its FIFO left-over member at theta under
+// its cross traffic (the blind residual [β − cross]⁺ at θ = 0, the full
+// service without cross traffic), and the latency L of the least
+// rate-latency curve S·[t − L]⁺ at or above that member. The member is
+// δ_D ⊗ (J + S·t), so L = max(0, D − J/S); at θ = 0 it is the blind
+// residual's own latency (b + R·T)/(R − r). ok is false when the cross
+// traffic starves the node.
+func ResidualAt(n Node, theta float64) (rate units.Rate, latency float64, ok bool) {
+	n.MaxPacket = 0
+	var h hop
+	w := newWalk(Arrival{}) // a fluid arrival: no node aggregates
+	w.next(&n, &h)
+	d, j, s, ok := h.member(theta)
+	if !ok || s <= 0 {
+		return 0, 0, false
+	}
+	return units.Rate(s), max(0, d-j/s), true
+}
+
 // chainAt evaluates the chain of hops against arr, whose knots are given, at
 // theta (nil: the blind residual at every cross node), in seconds and bytes;
 // overloaded is the walk's verdict, and starved the first node the cross

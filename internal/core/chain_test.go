@@ -616,13 +616,79 @@ func TestReservationsByHand(t *testing.T) {
 	}
 }
 
-// Reservations builds no curve at any rung.
+// ResidualAt is what the replay stages read of the curve engine's left-over
+// member: its ultimate rate, and the latency of the least rate-latency curve
+// at that rate nowhere below it, over nodes with and without cross traffic
+// and θ from 0 (the blind residual) to twice the blind residual's latency.
+func TestResidualAtIsMemberMajorant(t *testing.T) {
+	rng := rand.New(rand.NewSource(screenSeed))
+	// majorant is inf over t of t − resid(t)/s, on resid's breakpoints from
+	// its latency on (right limits): every slope of a left-over member is at
+	// most its ultimate slope s.
+	majorant := func(resid curve.Curve) float64 {
+		s := resid.UltimateSlope()
+		lat := resid.Latency()
+		best := lat
+		for _, x := range resid.Breakpoints() {
+			if x >= lat {
+				best = min(best, x-resid.Value(x)/s)
+			}
+		}
+		return max(0, best)
+	}
+	var members int
+	for trial := 0; trial < 20000; trial++ {
+		rate := logUniform(rng, 1e3, 1e9)
+		n := Node{Name: "n", Rate: units.Rate(rate), JobIn: 1, JobOut: 1,
+			Latency: time.Duration(logUniform(rng, 1e3, 1e7))}
+		if rng.Intn(4) > 0 {
+			n.CrossRate = units.Rate(rate * 0.97 * rng.Float64())
+			n.CrossBurst = units.Bytes(logUniform(rng, 1e2, 1e7))
+		}
+		full := curve.RateLatency(float64(n.Rate), n.Latency.Seconds())
+		cross := curve.Affine(float64(n.CrossRate), float64(n.CrossBurst))
+		theta := 0.0
+		if rng.Intn(3) > 0 {
+			theta = 2 * rng.Float64() * (float64(n.CrossBurst) + rate*n.Latency.Seconds()) / (rate - float64(n.CrossRate))
+		}
+		want, ok := full, true
+		switch {
+		case n.CrossRate <= 0:
+		case theta > 0:
+			want, ok = curve.FIFOResidual(full, cross, theta)
+			members++
+		default:
+			want, ok = curve.ResidualService(full, cross)
+		}
+		rateGot, lat, okGot := ResidualAt(n, theta)
+		if ok != okGot {
+			t.Fatalf("trial %d: %+v at θ %v: ok %v, engine %v", trial, n, theta, okGot, ok)
+		}
+		wantLat := majorant(want)
+		if math.Abs(float64(rateGot)-want.UltimateSlope()) > 1e-12*rate ||
+			math.Abs(lat-wantLat) > 4e-9*(1+wantLat) {
+			t.Fatalf("trial %d: %+v at θ %v: %v·[t − %v]⁺, engine %v·[t − %v]⁺ from %v",
+				trial, n, theta, rateGot, lat, want.UltimateSlope(), wantLat, want)
+		}
+	}
+	if members < 5000 {
+		t.Errorf("only %d draws with θ > 0 and cross traffic", members)
+	}
+}
+
+// Reservations builds no curve at any rung: every curve operator allocates
+// its result, and Reservations allocates only what it returns, plus the
+// θ-vector at fifo and tight.
 func TestReservationsCurveOps(t *testing.T) {
 	p := chainOpsPipeline()
 	for _, r := range Rungs() {
 		p.Rung = r
-		if n := countOps(func() { Reservations(p) }); n != 0 {
-			t.Errorf("%v: %d curve operator calls, want 0", r, n)
+		want := 2.0
+		if r == RungBlind {
+			want = 1
+		}
+		if n := testing.AllocsPerRun(100, func() { Reservations(p) }); n != want {
+			t.Errorf("%v: %v allocs per call, want %v", r, n, want)
 		}
 	}
 }
@@ -718,31 +784,42 @@ func chainOpsPipeline() Pipeline {
 	return p
 }
 
-// countOps returns how many curve operator calls f makes.
-func countOps(f func()) int {
-	n := 0
-	defer curve.SetOpCounter(curve.SetOpCounter(func(curve.OpKind) { n++ }))
-	f()
-	return n
+// raceEnabled is set under the race detector (race_test.go), whose
+// instrumentation costs Bound and BoundAt one allocation more per call.
+var raceEnabled bool
+
+// boundAllocs is what one Bound or BoundAt allocates: the Bounds it returns,
+// and under the race detector one allocation more.
+func boundAllocs() float64 {
+	if raceEnabled {
+		return 2
+	}
+	return 1
 }
 
-// Bounds are off the curve engine: Bound at every rung, a BoundAt and
-// ChainBound make no curve operator call, on BenchmarkBound's pipeline.
+// Bounds are off the curve engine, on BenchmarkBound's pipeline: every
+// curve operator allocates its result, and Bound at every rung and BoundAt
+// allocate only the Bounds they return (CI's BenchmarkBound gate), ChainBound
+// nothing (BenchmarkChainBound's).
 func TestBoundCurveOps(t *testing.T) {
 	p := chainOpsPipeline()
 	theta := []float64{1e-3, 2e-3, 3e-3}
-	ops := map[string]func(){
-		"ChainBound": func() { ChainBound(p.Arrival, p.Nodes, theta) },
-		"BoundAt":    func() { BoundAt(p, theta) },
+	type op struct {
+		f    func()
+		want float64
+	}
+	ops := map[string]op{
+		"ChainBound": {func() { ChainBound(p.Arrival, p.Nodes, theta) }, 0},
+		"BoundAt":    {func() { BoundAt(p, theta) }, boundAllocs()},
 	}
 	for _, r := range Rungs() {
 		pr := p
 		pr.Rung = r
-		ops[r.String()+" Bound"] = func() { Bound(pr) }
+		ops[r.String()+" Bound"] = op{func() { Bound(pr) }, boundAllocs()}
 	}
-	for name, f := range ops {
-		if n := countOps(f); n != 0 {
-			t.Errorf("%s: %d curve operator calls, want 0", name, n)
+	for name, o := range ops {
+		if n := testing.AllocsPerRun(100, o.f); n != o.want {
+			t.Errorf("%s: %v allocs per call, want %v", name, n, o.want)
 		}
 	}
 }

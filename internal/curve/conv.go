@@ -27,11 +27,6 @@ import (
 // absEps resolves at offset Tf+Tg. ConvolveSampled remains available for
 // cross-validation.
 func Convolve(f, g Curve) Curve {
-	countOp(opConv)
-	return convolveDispatch(f, g)
-}
-
-func convolveDispatch(f, g Curve) Curve {
 	if f.IsConvex() && g.IsConvex() {
 		return convolveConvex(f, g)
 	}
@@ -39,7 +34,6 @@ func convolveDispatch(f, g Curve) Curve {
 		return c
 	}
 	// General shapes: the exact piece-decomposition algorithm.
-	countOp(opConvExact)
 	return ConvolveExact(f, g)
 }
 

@@ -29,7 +29,6 @@ import (
 //
 // The result is the pointwise maximum of all candidates.
 func Deconvolve(f, g Curve) (res Curve, ok bool) {
-	countOp(opDeconv)
 	return deconvolve(f, g)
 }
 
@@ -66,8 +65,7 @@ func deconvolve(f, g Curve) (res Curve, ok bool) {
 		candidates = append(candidates, newOwned(off, []Segment{{0, off, fr}}))
 	}
 
-	// Fold with the raw kernel rather than Max: the intermediates belong to
-	// this Deconvolve call, not operator calls of their own to be counted.
+	// Fold with the raw kernel: the intermediates belong to this call.
 	res = candidates[0]
 	for _, c := range candidates[1:] {
 		res = combine(res, c, binMax)

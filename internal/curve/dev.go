@@ -41,7 +41,6 @@ func (c Curve) InverseLower(y float64) float64 {
 // the network-calculus backlog bound when f is an arrival curve and g a
 // service curve. It returns +inf when f's long-run rate exceeds g's.
 func VDev(f, g Curve) float64 {
-	countOp(opVDev)
 	return vDev(f, g)
 }
 
@@ -81,7 +80,6 @@ func vDev(f, g Curve) float64 {
 // a service curve. It returns +inf when f's long-run rate exceeds g's, or
 // when f exceeds a bounded g.
 func HDev(f, g Curve) float64 {
-	countOp(opHDev)
 	return hDev(f, g)
 }
 

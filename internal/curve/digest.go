@@ -9,8 +9,7 @@ import "math"
 // segment list (collinear merge, coincident-breakpoint resolution, noise
 // clamping) before hashing, two curves built through the same normalized
 // representation share a digest, and the digest can serve as a value
-// identity: the admission layer keys flow classes by the digest of a flow's
-// arrival envelope.
+// identity: Equal short-circuits on it.
 //
 // The digest is a splitmix64-style avalanche hash over the float64 bit
 // patterns of f(0) and every segment's (X, Y, Slope), with -0 folded into

@@ -62,7 +62,6 @@ func FIFOResidual(beta, cross Curve, theta float64) (res Curve, ok bool) {
 		return Zero(), false
 	}
 	shifted := ShiftRight(cross, theta)
-	countOp(opFIFOResidual)
 	return fifoResidual(beta, shifted, theta), true
 }
 
@@ -105,7 +104,6 @@ func fifoResidualRateLatency(beta Curve, R, T, r, b, theta float64) (Curve, bool
 	if R <= r+absEps(r) {
 		return Zero(), false
 	}
-	countOp(opFIFOResidual)
 	// ShiftRight(cross, theta) normalizes to these two segments: theta is
 	// past absEps of the origin, and a cross that is not zero is not
 	// collinear with the leading zero segment.

@@ -16,7 +16,6 @@ func ConcaveHull(c Curve) Curve {
 	if c.IsConcave() {
 		return c
 	}
-	countOp(opConcaveHull)
 	return concaveHull(c)
 }
 

@@ -236,19 +236,16 @@ func insertCrossings(xs []float64, a, b Curve) []float64 {
 // Min returns the pointwise minimum of a and b. For concave curves that are
 // 0 at the origin this equals their min-plus convolution.
 func Min(a, b Curve) Curve {
-	countOp(opMin)
 	return combine(a, b, binMin)
 }
 
 // Max returns the pointwise maximum of a and b.
 func Max(a, b Curve) Curve {
-	countOp(opMax)
 	return combine(a, b, binMax)
 }
 
 // Add returns the pointwise sum a + b.
 func Add(a, b Curve) Curve {
-	countOp(opAdd)
 	return combine(a, b, binAdd)
 }
 
@@ -301,7 +298,6 @@ func ShiftRight(a Curve, T float64) Curve {
 	if T == 0 {
 		return a
 	}
-	countOp(opShiftRight)
 	segs := make([]Segment, 0, len(a.segs)+1)
 	segs = append(segs, Segment{0, 0, 0})
 	for _, s := range a.segs {
@@ -345,7 +341,6 @@ func AddBurst(a Curve, c float64) Curve {
 	if c < 0 {
 		panic("curve: AddBurst with negative c")
 	}
-	countOp(opAddBurst)
 	segs := a.Segments()
 	for i := range segs {
 		segs[i].Y += c
@@ -362,7 +357,6 @@ func SubConstantPositive(a Curve, c float64) Curve {
 	if c == 0 {
 		return a
 	}
-	countOp(opSubConst)
 	tc := a.InverseLower(c)
 	if math.IsInf(tc, 1) {
 		return Zero() // a never reaches c

@@ -20,11 +20,6 @@ import "math"
 // lower-bounds the residual. Rejecting such crosses outright used to
 // report spurious starvation for perfectly admissible flows.
 func ResidualService(beta, cross Curve) (res Curve, ok bool) {
-	countOp(opResidual)
-	return residualService(beta, cross)
-}
-
-func residualService(beta, cross Curve) (res Curve, ok bool) {
 	if !beta.IsConvex() {
 		return Zero(), false
 	}

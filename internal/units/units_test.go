@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,16 +152,18 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Time and Over are inverses (where defined).
+// Property: Time and Over are inverses up to the whole nanosecond Time
+// truncates to: 0 <= b - r.Bytes(b.Time(r)) <= r·1ns, give or take float
+// rounding.
 func TestTimeOverInverse(t *testing.T) {
 	f := func(vol uint32, rate uint32) bool {
 		b := Bytes(vol%(1<<20) + 1)
 		r := Rate(rate%(1<<20) + 1)
-		d := b.Time(r)
-		got := r.Bytes(d)
-		return math.Abs(float64(got-b)) <= float64(b)*1e-6+1e-9
+		lost := float64(b - r.Bytes(b.Time(r)))
+		slack := float64(b) * 1e-12
+		return lost >= -slack && lost <= float64(r)*1e-9+slack
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -176,7 +179,7 @@ func TestStringParseRoundTrip(t *testing.T) {
 		// %.3g keeps 3 significant digits.
 		return math.Abs(float64(parsed-b)) <= float64(b)*5e-3+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
 	}
 }
