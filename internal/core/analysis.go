@@ -129,12 +129,14 @@ type Analysis struct {
 // secs converts a time.Duration to float64 seconds (curve x-axis unit).
 func secs(d time.Duration) float64 { return d.Seconds() }
 
-// dur converts float64 seconds to time.Duration, saturating at the maximum.
+// dur converts float64 seconds to time.Duration, rounding up to the next
+// nanosecond, so that a bound is never reported below its value, and
+// saturating at the maximum.
 func dur(s float64) time.Duration {
 	if s >= float64(math.MaxInt64)/float64(time.Second) {
 		return time.Duration(math.MaxInt64)
 	}
-	return time.Duration(s * float64(time.Second))
+	return time.Duration(math.Ceil(s * float64(time.Second)))
 }
 
 // Analyze applies the network-calculus model to the pipeline and returns
@@ -209,118 +211,85 @@ func run(p Pipeline, theta []float64, report bool) (a *Analysis, b *Bounds, err 
 	if search {
 		theta = optimum(p)
 	}
-	a, err = analyzeWith(p, theta, true)
+	a, err = analyze(p, theta)
 	return a, nil, err
 }
 
-// analyzeWith runs the node loop over curves. A non-nil thetas slice (indexed
-// by node) pins the FIFO left-over θ at every cross node (entries elsewhere
-// are ignored); with thetas nil a cross node takes the blind residual. The
-// chain pass, report unset, builds per node the normalisation, Beta and θ,
-// and of the chain Alpha, AlphaPrime, ThroughputLower, Overloaded and
-// BottleneckIndex: the curve-engine oracle ChainBound is tested against. The
-// report pass fills in every other field of Analysis and NodeAnalysis.
-func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
-	rung := p.Rung.Resolved()
-	a := &Analysis{Pipeline: p, Rung: rung, Nodes: make([]NodeAnalysis, 0, len(p.Nodes))}
-
-	// Arrival curves (input-referred by definition). Extra buckets tighten
-	// the envelope to a concave piecewise-linear minimum.
+// analyze is the report pass: every number of the Analysis from the walk's
+// hops in scalars, at theta (nil: the blind residual at every cross node;
+// entries at nodes without cross traffic are ignored), and the curve-typed
+// fields built from those numbers by constructors. The flow entering each
+// node is a bucket list, α′ at the first node; propagate carries it through
+// the node's member δ_D′ ⊗ (J + S·t), D′ the member's D less the aggregation
+// delay, and the node's delay and backlog are deviations against that one
+// member, as ChainBound reads a chain. The folded chain is the member
+// (TotalLatency, 0, the bottleneck rate) behind the maximum service at the
+// least maximum rate.
+func analyze(p Pipeline, theta []float64) (*Analysis, error) {
+	a := &Analysis{Pipeline: p, Rung: p.Rung.Resolved(), Nodes: make([]NodeAnalysis, len(p.Nodes))}
 	a.Alpha = p.Arrival.Envelope()
-	alphaPrime := a.Alpha
+	a.AlphaPrime = a.Alpha
 	if p.Arrival.MaxPacket > 0 {
-		alphaPrime = curve.AddBurst(a.Alpha, float64(p.Arrival.MaxPacket))
+		a.AlphaPrime = curve.AddBurst(a.Alpha, float64(p.Arrival.MaxPacket))
 	}
-	a.AlphaPrime = alphaPrime
 
 	w := newWalk(p.Arrival)
-	cumLatency := time.Duration(0)
-	alphaIn := alphaPrime
-
-	for i, n := range p.Nodes {
-		var h hop
-		w.next(&p.Nodes[i], &h)
-		na := NodeAnalysis{
-			Node: n, GainBefore: h.gain, Rate: h.rate, MaxRate: h.maxRate, JobIn: h.jobIn,
-			ArrivalRate: h.arrRate, Aggregates: h.aggregates, AggregationDelay: h.agg,
-			Overloaded: h.overloaded,
+	hops := appendHops(make([]hop, 0, len(p.Nodes)), &w, p.Nodes)
+	cum := 0.0 // T_n^tot in seconds
+	in := p.Arrival
+	for i := range hops {
+		h, na := &hops[i], &a.Nodes[i]
+		*na = NodeAnalysis{
+			Node: p.Nodes[i], GainBefore: h.gain, Rate: h.rate, MaxRate: h.maxRate, JobIn: h.jobIn,
+			ArrivalRate: h.arrRate, Aggregates: h.aggregates, AggregationDelay: dur(h.agg),
+			Overloaded: h.overloaded, AlphaIn: a.AlphaPrime,
+			Gamma: curve.RateLatency(float64(h.maxRate), 0), // best case: no delay
 		}
-
-		// Packetized service curves (input-referred). With cross traffic the
-		// base curve is the residual [beta_full - alpha_cross]⁺, whose
-		// latency (b_c + R·T)/(R - r_c) — not the raw T — is what the node
-		// contributes to the end-to-end latency recursion: the folded chain
-		// curve must stay below the concatenation of the residual curves.
-		effLatency := n.Latency
-		var resid curve.Curve
-		if h.cross > 0 {
-			full, crossC := h.service()
-			var ok bool
-			if thetas != nil {
-				na.FIFOTheta = thetas[i]
-				resid, ok = curve.FIFOResidual(full, crossC, thetas[i])
-			} else {
-				resid, ok = curve.ResidualService(full, crossC)
-			}
-			if !ok {
-				return nil, starvation(p, i)
-			}
-			effLatency = dur(resid.Latency())
+		th := 0.0
+		if theta != nil && h.cross > 0 {
+			th = theta[i]
+			na.FIFOTheta = th
+		}
+		d, j, s, ok := h.member(th)
+		if !ok {
+			return nil, starvation(p, i)
+		}
+		d -= h.agg
+		// The node's contribution to the latency recursion is the latency of
+		// its service before the packetizer: with cross traffic that is the
+		// left-over member's, (b + Rf·T − r·θ)/(Rf − r) up to θ₀ without the
+		// packet and θ past it, not the raw T.
+		cum += h.agg + h.residualLatency(th)
+		na.CumulativeLatency = dur(cum)
+		na.Beta = curve.RateLatency(s, d)
+		if j > 0 {
+			na.Beta = curve.New(0, []curve.Segment{{X: 0}, {X: d, Y: j, Slope: s}})
+		}
+		if i > 0 {
+			na.AlphaIn = envelopeCurve(in)
+		}
+		// The aggregation buffer itself holds up to one job.
+		if na.Overloaded {
+			na.BacklogBound = units.Bytes(math.Inf(1))
+			na.DelayBound = time.Duration(math.MaxInt64)
 		} else {
-			resid = curve.RateLatency(h.full, secs(n.Latency))
-		}
-		beta := resid
-		if h.lmax > 0 {
-			beta = curve.SubConstantPositive(resid, h.lmax) // the packetizer's [β − l_max]⁺
-		}
-		na.CumulativeLatency = cumLatency + na.AggregationDelay + effLatency
-		cumLatency = na.CumulativeLatency
-		na.Beta = beta
-
-		// Per-node bounds against the propagated arrival bound. The
-		// aggregation buffer itself holds up to one job.
-		if report {
-			na.AlphaIn = alphaIn
-			if na.Overloaded {
-				na.BacklogBound = units.Bytes(math.Inf(1))
-				na.DelayBound = time.Duration(math.MaxInt64)
-			} else {
-				na.BacklogBound = units.Bytes(curve.VDev(alphaIn, beta))
-				if na.Aggregates {
-					na.BacklogBound += na.JobIn
-				}
-				na.DelayBound = dur(curve.HDev(alphaIn, beta))
+			var kb [8]knot
+			delay, backlog := deviations(&in, appendKnots(kb[:0], in), d, [][2]float64{{j, s}}, true)
+			na.DelayBound, na.BacklogBound = dur(delay), units.Bytes(backlog)
+			if na.Aggregates {
+				na.BacklogBound += na.JobIn
 			}
 		}
-
-		// Propagate the flow to the next node: output bound
-		// alpha* = (alphaIn ⊗ gamma) ⊘ beta, reinterpreted as an arrival
-		// curve. Under overload the output is service-limited instead.
-		if report {
-			na.Gamma = curve.RateLatency(float64(na.MaxRate), 0) // best case: no delay
+		if i+1 < len(hops) {
+			in = listArrival(h.output(nil, &in, d, j, s))
 		}
-		if report && i+1 < len(p.Nodes) {
-			if !na.Overloaded {
-				conv := curve.Convolve(alphaIn, na.Gamma)
-				if out, ok := curve.Deconvolve(conv, beta); ok {
-					alphaIn = out.ZeroAtOrigin()
-				}
-			} else {
-				// The node drains at its own rate; downstream sees at most that.
-				alphaIn = curve.Affine(float64(na.Rate), math.Max(float64(na.JobIn), h.lmax))
-			}
-		}
-		a.Nodes = append(a.Nodes, na)
 	}
 	a.BottleneckIndex = w.bottleneck
-	a.TotalLatency = cumLatency
+	a.TotalLatency = dur(cum)
 	a.Overloaded = w.overloaded()
 	// Throughput bounds (paper Tables 1 and 3). Both are capped by the
 	// offered load: a stable pipeline cannot deliver more than arrives.
 	a.ThroughputLower = w.throughput()
-	if !report {
-		return a, nil
-	}
 	a.ThroughputUpper = min(w.arrival, w.minMaxRate)
 
 	// End-to-end service curves: the paper folds the whole chain into a
@@ -328,59 +297,44 @@ func analyzeWith(p Pipeline, thetas []float64, report bool) (*Analysis, error) {
 	// (aggregation-aware) latency. This equals the min-plus concatenation
 	// of the per-node curves with the aggregation delays inserted as pure
 	// delay elements.
-	a.Beta = curve.RateLatency(float64(w.minRate), secs(cumLatency))
-	a.Gamma = curve.RateLatency(float64(w.minMaxRate), 0)
+	minRate, maxRate := float64(w.minRate), float64(w.minMaxRate)
+	a.Beta = curve.RateLatency(minRate, cum)
+	a.Gamma = curve.RateLatency(maxRate, 0)
 
 	// Closed-form per-job estimates (valid in all three regimes; the
 	// paper's §3 hypothesis for the overloaded case).
-	a.DelayEstimate = dur(secs(cumLatency) + a.AlphaPrime.Burst()/float64(w.minRate))
-	a.BacklogEstimate = units.Bytes(a.AlphaPrime.Burst() + float64(w.arrival)*secs(cumLatency))
+	burst := p.Arrival.envelopeAt(0) + float64(p.Arrival.MaxPacket)
+	a.DelayEstimate = dur(cum + burst/minRate)
+	a.BacklogEstimate = units.Bytes(burst + float64(w.arrival)*cum)
 
-	// End-to-end bounds.
+	// End-to-end bounds, and the output flow bound
+	// alpha* = (alpha' ⊗ gamma) ⊘ beta; under overload the deconvolution
+	// diverges and alpha' ⊗ gamma stands in for it.
 	if a.Overloaded {
 		a.DelayBoundInfinite = true
 		a.BacklogBoundInfinite = true
 		a.DelayBound = time.Duration(math.MaxInt64)
 		a.BacklogBound = units.Bytes(math.Inf(1))
-	} else {
-		a.DelayBound = dur(curve.HDev(alphaPrime, a.Beta))
-		a.BacklogBound = units.Bytes(curve.VDev(alphaPrime, a.Beta))
+		a.OutputBound = envelopeCurve(listArrival(convGamma(nil, &p.Arrival, maxRate)))
+		return a, nil
 	}
-
-	// Output flow bound alpha* = (alpha' ⊗ gamma) ⊘ beta.
-	convAG := curve.Convolve(alphaPrime, a.Gamma)
-	if out, ok := curve.Deconvolve(convAG, a.Beta); ok {
-		a.OutputBound = out.ZeroAtOrigin()
-	} else {
-		a.OutputBound = convAG // overloaded: deconvolution diverges
-	}
+	var kb [8]knot
+	delay, backlog := deviations(&p.Arrival, appendKnots(kb[:0], p.Arrival), cum, [][2]float64{{0, minRate}}, true)
+	a.DelayBound, a.BacklogBound = dur(delay), units.Bytes(backlog)
+	a.OutputBound = envelopeCurve(listArrival(propagate(nil, &p.Arrival, maxRate, cum, 0, minRate)))
 	return a, nil
 }
 
-// service returns cross hop h's full service curve and its cross traffic's
-// envelope, both input-referred.
-func (h *hop) service() (full, cross curve.Curve) {
-	return curve.RateLatency(h.full, h.latency), curve.Affine(h.cross, h.burst)
-}
-
-// ConcatenatedBeta returns the min-plus concatenation of the per-node
-// packetized service curves, with each node's aggregation delay inserted as
-// a pure-delay element. Unlike the folded rate-latency Beta (the paper's
-// closed form, which carries the packetizer adjustment on the arrival side
-// only), this curve subtracts l_max at every hop, so delay and backlog
-// bounds derived from it remain valid for multi-hop store-and-forward
-// chains — the sound choice when the bounds back admission promises.
-func (a *Analysis) ConcatenatedBeta() curve.Curve {
-	var out curve.Curve
-	for i, na := range a.Nodes {
-		b := curve.ShiftRight(na.Beta, secs(na.AggregationDelay))
-		if i == 0 {
-			out = b
-		} else {
-			out = curve.Convolve(out, b)
-		}
+// envelopeCurve is the concave curve minᵢ(rᵢ·t + bᵢ) + l of arr's buckets
+// and packet, zero at the origin.
+func envelopeCurve(arr Arrival) curve.Curve {
+	l := float64(arr.MaxPacket)
+	buckets := make([]curve.Bucket, 0, 1+len(arr.Extra))
+	buckets = append(buckets, curve.Bucket{Rate: float64(arr.Rate), Burst: float64(arr.Burst) + l})
+	for _, b := range arr.Extra {
+		buckets = append(buckets, curve.Bucket{Rate: float64(b.Rate), Burst: float64(b.Burst) + l})
 	}
-	return out
+	return curve.Envelope(buckets)
 }
 
 // InputAt returns the arrival-curve bound on the flow entering node i (the

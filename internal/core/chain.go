@@ -10,9 +10,9 @@ import (
 )
 
 // hop is one node of a chain referred to the pipeline input through the
-// upstream gain product: what analyzeWith and the chain evaluator both read
-// of it. Its service curve in the chain of ConcatenatedBeta is δ_D ⊗ (J + S·t),
-// a delay D, then a jump J and one slope S = rate.
+// upstream gain product: what the report pass, the chain evaluator and the
+// reservations all read of it. Its service curve in the chain is
+// δ_D ⊗ (J + S·t), a delay D, then a jump J and one slope S = rate.
 type hop struct {
 	gain    float64    // GainBefore
 	full    float64    // the node's rate, Rf
@@ -22,8 +22,10 @@ type hop struct {
 	// The cross traffic's rate r and burst b, the packet, and the latency T in
 	// seconds, raised to curve.MinLatency as curve.RateLatency raises it.
 	cross, burst, lmax, latency float64
-	arrRate                     units.Rate    // the flow's long-run rate arriving here
-	agg                         time.Duration // the aggregation delay
+	arrRate                     units.Rate // the flow's long-run rate arriving here
+	// agg is the aggregation delay in seconds, JobIn over the arrival rate,
+	// as the chain shifts by it: not truncated to a whole nanosecond.
+	agg float64
 	// d is D without cross traffic and the aggregation delay with it; theta0
 	// is θ₀, past which the FIFO member jumps instead of delaying further.
 	d, theta0                       float64
@@ -87,10 +89,10 @@ func (w *walk) next(n *Node, h *hop) {
 	// b_n / R_alpha,n-1. The comparison is in this node's local bytes on
 	// both sides.
 	if h.aggregates = float64(n.JobIn) > w.grain*(1+1e-12); h.aggregates {
-		h.agg = h.jobIn.Time(w.arrRate)
+		h.agg = float64(h.jobIn) / float64(w.arrRate)
 	}
 	h.overloaded = float64(w.arrRate) > float64(h.rate)*(1+1e-12)
-	h.d = secs(h.agg)
+	h.d = h.agg
 	if h.cross > 0 {
 		h.theta0 = h.latency + (h.burst+h.lmax)/h.full
 	} else {
@@ -230,8 +232,16 @@ func chainAt(hops []hop, arr *Arrival, knots []knot, overloaded bool, theta []fl
 	if overloaded {
 		return math.Inf(1), math.Inf(1), -1
 	}
-	// The chain is δ_ΣD ⊗ minₖ(Jₖ + Sₖ·t). Against the concave α′ each
-	// (α′(t) − Jₖ)/Sₖ − t is concave, so the delay's sup sits on a knot.
+	delay, bl = deviations(arr, knots, sumD, js, backlog)
+	return delay, bl, -1
+}
+
+// deviations is the delay (seconds) and, with backlog set, the backlog
+// between arr, whose knots are given, and the service δ_sumD ⊗ minₖ(Jₖ + Sₖ·t),
+// js holding (Jₖ, Sₖ).
+func deviations(arr *Arrival, knots []knot, sumD float64, js [][2]float64, backlog bool) (delay, bl float64) {
+	// Against the concave arr each (arr(t) − Jₖ)/Sₖ − t is concave, so the
+	// delay's sup sits on a knot.
 	worst := 0.0
 	for _, k := range knots {
 		for _, m := range js {
@@ -239,10 +249,10 @@ func chainAt(hops []hop, arr *Arrival, knots []knot, overloaded bool, theta []fl
 		}
 	}
 	if !backlog {
-		return sumD + worst, 0, -1
+		return sumD + worst, 0
 	}
-	// α′ − β is α′ up to ΣD and convex between α′'s knots from it on, so its
-	// sup sits at ΣD (either side) or on a knot from it on.
+	// arr − β is arr up to sumD and convex between arr's knots from it on,
+	// so its sup sits at sumD (either side) or on a knot from it on.
 	if sumD > 0 {
 		bl = arr.envelopeAt(sumD) + float64(arr.MaxPacket)
 	}
@@ -255,7 +265,104 @@ func chainAt(hops []hop, arr *Arrival, knots []knot, overloaded bool, theta []fl
 			bl = max(bl, k.a-beta)
 		}
 	}
-	return sumD + worst, bl, -1
+	return sumD + worst, bl
+}
+
+// listArrival is the bucket list l, packet included, as an Arrival with no
+// packet; it shares l's backing array.
+func listArrival(l []Bucket) Arrival {
+	return Arrival{Rate: l[0].Rate, Burst: l[0].Burst, Extra: l[1:]}
+}
+
+// convGamma appends to dst the bucket list of in ⊗ γ, γ = maxRate·t: in's
+// buckets plus its packet at the rates below maxRate, and (maxRate, 0), which
+// lies below every other.
+func convGamma(dst []Bucket, in *Arrival, maxRate float64) []Bucket {
+	l := in.MaxPacket
+	if float64(in.Rate) < maxRate {
+		dst = append(dst, Bucket{in.Rate, in.Burst + l})
+	}
+	for _, b := range in.Extra {
+		if float64(b.Rate) < maxRate {
+			dst = append(dst, Bucket{b.Rate, b.Burst + l})
+		}
+	}
+	return append(dst, Bucket{units.Rate(maxRate), 0})
+}
+
+// propagate appends to dst the bucket list of the output bound (in ⊗ γ) ⊘ β
+// of the flow in, its buckets plus its packet, through a node of maximum rate
+// maxRate and service β = δ_d ⊗ (j + s·t). With g = in ⊗ γ (convGamma) and
+// c = maxᵢ(g(tᵢ) − s·tᵢ) + s·d − j over g's knots tᵢ, the list is
+//
+//	{(r, b + r·d) : (r, b) in g, r ≤ s*} ∪ {(s*, c)}
+//
+// At j = 0, s* = s and the list is the output exactly. With a jump j > 0 the
+// output is g(t + d) raised to c + s·t while t + d is short of the knot past
+// which g's slope is at most s, which is not concave; the list is its least
+// concave majorant, the tangent from (0, c) to g(· + d), whose slope is
+// s* = maxᵢ (g(tᵢ) − c)/(tᵢ − d) over g's knots past d (at least s), and
+// g(· + d) alone when c is below g(d).
+func propagate(dst []Bucket, in *Arrival, maxRate, d, j, s float64) []Bucket {
+	var gb [8]Bucket
+	var kb [8]knot
+	g := listArrival(convGamma(gb[:0], in, maxRate))
+	knots := appendKnots(kb[:0], g)
+	c := math.Inf(-1)
+	for _, k := range knots {
+		c = max(c, k.a-s*k.t)
+	}
+	c += s*d - j
+	top := s
+	if j > 0 {
+		if c < g.envelopeAt(d) {
+			top = math.Inf(1)
+		} else {
+			for _, k := range knots {
+				if k.t > d {
+					top = max(top, (k.a-c)/(k.t-d))
+				}
+			}
+		}
+	}
+	if r := float64(g.Rate); r <= top {
+		dst = append(dst, Bucket{g.Rate, g.Burst + units.Bytes(r*d)})
+	}
+	for _, b := range g.Extra {
+		if r := float64(b.Rate); r <= top {
+			dst = append(dst, Bucket{b.Rate, b.Burst + units.Bytes(r*d)})
+		}
+	}
+	if !math.IsInf(top, 1) {
+		dst = append(dst, Bucket{units.Rate(top), units.Bytes(c)})
+	}
+	return dst
+}
+
+// output appends to dst the bucket list of the flow leaving node h, for the
+// flow in entering it and the node's member δ_d ⊗ (j + s·t) less the
+// aggregation delay: propagate's, or under overload the node's own drain,
+// {(rate, max(JobIn, l))}.
+func (h *hop) output(dst []Bucket, in *Arrival, d, j, s float64) []Bucket {
+	if h.overloaded {
+		return append(dst, Bucket{h.rate, units.Bytes(max(float64(h.jobIn), h.lmax))})
+	}
+	return propagate(dst, in, float64(h.maxRate), d, j, s)
+}
+
+// residualLatency is the latency of node h's service at theta before the
+// packetizer and without the aggregation delay: T (as hop raises it) without
+// cross traffic, and
+// with it the left-over member's, (b + Rf·T − r·θ)/(Rf − r) up to
+// θ₀ = T + b/Rf and θ past it, where the member jumps.
+func (h *hop) residualLatency(theta float64) float64 {
+	if h.cross == 0 {
+		return h.latency
+	}
+	if theta <= h.latency+h.burst/h.full {
+		return (h.burst + h.full*h.latency - h.cross*theta) / float64(h.rate)
+	}
+	return theta
 }
 
 // ChainBound is the chain bound of Bound in scalars: the delay (seconds) and
@@ -449,15 +556,14 @@ func chainBounds(p Pipeline, theta []float64, search bool) (*Bounds, error) {
 // Reservations is, per node of p and in node-local units, the ultimate affine
 // bound (rate, burst) of the flow's propagated output bound α* = (α ⊗ γ) ⊘ β
 // at that node's input: NodeAnalysis.AlphaIn.UltimateAffine() times
-// GainBefore, from the same chain at the rung's θ-vector (none at blind,
-// thetaOptimum's at fifo and tight), in scalars and without a curve. Every
-// member is δ_D ⊗ (J + S·t), so with r·t + B the ultimate part of the
-// arrival at node k (from the least-rate bucket, least burst on ties, plus
-// the packet) the ultimate part at node k+1 is
+// GainBefore, at the rung's θ-vector (none at blind, thetaOptimum's at fifo
+// and tight). It is the least-rate bucket (least burst on ties) of the bucket
+// lists the report pass propagates (hop.output), which without a curve read
 //
-//	overloaded:     hₖ.rate·t + max(JobInₖ, lₖ)
-//	r < MaxRateₖ:   r·t + B + r·D′ₖ
-//	otherwise:      MaxRateₖ·t + MaxRateₖ·D′ₖ
+//	at the first node:  the least-rate arrival bucket plus the packet, r·t + B
+//	overloaded:         hₖ.rate·t + max(JobInₖ, lₖ)
+//	r < MaxRateₖ:       r·t + B + r·D′ₖ
+//	otherwise:          MaxRateₖ·t + MaxRateₖ·D′ₖ
 //
 // with D′ₖ the member's D less the aggregation delay. The errors are Bound's:
 // an invalid pipeline or a node the cross traffic starves.
@@ -478,30 +584,28 @@ func Reservations(p Pipeline) ([]Bucket, error) {
 	if p.Rung.Resolved() != RungBlind {
 		theta = thetaOptimum(hops, appendKnots(kb[:0], p.Arrival), make([]float64, len(hops)))
 	}
-	r, b := float64(p.Arrival.Rate), float64(p.Arrival.Burst)
-	for _, x := range p.Arrival.Extra {
-		if xr, xb := float64(x.Rate), float64(x.Burst); xr < r || (xr == r && xb < b) {
-			r, b = xr, xb
-		}
-	}
-	b += float64(p.Arrival.MaxPacket)
+	var lists [2][8]Bucket // the flow into a node and out of it, in turn
+	in := p.Arrival
 	out := make([]Bucket, len(hops))
 	for i := range hops {
 		h := &hops[i]
-		out[i] = Bucket{Rate: units.Rate(r * h.gain), Burst: units.Bytes(max(0, b) * h.gain)}
-		if h.overloaded {
-			r, b = float64(h.rate), max(float64(h.jobIn), h.lmax)
-			continue
+		r, b := in.Rate, in.Burst
+		for _, x := range in.Extra {
+			if x.Rate < r || (x.Rate == r && x.Burst < b) {
+				r, b = x.Rate, x.Burst
+			}
 		}
-		if maxRate := float64(h.maxRate); r >= maxRate {
-			r, b = maxRate, 0
+		b += in.MaxPacket
+		out[i] = Bucket{Rate: units.Rate(float64(r) * h.gain), Burst: units.Bytes(max(0, float64(b)) * h.gain)}
+		if i+1 == len(hops) {
+			break
 		}
 		th := 0.0
 		if theta != nil {
 			th = theta[i]
 		}
-		d, _, _, _ := h.member(th)
-		b += r * (d - secs(h.agg))
+		d, j, s, _ := h.member(th)
+		in = listArrival(h.output(lists[i%2][:0], &in, d-h.agg, j, s))
 	}
 	return out, nil
 }

@@ -17,11 +17,12 @@ import (
 type splitChain []curve.Curve
 
 // engineMembers returns the members of a's chain: each node's packetized
-// service curve delayed by its aggregation delay.
+// service curve delayed by its aggregation delay in seconds.
 func engineMembers(a *Analysis) splitChain {
 	out := make(splitChain, len(a.Nodes))
+	agg := aggDelays(a)
 	for i, na := range a.Nodes {
-		out[i] = curve.ShiftRight(na.Beta, secs(na.AggregationDelay))
+		out[i] = curve.ShiftRight(na.Beta, agg[i])
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"streamcalc/internal/core"
-	"streamcalc/internal/curve"
 	"streamcalc/internal/sim"
 	"streamcalc/internal/stats"
 	"streamcalc/internal/units"
@@ -61,19 +60,18 @@ func CrossVal(w io.Writer, o Options) error {
 			},
 			Nodes: nodes,
 		}
-		a, err := core.Analyze(p)
-		if err != nil {
-			return err
-		}
 		// Chain bound: the concatenated per-node packetized curves with the
-		// aggregation delays inserted as pure-delay elements (the same curve
-		// that backs admission promises). The deviations against α' are the
-		// whole bound — no discretization fudge terms: α' already covers the
+		// aggregation delays inserted as pure-delay elements, which
+		// core.ChainBound evaluates in scalars (the bound that backs
+		// admission promises). The deviations against α' are the whole
+		// bound — no discretization fudge terms: α' already covers the
 		// source's packet staircase (α'(t) = α(t) + l_max ≥ b + P·⌈rt/P⌉),
-		// and the aggregation hold-back is in the chain curve itself.
-		chain := a.ConcatenatedBeta()
-		delayBound := curve.HDev(a.AlphaPrime, chain)
-		backlogBound := curve.VDev(a.AlphaPrime, chain)
+		// and the aggregation hold-back is in the chain itself.
+		delayBound, backlog, _, ok := core.ChainBound(p.Arrival, p.Nodes, nil)
+		if !ok {
+			return fmt.Errorf("crossval: trial %d: the pipeline is not stable", trial)
+		}
+		backlogBound := float64(backlog)
 
 		sp := sim.New(sim.SourceConfig{
 			Rate:       p.Arrival.Rate,
