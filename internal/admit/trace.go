@@ -110,12 +110,14 @@ func (tr *decTrace) noteGroup(n int) {
 
 // absorb folds the leader's shared trace of one transaction (span phases,
 // counters, nodes read) into this ticket's trace. Called by the
-// leader before the done-channel handoff.
+// leader before the done-channel handoff. The window from this ticket's
+// last mark to g's start, the leader working through the rest of the group
+// before the shared trace began, counts as queue wait.
 func (tr *decTrace) absorb(g *decTrace) {
 	if tr == nil || g == nil {
 		return
 	}
-	tr.span.Absorb(g.span)
+	tr.span.Absorb(g.span, PhaseQueueWait)
 	tr.victims += g.victims
 	tr.screened += g.screened
 	tr.certified += g.certified

@@ -266,12 +266,11 @@ func analyze(p Pipeline, theta []float64) (*Analysis, error) {
 			na.Beta = curve.New(0, []curve.Segment{{X: 0}, {X: d, Y: j, Slope: s}})
 		}
 		if i > 0 {
-			na.AlphaIn = envelopeCurve(in)
+			na.AlphaIn = in.Envelope()
 		}
 		// The aggregation buffer itself holds up to one job.
 		if na.Overloaded {
-			na.BacklogBound = units.Bytes(math.Inf(1))
-			na.DelayBound = time.Duration(math.MaxInt64)
+			na.DelayBound, na.BacklogBound = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
 		} else {
 			var kb [8]knot
 			delay, backlog := deviations(&in, appendKnots(kb[:0], in), d, [][2]float64{{j, s}}, true)
@@ -311,30 +310,16 @@ func analyze(p Pipeline, theta []float64) (*Analysis, error) {
 	// alpha* = (alpha' ⊗ gamma) ⊘ beta; under overload the deconvolution
 	// diverges and alpha' ⊗ gamma stands in for it.
 	if a.Overloaded {
-		a.DelayBoundInfinite = true
-		a.BacklogBoundInfinite = true
-		a.DelayBound = time.Duration(math.MaxInt64)
-		a.BacklogBound = units.Bytes(math.Inf(1))
-		a.OutputBound = envelopeCurve(listArrival(convGamma(nil, &p.Arrival, maxRate)))
+		a.DelayBoundInfinite, a.BacklogBoundInfinite = true, true
+		a.DelayBound, a.BacklogBound = time.Duration(math.MaxInt64), units.Bytes(math.Inf(1))
+		a.OutputBound = listArrival(convGamma(nil, &p.Arrival, maxRate)).Envelope()
 		return a, nil
 	}
 	var kb [8]knot
 	delay, backlog := deviations(&p.Arrival, appendKnots(kb[:0], p.Arrival), cum, [][2]float64{{0, minRate}}, true)
 	a.DelayBound, a.BacklogBound = dur(delay), units.Bytes(backlog)
-	a.OutputBound = envelopeCurve(listArrival(propagate(nil, &p.Arrival, maxRate, cum, 0, minRate)))
+	a.OutputBound = listArrival(propagate(nil, &p.Arrival, maxRate, cum, 0, minRate)).Envelope()
 	return a, nil
-}
-
-// envelopeCurve is the concave curve minᵢ(rᵢ·t + bᵢ) + l of arr's buckets
-// and packet, zero at the origin.
-func envelopeCurve(arr Arrival) curve.Curve {
-	l := float64(arr.MaxPacket)
-	buckets := make([]curve.Bucket, 0, 1+len(arr.Extra))
-	buckets = append(buckets, curve.Bucket{Rate: float64(arr.Rate), Burst: float64(arr.Burst) + l})
-	for _, b := range arr.Extra {
-		buckets = append(buckets, curve.Bucket{Rate: float64(b.Rate), Burst: float64(b.Burst) + l})
-	}
-	return curve.Envelope(buckets)
 }
 
 // InputAt returns the arrival-curve bound on the flow entering node i (the

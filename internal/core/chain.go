@@ -352,9 +352,8 @@ func (h *hop) output(dst []Bucket, in *Arrival, d, j, s float64) []Bucket {
 
 // residualLatency is the latency of node h's service at theta before the
 // packetizer and without the aggregation delay: T (as hop raises it) without
-// cross traffic, and
-// with it the left-over member's, (b + Rf·T − r·θ)/(Rf − r) up to
-// θ₀ = T + b/Rf and θ past it, where the member jumps.
+// cross traffic, and with it the left-over member's, (b + Rf·T − r·θ)/(Rf − r)
+// up to θ₀ = T + b/Rf and θ past it, where the member jumps.
 func (h *hop) residualLatency(theta float64) float64 {
 	if h.cross == 0 {
 		return h.latency

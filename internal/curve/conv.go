@@ -84,18 +84,6 @@ func delayedConcave(c Curve) (T float64, cc Curve, ok bool) {
 	return T, cc, cc.IsConcave() && kernelSafe(cc)
 }
 
-const autoSamples = 2048
-
-// autoHorizon picks a sampling horizon comfortably past all breakpoints of
-// both curves, where each is in its ultimate affine regime.
-func autoHorizon(f, g Curve) float64 {
-	h := 4 * (f.LastBreak() + g.LastBreak())
-	if h <= 0 {
-		h = 1
-	}
-	return h
-}
-
 // convolveConvex implements the exact slope-merge rule for convex curves:
 // the convolution traverses the combined segments in increasing slope order,
 // starting from f(0)+g(0). Convexity means each curve's finite pieces are
@@ -170,53 +158,4 @@ func ConvolveSampled(f, g Curve, horizon float64, n int) Curve {
 		}
 	}
 	return FromPoints(xs, ys, math.Min(f.UltimateSlope(), g.UltimateSlope()))
-}
-
-// ConvolveAll folds Convolve over a non-empty list of curves (the
-// concatenated end-to-end service curve of a chain of nodes).
-func ConvolveAll(cs []Curve) Curve {
-	if len(cs) == 0 {
-		panic("curve: ConvolveAll of empty list")
-	}
-	out := cs[0]
-	for _, c := range cs[1:] {
-		out = Convolve(out, c)
-	}
-	return out
-}
-
-// MaxPlusConvolve computes the max-plus convolution
-//
-//	(f ⊕ g)(t) = sup_{0 <= s <= t} [ f(s) + g(t-s) ],
-//
-// exactly when both curves are convex with value 0 at the origin (then it
-// equals max(f, g) — the dual of the concave min-plus rule) and by sampling
-// otherwise.
-func MaxPlusConvolve(f, g Curve) Curve {
-	if f.IsConvex() && g.IsConvex() && f.AtZero() == 0 && g.AtZero() == 0 {
-		return Max(f, g)
-	}
-	horizon := autoHorizon(f, g)
-	n := autoSamples
-	xs := make([]float64, n+1)
-	ys := make([]float64, n+1)
-	step := horizon / float64(n)
-	for i := 0; i <= n; i++ {
-		t := float64(i) * step
-		xs[i] = t
-		best := math.Inf(-1)
-		for j := 0; j <= i; j++ {
-			s := float64(j) * step
-			if v := f.Value(s) + g.Value(t-s); v > best {
-				best = v
-			}
-		}
-		ys[i] = best
-	}
-	for i := 1; i <= n; i++ {
-		if ys[i] < ys[i-1] {
-			ys[i] = ys[i-1]
-		}
-	}
-	return FromPoints(xs, ys, math.Max(f.UltimateSlope(), g.UltimateSlope()))
 }

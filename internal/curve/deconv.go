@@ -122,32 +122,3 @@ func pinnedCandidate(f, g Curve, x float64) Curve {
 	}
 	return newOwned(pts[0].y, segs)
 }
-
-// DeconvolveSampled evaluates (f ⊘ g) numerically: the supremum over u is
-// taken on an n-point grid over [0, uMax]. It is used to cross-validate the
-// exact algorithm in tests; the exact Deconvolve should be preferred.
-func DeconvolveSampled(f, g Curve, horizon, uMax float64, n int) (xs, ys []float64) {
-	if n < 2 {
-		n = 2
-	}
-	xs = make([]float64, n+1)
-	ys = make([]float64, n+1)
-	tStep := horizon / float64(n)
-	uStep := uMax / float64(n)
-	for i := 0; i <= n; i++ {
-		t := float64(i) * tStep
-		best := f.Value(t) - g.AtZero() // u = 0
-		for j := 1; j <= n; j++ {
-			u := float64(j) * uStep
-			if v := f.Value(t+u) - g.ValueLeft(u); v > best {
-				best = v
-			}
-			if v := f.Value(t+u) - g.Value(u); v > best {
-				best = v
-			}
-		}
-		xs[i] = t
-		ys[i] = best
-	}
-	return xs, ys
-}

@@ -254,9 +254,6 @@ func Add(a, b Curve) Curve {
 // transform); Sub panics otherwise.
 func Sub(a, b Curve) Curve { return combine(a, b, binSub) }
 
-// PositivePart returns max(a, 0) — the [·]⁺ operator.
-func PositivePart(a Curve) Curve { return Max(a, Zero()) }
-
 // Scale returns k*a for k >= 0.
 func Scale(a Curve, k float64) Curve {
 	if k < 0 {
@@ -268,20 +265,6 @@ func Scale(a Curve, k float64) Curve {
 		segs[i].Slope *= k
 	}
 	return newOwned(a.AtZero()*k, segs)
-}
-
-// ScaleTime returns g(t) = a(t/k) for k > 0 (time stretched by factor k):
-// breakpoints move to k*X and slopes divide by k.
-func ScaleTime(a Curve, k float64) Curve {
-	if k <= 0 {
-		panic("curve: ScaleTime by non-positive factor")
-	}
-	segs := a.Segments()
-	for i := range segs {
-		segs[i].X *= k
-		segs[i].Slope /= k
-	}
-	return newOwned(a.AtZero(), segs)
 }
 
 // ShiftRight delays the curve by T >= 0:

@@ -138,22 +138,3 @@ func SubAdditiveClosure(f Curve, maxIter int) Curve {
 	}
 	return closure
 }
-
-// IsSubAdditive reports whether f(s+t) <= f(s) + f(t) holds on a sample
-// grid over [0, horizon] (a practical check; exactness would require
-// comparing f with its closure).
-func IsSubAdditive(f Curve, horizon float64, n int) bool {
-	if n < 2 {
-		n = 2
-	}
-	for i := 0; i <= n; i++ {
-		s := horizon * float64(i) / float64(n)
-		for j := 0; j <= n-i; j++ {
-			t := horizon * float64(j) / float64(n)
-			if f.Value(s+t) > f.Value(s)+f.Value(t)+1e-6*(1+f.Value(s+t)) {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -61,10 +61,15 @@ func (s *Span) add(phase string, d time.Duration) {
 // Absorb folds every phase of other into s and advances s's cursor to
 // other's cursor when that is later — used when a leader records shared
 // work on one span and credits it to every ticket it decided, without the
-// followers double-counting that window at their next Mark.
-func (s *Span) Absorb(other *Span) {
+// followers double-counting that window at their next Mark. The window from
+// s's cursor to other's start, which neither span marked, goes to phase gap,
+// so s's phases still tile its span up to the new cursor.
+func (s *Span) Absorb(other *Span, gap string) {
 	if s == nil || other == nil {
 		return
+	}
+	if d := other.start.Sub(s.last); d > 0 {
+		s.add(gap, d)
 	}
 	for i, n := range other.names {
 		s.add(n, other.durs[i])
@@ -82,12 +87,14 @@ func (s *Span) Start() time.Time {
 	return s.start
 }
 
-// Total returns the time elapsed since the span started.
+// Total returns the time from the span's start to its last mark: what the
+// marked phases tile. It reads no clock, so a finished span's Total does not
+// grow by whatever delays its reader after the final Mark.
 func (s *Span) Total() time.Duration {
 	if s == nil {
 		return 0
 	}
-	return time.Since(s.start)
+	return s.last.Sub(s.start)
 }
 
 // PhaseDur is one named phase duration of a finished span.
