@@ -44,7 +44,8 @@ type NodeAnalysis struct {
 	// (input-referred): the arrival rate clipped by upstream bottlenecks.
 	ArrivalRate units.Rate
 	// AlphaIn is the arrival-curve bound on the flow entering this node,
-	// propagated through upstream output bounds.
+	// propagated through upstream output bounds (past a FIFO member with a
+	// jump, through the least concave majorant of its output bound).
 	AlphaIn curve.Curve
 	// Beta and Gamma are the node's packetized service curves
 	// (input-referred, time in seconds).
@@ -150,10 +151,10 @@ func Analyze(p Pipeline) (*Analysis, error) { return AnalyzeMemo(p, nil) }
 func AnalyzeMemo(p Pipeline, m *Memo) (*Analysis, error) { return m.lookup(p) }
 
 // Bounds is what an admission verdict reads of an analysis: the end-to-end
-// bounds of the concatenated chain curve (Analysis.ConcatenatedBeta — sound
-// for a packetized multi-hop execution, unlike the paper's folded closed
-// form), the guaranteed throughput, and the θ the analysis committed to at
-// every node. A shared *Bounds is read-only.
+// bounds of the concatenated per-node chain (ChainBound — sound for a
+// packetized multi-hop execution, unlike the paper's folded closed form),
+// the guaranteed throughput, and the θ the analysis committed to at every
+// node. A shared *Bounds is read-only.
 type Bounds struct {
 	// Rung is the resolved rung the bounds were computed at.
 	Rung Rung
